@@ -19,8 +19,8 @@ from .modules import (ModuleRef, ref_dims, ref_plain, ref_preinj,
 from .quiver import Quiver, classify_type, coxeter_transform, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
-from .systems import (CandidatePool, StratSystem, check_css, check_ss,
-                      extend_to_complete)
+from .systems import (CandidatePool, StratSystem, _exceptional_sequences,
+                      check_css, check_ss, extend_to_complete)
 from .tubes import f_members, g_members
 
 
@@ -86,7 +86,6 @@ def kronecker_orbit_pool(m: int, dim_cap: int) -> list[ModuleRef]:
     """All tau-orbit modules of projectives and injectives whose dimension
     vectors stay entrywise within the cap."""
     q = kronecker(m)
-    phi = coxeter_transform(q)
     pool: list[ModuleRef] = []
     for v in q.vertices:
         for kind in ("P", "I"):
@@ -136,14 +135,9 @@ def enumerate_css_kronecker(m: int, dim_cap: int) -> tuple[list[StratSystem], Ch
                 # dim End >= 1 forces dim Ext^1 >= 1 - <d,d> >= 1 there
                 excluded += 1
     report.flag(f"{excluded} dimension vectors excluded by forced self-extensions")
-    found: list[StratSystem] = []
-    for a in pool:
-        for b in pool:
-            system = StratSystem(q, (a, b))
-            verdict = check_ss(system)
-            report.checked += 1
-            if verdict.passed and system.size == q.n:
-                found.append(system)
+    report.checked += len(pool) ** 2  # every ordered pair of the pool is decided
+    found = [StratSystem(q, tuple(pool[i] for i in seq))
+             for seq in _exceptional_sequences(pool, q.n) if len(seq) == q.n]
     return found, report
 
 
@@ -611,37 +605,8 @@ def regular_css_search(q: Quiver, dim_cap: int,
         if rep is not None:
             pool.append(rep)
     refs = [ref_plain(rep) for rep in pool]
-    hom_cache: dict[tuple[int, int], int] = {}
-    ext_cache: dict[tuple[int, int], int] = {}
-
-    def hom(a: int, b: int) -> int:
-        if (a, b) not in hom_cache:
-            hom_cache[(a, b)] = hom_dim(pool[a], pool[b])
-        return hom_cache[(a, b)]
-
-    def ext(a: int, b: int) -> int:
-        if (a, b) not in ext_cache:
-            ext_cache[(a, b)] = hom(a, b) - euler_form(q, pool[a].dims, pool[b].dims)
-        return ext_cache[(a, b)]
-
-    def search(prefix: list[int]) -> Optional[list[int]]:
-        if len(prefix) == q.n:
-            return prefix
-        for idx in range(len(pool)):
-            if idx in prefix:
-                continue
-            ok = True
-            for earlier in prefix:
-                if hom(idx, earlier) or ext(idx, earlier):
-                    ok = False
-                    break
-            if ok:
-                found = search(prefix + [idx])
-                if found is not None:
-                    return found
-        return None
-
-    witness = search([])
+    witness = next((seq for seq in _exceptional_sequences(refs, q.n)
+                    if len(seq) == q.n), None)
     if witness is None:
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import classifier, tubes
 from .apq import TUBE_INFTY, TUBE_ZERO, tube_lambda
 from .artheory import CapExceededError, ar_position, tau_power
 from .io_json import (InputError, module_ref_to_json, quiver_from_json,
-                      rep_from_json, rep_to_json, system_from_json)
+                      rep_from_json, rep_to_json, system_from_json,
+                      valid_quiver_from_json)
 from .modules import TooLargeError, materialize
 from .quiver import classify_type, validate
 from .report import CheckReport
@@ -80,13 +80,6 @@ def _load_json(path: str) -> Any:
 
 def _load_rep(path: str):
     return rep_from_json(_load_json(path), where=path)
-
-
-def _pmap(fn: Callable, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +183,13 @@ def cmd_kron(args, report: Report) -> None:
 
 def cmd_apq(args, report: Report) -> None:
     p, q = args.p, args.q
-    tbound = args.tbound if args.tbound is not None else 2 * (p * q // _gcd(p, q))
+    tbound = args.tbound if args.tbound is not None else 2 * (p * q // math.gcd(p, q))
     if args.action == "families":
-        instances = classifier.apq_families(p, q, tbound)
-
-        def verify(inst):
-            unique = classifier.verify_family_uniqueness(p, q, inst,
-                                                         exponent_bound=tbound + max(p, q) + 1)
-            return (inst, unique)
-
         rows = []
-        for inst, unique in _pmap(verify, instances, args.jobs):
+        for inst in classifier.apq_families(p, q, tbound):
             report.add(inst.report)
-            report.add(unique)
+            report.add(classifier.verify_family_uniqueness(
+                p, q, inst, exponent_bound=tbound + max(p, q) + 1))
             rows.append({"family": inst.family_id, "params": inst.params,
                          "system": inst.system.describe(),
                          "verdict": inst.report.verdict,
@@ -234,7 +221,7 @@ def cmd_apq(args, report: Report) -> None:
 
 
 def cmd_wild(args, report: Report) -> None:
-    q = quiver_from_json(_load_json(args.file), where=args.file)
+    q = valid_quiver_from_json(_load_json(args.file), where=args.file)
     tag = classify_type(q).tag
     if tag != "Wild" or q.n < 3:
         raise InputError(f"regcss needs a wild quiver with >= 3 vertices (got {tag}, "
@@ -246,12 +233,6 @@ def cmd_wild(args, report: Report) -> None:
                                   for m in witness.modules]
     else:
         report.data["witness"] = None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the report (breaks byte-identity)")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("STRATSYS_JOBS", "1")),
-                        help="worker threads for independent verification cells")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; no operation is randomized")
     sub = parser.add_subparsers(dest="group", required=True)
 
     p_quiver = sub.add_parser("quiver", help="validate or classify a quiver file")

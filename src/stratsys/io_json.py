@@ -18,17 +18,13 @@ from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq, tube_lambda
 from .linalg import format_rational, parse_rational
 from .modules import (ModuleRef, PREINJ, PREPROJ, TUBE, ref_plain,
                       ref_preinj, ref_preproj, ref_tube)
-from .quiver import Quiver, kronecker
+from .quiver import Quiver, kronecker, validate
 from .reps import Representation, make_rep, simple
 from .systems import StratSystem
 
 
 class InputError(ValueError):
     """Malformed input file; the message carries a location."""
-
-
-def quiver_to_json(q: Quiver) -> dict:
-    return q.to_json()
 
 
 def quiver_from_json(data: Any, where: str = "quiver") -> Quiver:
@@ -53,6 +49,27 @@ def quiver_from_json(data: Any, where: str = "quiver") -> Quiver:
         raise InputError(f"{where}: {exc}") from exc
 
 
+def valid_quiver_from_json(data: Any, where: str = "quiver") -> Quiver:
+    """quiver_from_json that also rejects quivers failing ``validate``."""
+    quiver = quiver_from_json(data, where=where)
+    check = validate(quiver)
+    if not check.passed:
+        raise InputError(f"{where}: invalid quiver, fails the "
+                         f"{check.violations[0].axiom} check")
+    return quiver
+
+
+def _int_field(spec: Any, key: str, where: str, default: int | None = None) -> int:
+    if not isinstance(spec, dict):
+        raise InputError(f"{where}: expected an object")
+    if key not in spec and default is None:
+        raise InputError(f"{where}.{key}: missing")
+    try:
+        return int(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}.{key}: expected an integer ({exc})") from exc
+
+
 def rep_to_json(rep: Representation, inline_quiver: bool = True) -> dict:
     out: dict[str, Any] = {"dims": list(rep.dims)}
     if inline_quiver:
@@ -70,7 +87,7 @@ def rep_from_json(data: Any, quiver: Quiver | None = None, where: str = "rep") -
     if quiver is None:
         if "quiver" not in data:
             raise InputError(f"{where}: missing quiver")
-        quiver = quiver_from_json(data["quiver"], where=f"{where}.quiver")
+        quiver = valid_quiver_from_json(data["quiver"], where=f"{where}.quiver")
     if "dims" not in data:
         raise InputError(f"{where}: missing dims")
     dims = data["dims"]
@@ -109,15 +126,18 @@ def module_ref_from_json(data: Any, quiver: Quiver, where: str = "module") -> Mo
     if not isinstance(data, dict) or len([k for k in data if k not in ("level", "index")]) != 1:
         raise InputError(f"{where}: expected an object with one descriptor key")
     pq = recognize_apq(quiver)
-    level = int(data.get("level", 1))
-    if "tauP" in data:
-        spec = data["tauP"]
-        return ref_preproj(quiver, int(spec["i"]), int(spec.get("k", 0)))
-    if "tauI" in data:
-        spec = data["tauI"]
-        return ref_preinj(quiver, int(spec["i"]), int(spec.get("k", 0)))
+    level = _int_field(data, "level", where, default=1)
+    for key, make in (("tauP", ref_preproj), ("tauI", ref_preinj)):
+        if key in data:
+            vertex = _int_field(data[key], "i", f"{where}.{key}")
+            power = _int_field(data[key], "k", f"{where}.{key}", default=0)
+            if vertex not in quiver.vertices:
+                raise InputError(f"{where}.{key}.i: unknown vertex {vertex}")
+            if power < 0:
+                raise InputError(f"{where}.{key}.k: negative power {power}")
+            return make(quiver, vertex, power)
     if "S" in data:
-        vertex = int(data["S"])
+        vertex = _int_field(data, "S", where)
         if vertex not in quiver.vertices:
             raise InputError(f"{where}.S: unknown vertex {vertex}")
         return ref_plain(simple(quiver, vertex))
@@ -133,10 +153,10 @@ def module_ref_from_json(data: Any, quiver: Quiver, where: str = "module") -> Mo
             p, q = pq
             if key == "E_lambda":
                 label = tube_lambda(parse_rational(data[key]))
-                index = int(data.get("index", 1))
+                index = _int_field(data, "index", where, default=1)
             else:
                 label = label_maker()
-                index = int(data[key])
+                index = _int_field(data, key, where)
             try:
                 return ref_tube(p, q, label, index, level)
             except ValueError as exc:
@@ -154,7 +174,7 @@ def system_from_json(data: Any, where: str = "system") -> StratSystem:
         raise InputError(f"{where}: expected an object")
     if "quiver" not in data:
         raise InputError(f"{where}: missing quiver")
-    quiver = quiver_from_json(data["quiver"], where=f"{where}.quiver")
+    quiver = valid_quiver_from_json(data["quiver"], where=f"{where}.quiver")
     modules = data.get("modules")
     if not isinstance(modules, list):
         raise InputError(f"{where}: missing module list")

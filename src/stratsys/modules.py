@@ -256,9 +256,12 @@ def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
     return value
 
 
-def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
-    """dim Ext^1(a, b) by the Euler identity on top of pair_hom."""
-    value = pair_hom(a, b) - euler_form(a.quiver, ref_dims(a), ref_dims(b))
+def pair_ext(a: ModuleRef, b: ModuleRef, hom: Optional[int] = None) -> int:
+    """dim Ext^1(a, b) by the Euler identity on top of pair_hom, or on top of
+    ``hom`` when the caller already holds dim Hom(a, b)."""
+    if hom is None:
+        hom = pair_hom(a, b)
+    value = hom - euler_form(a.quiver, ref_dims(a), ref_dims(b))
     if value < 0:
         raise ArithmeticError("negative Ext dimension out of the engine")
     return value
@@ -396,11 +399,6 @@ def _hom_tube_to_preinj(a: ModuleRef, b: ModuleRef) -> int:
 
 def ref_is_exceptional(ref: ModuleRef) -> bool:
     return pair_hom(ref, ref) == 1 and pair_ext(ref, ref) == 0
-
-
-def ref_supp(ref: ModuleRef) -> set[int]:
-    q = ref.quiver
-    return {v for v, d in zip(q.vertices, ref_dims(ref)) if d}
 
 
 def same_module(a: ModuleRef, b: ModuleRef) -> bool:

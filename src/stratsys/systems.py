@@ -10,9 +10,10 @@ member of a stratifying system over a hereditary algebra must satisfy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .linalg import RationalMatrix, rank as matrix_rank
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, TooLargeError,
@@ -38,11 +39,6 @@ class StratSystem:
 
     def describe(self) -> str:
         return "(" + ", ".join(m.describe() for m in self.modules) + ")"
-
-    def inserted(self, position: int, ref: ModuleRef) -> "StratSystem":
-        mods = list(self.modules)
-        mods.insert(position, ref)
-        return StratSystem(self.quiver, tuple(mods))
 
 
 def system_from(quiver: Quiver, modules: Sequence) -> StratSystem:
@@ -205,12 +201,14 @@ def _nonneg_solutions(targets: Sequence[int], columns: Sequence[Sequence[int]]) 
 def filtration_multiplicity(m: Representation, s: StratSystem,
                             dim_cap: int = FILTRATION_DIM_CAP) -> Optional[tuple[int, ...]]:
     """Multiplicities [M : X_i] of a filtration with quotients in the system,
-    or None when no filtration is found.
+    or None when none was found.
 
     Search: a numeric certificate first (the dimension vector must be a
     nonnegative combination of the members'), then the fast path when all
     members are simple, then a recursive search over surjections onto the
-    members with kernels recursing.  Exhausting the search yields None.
+    members with kernels recursing.  The surjections tried are a sample
+    (basis maps and small signed combinations), so None means "none found",
+    not "none exists", unless the numeric certificate already failed.
     """
     if m.total_dim > dim_cap:
         raise TooLargeError(f"module dimension {m.total_dim} exceeds the cap {dim_cap}")
@@ -313,7 +311,6 @@ class CandidatePool:
 
     exponent_bound: int = 8
     include_regulars: bool = True
-    lambda_sample: tuple = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
 def build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
@@ -344,21 +341,53 @@ def build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
     return unique
 
 
-def _compatible_insertion(s: StratSystem, position: int, cand: ModuleRef) -> bool:
-    """Check only the new pairs created by inserting cand at the position."""
-    if pair_ext(cand, cand):
-        return False
-    if pair_hom(cand, cand) != 1:
-        return False
-    for i, other in enumerate(s.modules):
-        if i < position:
-            # other sits before cand: cand plays the later role
-            if pair_hom(cand, other) or pair_ext(cand, other):
-                return False
-        else:
-            if pair_hom(other, cand) or pair_ext(other, cand):
-                return False
-    return True
+def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
+                           start: Sequence[int] = (),
+                           picks: Optional[Sequence[int]] = None,
+                           slots: Optional[Callable[[int, int], Iterable[int]]] = None,
+                           report: Optional[CheckReport] = None
+                           ) -> Iterator[tuple[int, ...]]:
+    """Depth-first search for ordered systems over ``items``, by index.
+
+    The systems are the exceptional sequences of Crawley-Boevey ("Exceptional
+    sequences of representations of quivers", 1993).  Starting from ``start``
+    (taken to satisfy the axioms), each step inserts an index from ``picks``
+    (default: every item) at a position from ``slots(size, last_slot)``
+    (default: appended) and checks only the new pairs; each attempt counts one
+    check on ``report``.  Every accepted sequence is yielded in depth-first
+    order and grown while shorter than ``length``, so a caller takes the first
+    hit of full length, all of them, or the longest length reached.
+
+    Both facts a step needs come from ``hom_ext(a, b)`` = (dim Hom, dim Ext^1):
+    ``b`` may follow ``a`` iff hom_ext(b, a) == (0, 0), and ``i`` is
+    exceptional iff hom_ext(i, i) == (1, 0).  The new pairs are tried before
+    exceptionality, which is the costly fact for large explicit modules.
+    When more than one insertion is searched, ``hom_ext`` is memoized per search.
+    """
+    picks = range(len(items)) if picks is None else picks
+    slots = slots or (lambda size, last: (size,))
+
+    def hom_ext(a: int, b: int) -> tuple[int, int]:
+        hom = pair_hom(items[a], items[b])
+        return hom, pair_ext(items[a], items[b], hom)
+
+    if length - len(start) > 1:
+        hom_ext = functools.cache(hom_ext)
+
+    def grow(seq: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
+        for pos in slots(len(seq), last):
+            for i in picks:
+                if report is not None:
+                    report.checked += 1
+                if (all(hom_ext(i, j) == (0, 0) for j in seq[:pos])
+                        and all(hom_ext(j, i) == (0, 0) for j in seq[pos:])
+                        and hom_ext(i, i) == (1, 0)):
+                    child = seq[:pos] + (i,) + seq[pos:]
+                    yield child
+                    if len(child) < length:
+                        yield from grow(child, pos)
+
+    return grow(tuple(start), 0)
 
 
 def extend_to_complete(s: StratSystem,
@@ -390,55 +419,32 @@ def extend_to_complete(s: StratSystem,
         return s, report
     cands = list(candidates) if candidates is not None else build_candidates(
         s.quiver, pool or CandidatePool())
-    slots = n - s.size
+    items = list(s.modules) + cands
 
-    def slot_list(current_size: int, min_pos: int) -> list[int]:
+    def slot_list(size: int, last: int) -> Iterable[int]:
         if positions == "outer":
-            return sorted({0, current_size})
+            return sorted({0, size})
         if positions is not None:
-            return [p for p in positions if 0 <= p <= current_size]
-        return list(range(min_pos, current_size + 1))
+            return [p for p in positions if 0 <= p <= size]
+        return range(last, size + 1)
 
-    if slots == 1:
-        winners: list[tuple[int, ModuleRef]] = []
-        for pos in slot_list(s.size, 0):
-            for cand in cands:
-                report.checked += 1
-                if _compatible_insertion(s, pos, cand):
-                    if not any(same_module(cand, w[1]) and pos == w[0] for w in winners):
-                        winners.append((pos, cand))
-        if not winners:
-            report.add("no-completion", note="none found within bounds")
-            return None, report
-        distinct = []
-        for pos, cand in winners:
-            if not any(same_module(cand, c) for _, c in distinct):
-                distinct.append((pos, cand))
+    hits = (seq for seq in _exceptional_sequences(
+        items, n, start=range(s.size), picks=range(s.size, len(items)),
+        slots=slot_list, report=report) if len(seq) == n)
+    if n - s.size == 1:
+        hits = list(hits)
+        distinct: dict = {}
+        for seq in hits:
+            cand = items[max(seq)]  # the inserted candidate has the largest index
+            distinct.setdefault(ref_dims(cand), cand)
         if len(distinct) > 1:
             report.flag("uniqueness violated: multiple one-slot completions "
-                        + ", ".join(c.describe() for _, c in distinct))
-        pos, cand = winners[0]
-        result = s.inserted(pos, cand)
-        final = check_css(result)
-        report.merge(final)
-        return (result if final.passed else None), report
-
-    def search(current: StratSystem, remaining: int, min_pos: int) -> Optional[StratSystem]:
-        if remaining == 0:
-            return current
-        for pos in slot_list(current.size, min_pos):
-            for cand in cands:
-                report.checked += 1
-                if _compatible_insertion(current, pos, cand):
-                    found = search(current.inserted(pos, cand), remaining - 1, pos)
-                    if found is not None:
-                        return found
-        return None
-
-    result = search(s, slots, 0)
-    if result is None:
+                        + ", ".join(c.describe() for c in distinct.values()))
+    found = next(iter(hits), None)
+    if found is None:
         report.add("no-completion", note="none found within bounds")
         return None, report
+    result = StratSystem(s.quiver, tuple(items[i] for i in found))
     final = check_css(result)
     report.merge(final)
     return (result if final.passed else None), report

@@ -14,11 +14,11 @@ from itertools import combinations
 from .apq import (TUBE_INFTY, TUBE_ZERO, TubeLabel, TubePoint, apq_algebra,
                   recognize_apq, tube_lambda, tube_rank)
 from .artheory import tau, tau_inv
-from .modules import ModuleRef, ref_tube, pair_ext, pair_hom, ref_dims, ref_is_exceptional
+from .modules import ModuleRef, ref_tube, ref_dims, ref_is_exceptional
 from .quiver import Quiver, classify_type
 from .report import CheckReport
 from .reps import brick_iso, ext1_dim, hom_dim, supp
-from .systems import StratSystem
+from .systems import StratSystem, _exceptional_sequences
 
 DEFAULT_LAMBDA_SAMPLE = (1, 2, "1/2", -1)
 
@@ -136,12 +136,6 @@ def _family_orbit_supports(p: int, q: int, which: str, n_max: int) -> dict[int, 
             out[n] |= supp(up)
             out[-n] |= supp(down)
     return out
-
-
-def family_support_structural(p: int, q: int, which: str, n: int) -> set[int]:
-    """Union of supports of tau^n of each family member, computed with the
-    structural translate (the oracle for the closed form)."""
-    return _family_orbit_supports(p, q, which, abs(n))[n]
 
 
 def verify_support_formula(p: int, q: int, n_max: int) -> CheckReport:
@@ -272,26 +266,4 @@ def max_regular_ss_size(quiver: Quiver, dim_cap: int) -> int:
     """Exhaustive search for the largest stratifying system whose members are
     regular exceptional modules of total dimension within the cap."""
     pool = regular_exceptional_pool(quiver, dim_cap)
-    best = 0
-
-    def extendable(prefix: list[ModuleRef], cand: ModuleRef) -> bool:
-        for earlier in prefix:
-            if pair_hom(cand, earlier) or pair_ext(cand, earlier):
-                return False
-        if pair_ext(cand, cand):
-            return False
-        return True
-
-    def search(prefix: list[ModuleRef], used: set[int]) -> None:
-        nonlocal best
-        best = max(best, len(prefix))
-        if len(prefix) == quiver.n:
-            return
-        for idx, cand in enumerate(pool):
-            if idx in used:
-                continue
-            if extendable(prefix, cand):
-                search(prefix + [cand], used | {idx})
-
-    search([], set())
-    return best
+    return max(map(len, _exceptional_sequences(pool, quiver.n)), default=0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 from stratsys.cli import main
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "src" / "stratsys" / "schema" / "report.schema.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = REPO_ROOT / "src" / "stratsys" / "schema" / "report.schema.json"
 
 
 def validate_schema(instance, schema) -> list[str]:
@@ -170,11 +172,75 @@ def test_reports_byte_identical(files):
     assert first.stdout.strip()
 
 
-def test_seed_and_jobs_flags_accepted(files, capsys):
-    code, _ = run_cli(["--seed", "7", "--jobs", "2",
-                       "apq", "ysearch-post", "--p", "2", "--q", "3", "--tbound", "3"],
-                      capsys)
-    assert code == 0
+@pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+def test_seed_and_jobs_flags_rejected(flag, capsys):
+    code = main([flag, "2", "apq", "ysearch-post", "--p", "2", "--q", "3", "--tbound", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+
+
+TWO_CYCLE = {"vertices": [1, 2], "arrows": [{"src": 1, "tgt": 2, "label": "a"},
+                                              {"src": 2, "tgt": 1, "label": "b"}]}
+
+
+@pytest.mark.parametrize("action, payload, field", [
+    ("ss check", {"quiver": {"kronecker": {"m": 2}}, "modules": [{"tauP": {}}]},
+     ".modules[0].tauP.i"),
+    ("ss check", {"quiver": {"kronecker": {"m": 2}}, "modules": [{"tauP": {"i": 7, "k": 0}}]},
+     ".modules[0].tauP.i"),
+    ("ss check", {"quiver": {"kronecker": {"m": 2}}, "modules": [{"tauI": {"i": 1, "k": -1}}]},
+     ".modules[0].tauI.k"),
+    ("rep ext", {"quiver": TWO_CYCLE, "dims": [1, 1],
+                 "maps": {"a": [["1"]], "b": [["1"]]}}, ".quiver"),
+    ("rep hom", {"quiver": TWO_CYCLE, "dims": [1, 1],
+                 "maps": {"a": [["1"]], "b": [["1"]]}}, ".quiver"),
+], ids=["missing-vertex", "unknown-vertex", "negative-power", "cyclic-rep-ext",
+        "cyclic-rep-hom"])
+def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    args = action.split() + [str(path)] * (2 if action.startswith("rep") else 1)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert f"error: {path}{field}:" in captured.err
+
+
+def test_quiver_validate_keeps_reporting_cycles_as_failures(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(TWO_CYCLE), encoding="utf-8")
+    code, out = run_cli(["quiver", "validate", str(path)], capsys)
+    assert code == 1
+    assert "violated acyclic" in out
+
+
+PINNED_REPORTS = {
+    "kron-enumerate-m3": ("--json kron enumerate --m 3 --cap 13", 0,
+                          "6ed7a34a23a904610aac36e5ae0669f0f65f1077275010dbbb52b500e345e39b"),
+    "kron-enumerate-m2": ("--json kron enumerate --m 2 --cap 9", 0,
+                          "3217646692e8f41cd97184a61aeed8012a781274a859c2ac4097adf894b27ad0"),
+    "wild-regcss-cap6": ("--json wild regcss samples/wild_double_path.quiver.json --cap 6", 1,
+                         "b328581a10108f6bc5bab9c098f59f0eaad1023c0b025093c9f0cbbfd2fd6986"),
+    "wild-regcss-cap8": ("--json wild regcss samples/wild_double_path.quiver.json --cap 8", 0,
+                         "bfd6874ddbd42f3fe20c28968cf39346ebb1a84aaffe699abcaf1e72e3c4db41"),
+    "ss-extend-outer": ("--json ss extend samples/fg_p2q3.ss.json --positions outer --bound 4", 0,
+                        "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
+    "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,
+                      "69ae07ef893a3c5a865efb33388c569d84331c50922c8aea997305626ed45f75"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_search_reports_are_pinned(monkeypatch, capsys, name):
+    """Search witnesses and check counts appear in these reports; the
+    digests pin the exact bytes."""
+    argv, code, digest = PINNED_REPORTS[name]
+    monkeypatch.chdir(REPO_ROOT)
+    got_code, out = run_cli(argv.split(), capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_ss_extend_cli(files, capsys):

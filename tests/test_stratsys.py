@@ -1,12 +1,19 @@
+from itertools import permutations
+
 import pytest
 
-from stratsys.modules import materialize, pair_hom, ref_preinj, ref_preproj
+from stratsys.classifier import enumerate_css_kronecker, kronecker_orbit_pool
+from stratsys.modules import (materialize, pair_hom, ref_plain, ref_preinj,
+                              ref_preproj)
+from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import direct_sum, make_rep, projective
 from stratsys.systems import (CandidatePool, NotOrderableError, StratSystem,
-                              check_css, check_ss, extend_to_complete,
-                              filtration_multiplicity, is_basic_tilting,
-                              is_filtration_finite, system_from, tilting_order)
-from stratsys.tubes import fg_system
+                              _exceptional_sequences, check_css, check_ss,
+                              extend_to_complete, filtration_multiplicity,
+                              is_basic_tilting, is_filtration_finite, system_from,
+                              tilting_order)
+from stratsys.tubes import (fg_system, max_regular_ss_size,
+                            regular_exceptional_pool)
 
 
 def _kron_refs(q):
@@ -172,3 +179,52 @@ def test_system_from_mixed_inputs(kron2):
     s = system_from(kron2, [projective(kron2, 1), ref_preproj(kron2, 2, 0)])
     assert s.size == 2
     assert check_css(s).passed
+
+
+def _brute_force_sequences(pool, n):
+    """Every index sequence of length <= n whose modules pass check_ss, by
+    trying all permutations (stopping once a length admits none)."""
+    found = set()
+    for k in range(1, n + 1):
+        hits = {perm for perm in permutations(range(len(pool)), k)
+                if check_ss(StratSystem(pool[0].quiver,
+                                        tuple(pool[i] for i in perm))).passed}
+        if not hits:
+            break
+        found |= hits
+    return found
+
+
+def _kronecker_pool_with_regular_brick():
+    """Orbit modules plus the (1, 1) regular brick, which has a self-extension."""
+    q = kronecker(2)
+    brick = make_rep(q, (1, 1), {a.label: [[1]] for a in q.arrows})
+    return [ref_plain(brick)] + kronecker_orbit_pool(2, 4)
+
+
+@pytest.mark.parametrize("build_pool, n", [
+    (lambda: regular_exceptional_pool(canonical_apq(2, 3), 10), 5),
+    (lambda: regular_exceptional_pool(canonical_apq(1, 2), 6), 3),
+    (lambda: kronecker_orbit_pool(3, 13), 2),
+    (_kronecker_pool_with_regular_brick, 2),
+], ids=["apq23-regular", "apq12-regular", "kron3-orbits", "kron2-with-brick"])
+def test_search_kernel_matches_brute_force(build_pool, n):
+    pool = build_pool()
+    seqs = list(_exceptional_sequences(pool, n))
+    expected = _brute_force_sequences(pool, n)
+    assert len(seqs) == len(set(seqs))  # each sequence is reached once
+    assert set(seqs) == expected
+    longest = max(map(len, expected), default=0)
+    assert max(map(len, seqs), default=0) == longest
+    assert ({s for s in seqs if len(s) == n}
+            == {s for s in expected if len(s) == n})
+
+
+def test_search_callers_match_brute_force():
+    apq23 = canonical_apq(2, 3)
+    pool = regular_exceptional_pool(apq23, 10)
+    assert max_regular_ss_size(apq23, 10) == max(map(len, _brute_force_sequences(pool, 5)))
+    pool = kronecker_orbit_pool(3, 13)
+    found, _ = enumerate_css_kronecker(3, 13)
+    expected = sorted(s for s in _brute_force_sequences(pool, 2) if len(s) == 2)
+    assert [s.modules for s in found] == [tuple(pool[i] for i in s) for s in expected]
