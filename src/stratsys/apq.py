@@ -10,6 +10,7 @@ of consecutive mouth dimension vectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -224,14 +225,9 @@ class ApqAlgebra:
         return frozenset(cells)
 
 
-_APQ_CACHE: dict[tuple[int, int], ApqAlgebra] = {}
-
-
+@functools.cache
 def apq_algebra(p: int, q: int) -> ApqAlgebra:
-    key = (p, q)
-    if key not in _APQ_CACHE:
-        _APQ_CACHE[key] = ApqAlgebra(p, q)
-    return _APQ_CACHE[key]
+    return ApqAlgebra(p, q)
 
 
 def recognize_apq(q: Quiver) -> Optional[tuple[int, int]]:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every check passes, 1 when a verification fails, 2 on
 usage or input errors.  ``--json`` emits a machine-readable report that
-validates against schema/report.schema.json; reports are byte-identical
-across runs unless ``--timing`` is requested.
+validates against src/stratsys/schema/report.schema.json; reports are
+byte-identical across runs unless ``--timing`` is requested.
 """
 
 from __future__ import annotations

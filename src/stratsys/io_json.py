@@ -18,7 +18,7 @@ from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq, tube_lambda
 from .linalg import format_rational, parse_rational
 from .modules import (ModuleRef, PREINJ, PREPROJ, TUBE, ref_plain,
                       ref_preinj, ref_preproj, ref_tube)
-from .quiver import Quiver, kronecker, validate
+from .quiver import Quiver, canonical_apq, kronecker, validate
 from .reps import Representation, make_rep, simple
 from .systems import StratSystem
 
@@ -31,17 +31,17 @@ def quiver_from_json(data: Any, where: str = "quiver") -> Quiver:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")
     if "kronecker" in data:
-        spec = data["kronecker"]
+        m = _int_field(data["kronecker"], "m", f"{where}.kronecker")
         try:
-            return kronecker(int(spec["m"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return kronecker(m)
+        except ValueError as exc:
             raise InputError(f"{where}.kronecker: {exc}") from exc
     if "apq" in data:
-        spec = data["apq"]
+        p = _int_field(data["apq"], "p", f"{where}.apq")
+        q = _int_field(data["apq"], "q", f"{where}.apq")
         try:
-            from .quiver import canonical_apq
-            return canonical_apq(int(spec["p"]), int(spec["q"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return canonical_apq(p, q)
+        except ValueError as exc:
             raise InputError(f"{where}.apq: {exc}") from exc
     try:
         return Quiver.from_json(data)
@@ -59,15 +59,20 @@ def valid_quiver_from_json(data: Any, where: str = "quiver") -> Quiver:
     return quiver
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: floats, booleans and strings do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(spec: Any, key: str, where: str, default: int | None = None) -> int:
     if not isinstance(spec, dict):
         raise InputError(f"{where}: expected an object")
     if key not in spec and default is None:
         raise InputError(f"{where}.{key}: missing")
-    try:
-        return int(spec.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}.{key}: expected an integer ({exc})") from exc
+    value = spec.get(key, default)
+    if not _is_int(value):
+        raise InputError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
+    return value
 
 
 def rep_to_json(rep: Representation, inline_quiver: bool = True) -> dict:
@@ -91,8 +96,18 @@ def rep_from_json(data: Any, quiver: Quiver | None = None, where: str = "rep") -
     if "dims" not in data:
         raise InputError(f"{where}: missing dims")
     dims = data["dims"]
+    if not (isinstance(dims, list) and len(dims) == quiver.n and all(map(_is_int, dims))):
+        raise InputError(f"{where}.dims: expected a list of {quiver.n} integers")
+    raw_maps = data.get("maps", {})
+    if not isinstance(raw_maps, dict):
+        raise InputError(f"{where}.maps: expected an object keyed by arrow label")
+    labels = {a.label for a in quiver.arrows}
     maps = {}
-    for label, rows in (data.get("maps") or {}).items():
+    for label, rows in raw_maps.items():
+        if label not in labels:
+            raise InputError(f"{where}.maps.{label}: the quiver has no arrow {label!r}")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise InputError(f"{where}.maps.{label}: expected a list of rows")
         try:
             maps[label] = [[parse_rational(x) for x in row] for row in rows]
         except (ValueError, TypeError) as exc:

@@ -1,20 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination engine.
 
-Everything here works with arbitrary-precision ``fractions.Fraction`` entries
-(plain ``int`` entries are accepted and treated as rationals).  No floating
-point is used anywhere.  Pivoting is deterministic (first nonzero entry in
-column order), so kernel bases and particular solutions are reproducible.
+``RationalMatrix`` holds arbitrary-precision ``fractions.Fraction`` entries
+(plain ``int`` entries are accepted and treated as rationals).  Every rank,
+kernel, span, solve and inverse goes through ``_eliminate``: sparse,
+fraction-free integer elimination with gcd reduction.  The rank functions use
+its forward pass alone; the others add its back-substitution pass and read
+the reduced row echelon form (RREF), the only place fractions are formed.
+Pivoting is deterministic (first nonzero entry in column order) and the RREF
+of a row space is unique, so kernel bases and particular solutions are
+reproducible.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-
-
-Scalar = Fraction  # public alias: all entries are exact rationals
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,6 @@ class RationalMatrix:
         one, z = Fraction(1), Fraction(0)
         return RationalMatrix(n, n, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.cols, self.rows,
                               tuple(tuple(self.entries[i][j] for i in range(self.rows))
@@ -94,118 +93,86 @@ class RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# integer row echelon (internal workhorse)
+# the elimination engine
 # ---------------------------------------------------------------------------
 
-def _to_int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; rank/kernels unchanged."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            d = x.denominator
-            mult = mult * d // gcd(mult, d)
-        out.append([int(x * mult) for x in fr])
-    return out
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _sparse_rank(rows: list[dict[int, int]]) -> int:
-    """Exact rank by sparse integer elimination with gcd reduction.
+def _eliminate(rows: Iterable[dict], reduced: bool = False) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse row reduction; returns {pivot column: pivot row}.
 
-    Deterministic sweep: each row is reduced against the recorded pivot rows
-    in increasing column order, then becomes the pivot for its leading
-    column.  Suited to the intertwiner-style systems this library builds,
-    which have a handful of entries per row.
+    ``rows`` are sparse ``{column: rational}`` (``int`` or ``Fraction``, zeros
+    allowed).  Each row is scaled to integers by the lcm of its denominators,
+    then reduced against the pivot rows in increasing column order, and it
+    becomes the pivot row, divided by the gcd of its entries, for its leading
+    column.  The forward pass alone gives the rank.  With ``reduced``, a
+    back-substitution pass clears each pivot column from the other pivot rows,
+    so pivot row ``c`` divided by its entry at ``c`` is the RREF row with
+    pivot ``c``.
     """
-    pivot_for_col: dict[int, dict[int, int]] = {}
-    rank_count = 0
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        current = {c: v for c, v in row.items() if v}
+        mult = 1
+        for v in row.values():
+            if v.denominator != 1:
+                mult = lcm(mult, v.denominator)
+        current = {j: v.numerator * (mult // v.denominator) for j, v in row.items() if v}
         while current:
             c = min(current)
-            pivot = pivot_for_col.get(c)
+            pivot = pivots.get(c)
             if pivot is None:
-                g = 0
-                for v in current.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    current = {j: v // g for j, v in current.items()}
-                pivot_for_col[c] = current
-                rank_count += 1
+                pivots[c] = _primitive(current)
                 break
-            pv = pivot[c]
-            cv = current[c]
-            g = gcd(abs(pv), abs(cv))
-            mult_cur = pv // g
-            mult_piv = cv // g
-            merged: dict[int, int] = {}
-            for j, v in current.items():
-                merged[j] = v * mult_cur
-            for j, v in pivot.items():
-                val = merged.get(j, 0) - v * mult_piv
-                if val:
-                    merged[j] = val
-                elif j in merged:
-                    del merged[j]
-            current = merged
-    return rank_count
+            current = _cancel(current, pivot, c)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            pivot = pivots[c]
+            for r, row in pivots.items():
+                if r < c and c in row:
+                    pivots[r] = _primitive(_cancel(row, pivot, c))
+    return pivots
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """The integer combination of ``row`` and ``pivot`` that is 0 at ``c``."""
+    pv, rv = pivot[c], row[c]
+    g = gcd(pv, rv)
+    mult_row, mult_piv = pv // g, rv // g
+    merged = {j: v * mult_row for j, v in row.items()}
+    for j, v in pivot.items():
+        val = merged.get(j, 0) - v * mult_piv
+        if val:
+            merged[j] = val
+        else:
+            merged.pop(j, None)
+    return merged
+
+
+def _rref_entries(row: dict[int, int], c: int, columns: Iterable[int]) -> tuple[Fraction, ...]:
+    """Entries at ``columns`` of the RREF row read from pivot row ``c``."""
+    p = row[c]
+    return tuple(Fraction(row[j], p) if j in row else _ZERO for j in columns)
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Rank over the rationals via exact integer elimination."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    rows = _to_int_rows(matrix.entries)
-    return _sparse_rank([{j: v for j, v in enumerate(row) if v} for row in rows])
+    """Rank over the rationals."""
+    return len(_eliminate(dict(enumerate(row)) for row in matrix.entries))
 
 
 def rank_of_rows(raw_rows: Sequence[Sequence], ncols: int) -> int:
-    """Rank of a matrix given as raw rows (internal fast path)."""
-    if not raw_rows or ncols == 0:
-        return 0
-    rows = _to_int_rows(raw_rows)
-    return _sparse_rank([{j: v for j, v in enumerate(row) if v} for row in rows])
+    """Rank of a matrix given as dense rows of length ``ncols``."""
+    return len(_eliminate(dict(enumerate(row)) for row in raw_rows))
 
 
 def rank_of_sparse_rows(sparse_rows: Sequence[dict[int, Fraction]]) -> int:
     """Rank of a matrix given as sparse rows {column: rational value}."""
-    int_rows: list[dict[int, int]] = []
-    for row in sparse_rows:
-        mult = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
-        int_rows.append({j: int(v * mult) for j, v in row.items() if v})
-    return _sparse_rank(int_rows)
-
-
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                q = rows[i][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return len(_eliminate(sparse_rows))
 
 
 def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -214,42 +181,30 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     The basis comes from the reduced row echelon form: one vector per free
     column, with a 1 in the free position.  Basis size is cols - rank.
     """
-    ncols = matrix.cols
-    if ncols == 0:
-        return []
-    if matrix.rows == 0:
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
-    rows = [list(row) for row in matrix.entries]
-    rref, pivots = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(tuple(v))
-    return basis
+    return kernel_basis_of_rows([dict(enumerate(row)) for row in matrix.entries], matrix.cols)
 
 
-def kernel_basis_of_rows(raw_rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
-    return kernel_basis(RationalMatrix.from_rows(raw_rows, cols=ncols))
+def kernel_basis_of_rows(sparse_rows: Sequence[dict[int, Fraction]],
+                         ncols: int) -> list[tuple[Fraction, ...]]:
+    """``kernel_basis`` of the matrix with sparse rows {column: rational value}."""
+    pivots = _eliminate(sparse_rows, reduced=True)
+    free = [f for f in range(ncols) if f not in pivots]
+    position = {f: i for i, f in enumerate(free)}
+    basis = [[_ZERO] * ncols for _ in free]
+    for i, f in enumerate(free):
+        basis[i][f] = _ONE
+    for c, row in pivots.items():
+        p = row[c]
+        for j, v in row.items():
+            if j != c:
+                basis[position[j]][c] = Fraction(-v, p)
+    return [tuple(v) for v in basis]
 
 
 def span_basis(vectors: Sequence[Sequence], length: int) -> list[tuple[Fraction, ...]]:
     """Deterministic (RREF) basis of the span of the given vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return []
-    rref, pivots = _rref(rows, length)
-    return [tuple(rref[r]) for r in range(len(pivots))]
+    pivots = _eliminate((dict(enumerate(v)) for v in vectors), reduced=True)
+    return [_rref_entries(row, c, range(length)) for c, row in sorted(pivots.items())]
 
 
 def solve(matrix: RationalMatrix, rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -260,16 +215,14 @@ def solve(matrix: RationalMatrix, rhs: Sequence) -> Optional[tuple[Fraction, ...
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length mismatch")
     ncols = matrix.cols
-    aug = [list(row) + [Fraction(b)] for row, b in zip(matrix.entries, rhs)]
-    if not aug:
-        return tuple(Fraction(0) for _ in range(ncols))
-    rref, pivots = _rref(aug, ncols)
-    for row in rref[len(pivots):]:
-        if row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
+    pivots = _eliminate((dict(enumerate((*row, b))) for row, b in zip(matrix.entries, rhs)),
+                        reduced=True)
+    if ncols in pivots:
+        return None
+    x = [_ZERO] * ncols
+    for c, row in pivots.items():
+        if ncols in row:
+            x[c] = Fraction(row[ncols], row[c])
     return tuple(x)
 
 
@@ -278,12 +231,12 @@ def invert(matrix: RationalMatrix) -> RationalMatrix:
     n = matrix.rows
     if n != matrix.cols:
         raise ValueError("only square matrices can be inverted")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(matrix.entries)]
-    rref, pivots = _rref(aug, n)
-    if len(pivots) != n:
+    pivots = _eliminate(({**dict(enumerate(row)), n + i: 1}
+                         for i, row in enumerate(matrix.entries)), reduced=True)
+    if set(pivots) != set(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix(n, n, tuple(tuple(rref[i][n:]) for i in range(n)))
+    return RationalMatrix(n, n, tuple(_rref_entries(pivots[i], i, range(n, 2 * n))
+                                      for i in range(n)))
 
 
 def format_rational(x: Fraction) -> str:

@@ -18,6 +18,7 @@ matrices with ~10^5 rows, which no structural checker can materialize.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,29 +87,23 @@ def ref_plain(rep: Representation) -> ModuleRef:
 # caches
 # ---------------------------------------------------------------------------
 
-_COXETER: dict[Quiver, CoxeterTransform] = {}
-_PROJ_DIMS: dict[Quiver, dict[DimVector, int]] = {}
-_INJ_DIMS: dict[Quiver, dict[DimVector, int]] = {}
 _ORBIT_REPS: dict[tuple, Representation] = {}
 _HOM_CACHE: dict[tuple, int] = {}
 
 
+@functools.cache
 def coxeter_of(q: Quiver) -> CoxeterTransform:
-    if q not in _COXETER:
-        _COXETER[q] = coxeter_transform(q)
-    return _COXETER[q]
+    return coxeter_transform(q)
 
 
+@functools.cache
 def _proj_dims(q: Quiver) -> dict[DimVector, int]:
-    if q not in _PROJ_DIMS:
-        _PROJ_DIMS[q] = {projective_dim_vector(q, v): v for v in q.vertices}
-    return _PROJ_DIMS[q]
+    return {projective_dim_vector(q, v): v for v in q.vertices}
 
 
+@functools.cache
 def _inj_dims(q: Quiver) -> dict[DimVector, int]:
-    if q not in _INJ_DIMS:
-        _INJ_DIMS[q] = {injective_dim_vector(q, v): v for v in q.vertices}
-    return _INJ_DIMS[q]
+    return {injective_dim_vector(q, v): v for v in q.vertices}
 
 
 _ORBIT_DIMS: dict[tuple, list[DimVector]] = {}

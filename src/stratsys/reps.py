@@ -9,6 +9,7 @@ projective-presentation route, which must always agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,18 +20,13 @@ from .quiver import DimVector, Quiver, euler_form
 
 Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
 
-_PATHS_CACHE: dict[Quiver, dict[tuple[int, int], tuple[Path, ...]]] = {}
-
-
+@functools.cache
 def paths_table(q: Quiver) -> dict[tuple[int, int], tuple[Path, ...]]:
     """All directed paths (u, v) -> ordered tuple of label sequences.
 
     Paths are listed in lexicographic label order with prefixes first, which
     fixes the bases of projectives and injectives deterministically.
     """
-    cached = _PATHS_CACHE.get(q)
-    if cached is not None:
-        return cached
     table: dict[tuple[int, int], list[Path]] = {(u, v): [] for u in q.vertices for v in q.vertices}
 
     def extend(start: int, current: int, labels: list[str]) -> None:
@@ -42,9 +38,7 @@ def paths_table(q: Quiver) -> dict[tuple[int, int], tuple[Path, ...]]:
 
     for u in q.vertices:
         extend(u, u, [])
-    result = {key: tuple(sorted(val)) for key, val in table.items()}
-    _PATHS_CACHE[q] = result
-    return result
+    return {key: tuple(sorted(val)) for key, val in table.items()}
 
 
 @dataclass(frozen=True)
@@ -280,16 +274,9 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
     if x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
     q = x.quiver
-    sparse_rows, total = _intertwiner_rows(x, y)
+    rows, total = _intertwiner_rows(x, y)
     if total == 0:
         return HomSpace(x, y, ())
-    zero = Fraction(0)
-    rows = []
-    for srow in sparse_rows:
-        row = [zero] * total
-        for k, v in srow.items():
-            row[k] = v
-        rows.append(row)
     kernel = linalg.kernel_basis_of_rows(rows, total)
     basis = []
     for vec in kernel:
@@ -446,12 +433,7 @@ def _top_lift_indices(m: Representation, vertex: int) -> tuple[list[tuple[Fracti
     """Radical basis at the vertex plus standard-vector indices lifting the top."""
     k = m.quiver.index(vertex)
     rad = _radical_vectors(m, vertex)
-    pivot_cols = set()
-    for vec in rad:
-        for j, val in enumerate(vec):
-            if val != 0:
-                pivot_cols.add(j)
-                break
+    pivot_cols = {vec.index(1) for vec in rad}  # each RREF row leads with its 1
     lifts = [j for j in range(m.dims[k]) if j not in pivot_cols]
     return rad, lifts
 
@@ -667,31 +649,11 @@ def nonsplit_extension(top: Representation, sub: Representation) -> Representati
     """
     q = top.quiver
     columns, c1_layout, c1_total = _cocycle_data(top, sub)
-    # row-reduce the span of the coboundaries; find first e_i outside it
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def reduce_vec(vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for row, p in zip(echelon, pivots):
-            if v[p]:
-                coeff = v[p] / row[p]
-                v = [a - coeff * b for a, b in zip(v, row)]
-        return v
-
-    for col in columns:
-        v = reduce_vec(col)
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append(v)
-            pivots.append(p)
-    chosen = None
-    for j in range(c1_total):
-        e = [Fraction(0)] * c1_total
-        e[j] = Fraction(1)
-        if any(reduce_vec(e)):
-            chosen = j
-            break
+    # e_j lies in the coboundary span iff j is a pivot column of its RREF
+    # whose row is e_j itself (each RREF row leads with its 1)
+    rref_rows = {row.index(1): row for row in linalg.span_basis(columns, c1_total)}
+    chosen = next((j for j in range(c1_total)
+                   if j not in rref_rows or sum(map(bool, rref_rows[j])) > 1), None)
     if chosen is None:
         raise ValueError("Ext^1(top, sub) = 0; no non-split extension exists")
     zeta: dict[int, tuple[int, int]] = {}

@@ -161,7 +161,8 @@ def test_json_error_reports_validate_too(files, capsys):
 
 def test_reports_byte_identical(files):
     def run(args):
-        return subprocess.run([sys.executable, "-m", "stratsys"] + args,
+        # run from src/ so that `-m` finds this checkout's package without PYTHONPATH
+        return subprocess.run([sys.executable, "-m", "stratsys"] + args, cwd=REPO_ROOT / "src",
                               capture_output=True, text=True, timeout=120)
 
     args = ["--json", "kron", "list", "--m", "2", "--bound", "2"]
@@ -195,8 +196,25 @@ TWO_CYCLE = {"vertices": [1, 2], "arrows": [{"src": 1, "tgt": 2, "label": "a"},
                  "maps": {"a": [["1"]], "b": [["1"]]}}, ".quiver"),
     ("rep hom", {"quiver": TWO_CYCLE, "dims": [1, 1],
                  "maps": {"a": [["1"]], "b": [["1"]]}}, ".quiver"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": None}, ".dims"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [[1], [1]]}, ".dims"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1.5, 1]}, ".dims"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [True, 1]}, ".dims"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1]}, ".dims"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1], "maps": [1]}, ".maps"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1], "maps": False}, ".maps"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1],
+                 "maps": {"zz": [["1"]]}}, ".maps.zz"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1],
+                 "maps": {"a1": "1"}}, ".maps.a1"),
+    ("ss check", {"quiver": {"kronecker": {"m": 2}}, "modules": [{"tauP": {"i": 1, "k": 1.5}}]},
+     ".modules[0].tauP.k"),
+    ("ss check", {"quiver": {"kronecker": {"m": 2.5}}, "modules": [{"S": 1}]},
+     ".quiver.kronecker.m"),
 ], ids=["missing-vertex", "unknown-vertex", "negative-power", "cyclic-rep-ext",
-        "cyclic-rep-hom"])
+        "cyclic-rep-hom", "dims-null", "dims-nested", "dims-float", "dims-bool",
+        "dims-short", "maps-list", "maps-false", "maps-unknown-arrow", "maps-string-rows",
+        "float-power", "float-arrow-count"])
 def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload, field):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -229,13 +247,17 @@ PINNED_REPORTS = {
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,
                       "69ae07ef893a3c5a865efb33388c569d84331c50922c8aea997305626ed45f75"),
+    "apq-tubes-p3q4": ("--json apq tubes --p 3 --q 4", 0,
+                       "212936e5b7192ef48c676f02349391e16555272318669d2c3109872074b308cd"),
+    "apq-families-p2q3": ("--json apq families --p 2 --q 3", 0,
+                          "b961c22482984e600fdb6a8e81701d9e0a17c58c3f812e2337cfdadaa30f2601"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_search_reports_are_pinned(monkeypatch, capsys, name):
-    """Search witnesses and check counts appear in these reports; the
-    digests pin the exact bytes."""
+    """Search witnesses, check counts and built tube modules appear in these
+    reports; the digests pin the exact bytes."""
     argv, code, digest = PINNED_REPORTS[name]
     monkeypatch.chdir(REPO_ROOT)
     got_code, out = run_cli(argv.split(), capsys)

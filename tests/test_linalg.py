@@ -3,8 +3,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from stratsys.linalg import (RationalMatrix, format_rational, invert,
-                             kernel_basis, parse_rational, rank, solve,
+                             kernel_basis, kernel_basis_of_rows, parse_rational,
+                             rank, rank_of_rows, rank_of_sparse_rows, solve,
                              span_basis)
 
 
@@ -71,12 +74,13 @@ small_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @st.composite
-def small_matrices(draw):
-    rows = draw(st.integers(min_value=1, max_value=4))
-    cols = draw(st.integers(min_value=1, max_value=4))
+def small_matrices(draw, square=False):
+    """Matrices up to 4x4, including the 0 x n and n x 0 shapes."""
+    rows = draw(st.integers(min_value=0, max_value=4))
+    cols = rows if square else draw(st.integers(min_value=0, max_value=4))
     entries = draw(st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
-    return RationalMatrix.from_rows(entries)
+    return RationalMatrix.from_rows(entries, cols=cols)
 
 
 @given(small_matrices())
@@ -96,3 +100,70 @@ def test_solve_is_exact_when_consistent(m, data):
     sol = solve(m, rhs)
     assert sol is not None
     assert m.apply(sol) == rhs
+
+
+def _augmented(m, column):
+    return RationalMatrix.from_rows([row + (b,) for row, b in zip(m.entries, column)],
+                                    cols=m.cols + 1)
+
+
+@given(small_matrices())
+@settings(max_examples=80, deadline=None)
+def test_span_basis_is_rref_of_the_same_row_space(m):
+    basis = span_basis(m.entries, m.cols)
+    leads = []
+    for row in basis:
+        lead = next(j for j, x in enumerate(row) if x)
+        assert row[lead] == 1
+        assert [other[lead] for other in basis].count(0) == len(basis) - 1
+        leads.append(lead)
+    assert leads == sorted(leads)
+    r = rank(m)
+    assert len(basis) == r
+    assert rank(RationalMatrix.from_rows(basis, cols=m.cols)) == r
+    assert rank(RationalMatrix.from_rows(list(m.entries) + basis, cols=m.cols)) == r
+
+
+@given(small_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_is_none_exactly_when_rhs_raises_rank(m, data):
+    rhs = data.draw(st.lists(small_entries, min_size=m.rows, max_size=m.rows))
+    sol = solve(m, rhs)
+    inconsistent = rank(_augmented(m, rhs)) > rank(m)
+    assert (sol is None) == inconsistent
+    if sol is not None:
+        assert len(sol) == m.cols
+        assert m.apply(sol) == tuple(rhs)
+
+
+@given(small_matrices(square=True))
+@settings(max_examples=80, deadline=None)
+def test_invert_raises_exactly_when_singular(m):
+    n = m.rows
+    if rank(m) < n:
+        with pytest.raises(ValueError):
+            invert(m)
+    else:
+        inv = invert(m)
+        assert m.mul(inv).entries == RationalMatrix.identity(n).entries
+        assert inv.mul(m).entries == RationalMatrix.identity(n).entries
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_every_entry_point_handles_empty_shapes(rows, cols):
+    m = RationalMatrix.zero(rows, cols)
+    assert rank(m) == 0
+    assert rank_of_rows(m.entries, cols) == 0
+    assert rank_of_sparse_rows([{} for _ in range(rows)]) == 0
+    identity = RationalMatrix.identity(cols).entries
+    assert kernel_basis(m) == list(identity)
+    assert kernel_basis_of_rows([{} for _ in range(rows)], cols) == list(identity)
+    assert span_basis(m.entries, cols) == []
+    assert solve(m, [0] * rows) == (Fraction(0),) * cols
+    if rows:
+        assert solve(m, [0] * (rows - 1) + [1]) is None
+    if rows == cols:
+        assert invert(m).entries == ()
+    else:
+        with pytest.raises(ValueError):
+            invert(m)

@@ -1,12 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import random_representation
+from stratsys.io_json import rep_to_json
 from stratsys.quiver import euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
                            hom_space, injective, is_brick, is_exceptional,
                            is_morphism, is_sincere, make_rep, minimal_presentation,
-                           projective, simple, supp)
+                           nonsplit_extension, projective, simple, supp)
 
 
 def test_named_module_dims_kronecker(kron2):
@@ -156,3 +160,35 @@ def test_composition_factor_multiplicities_from_dims(apq23):
     assert p4.dims == (2, 1, 1, 1, 1)
     for v, mult in zip(apq23.vertices, p4.dims):
         assert hom_dim(projective(apq23, v), p4) == mult
+
+
+def test_nonsplit_extension_kronecker(kron2):
+    e = nonsplit_extension(simple(kron2, 2), simple(kron2, 1))
+    assert e.dims == (1, 1)
+    assert is_brick(e)
+    with pytest.raises(ValueError):
+        nonsplit_extension(simple(kron2, 1), simple(kron2, 2))
+
+
+# sha256 of json.dumps(rep_to_json(E), sort_keys=True) for the middle terms of
+# the first five seeded pairs (top, sub) with Ext^1(top, sub) > 0
+NONSPLIT_DIGESTS = [
+    "6c5ebbb1cfa5b0b642a2b3ada16bf9d68bcaf2b5fe448fa02f32260eaa4a35b2",
+    "7dfefe06584bd49e1e655dcd606f7614265528b05f716fc8fbf59567dec4c98f",
+    "74db90ea68e474f8e96cfc6952f330f46766beb97bdcc153e2e2a07ceac6b61b",
+    "0c17cc1259ed1062bbd69dd8d1beb0c38edfd5a346675cf1b1d522a3def545f5",
+    "97951e1c124135b770b310c5988885ef2aff74c71ced194f286ede7d67dbe5b9",
+]
+
+
+def test_nonsplit_extensions_are_pinned(apq23, rng):
+    digests = []
+    while len(digests) < len(NONSPLIT_DIGESTS):
+        top = random_representation(apq23, rng)
+        sub = random_representation(apq23, rng)
+        if ext1_dim(top, sub) > 0:
+            e = nonsplit_extension(top, sub)
+            assert e.dims == tuple(a + b for a, b in zip(sub.dims, top.dims))
+            payload = json.dumps(rep_to_json(e), sort_keys=True)
+            digests.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+    assert digests == NONSPLIT_DIGESTS
