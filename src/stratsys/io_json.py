@@ -1,6 +1,7 @@
 """JSON (de)serialization for quivers, representations, and system files.
 
-Rationals travel as strings "p/q" (or "p" for integers).  Quiver and
+Rationals travel as strings "p/q" (or "p" for integers); loaders also take
+JSON integers and reject floats, booleans and zero denominators.  Quiver and
 representation payloads round-trip exactly.  Stratifying-system files name
 standard modules symbolically so nobody hand-writes matrices:
 
@@ -110,7 +111,7 @@ def rep_from_json(data: Any, quiver: Quiver | None = None, where: str = "rep") -
             raise InputError(f"{where}.maps.{label}: expected a list of rows")
         try:
             maps[label] = [[parse_rational(x) for x in row] for row in rows]
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise InputError(f"{where}.maps.{label}: {exc}") from exc
     try:
         return make_rep(quiver, dims, maps)
@@ -167,7 +168,10 @@ def module_ref_from_json(data: Any, quiver: Quiver, where: str = "module") -> Mo
                                  "cycle quiver (apq)")
             p, q = pq
             if key == "E_lambda":
-                label = tube_lambda(parse_rational(data[key]))
+                try:
+                    label = tube_lambda(parse_rational(data[key]))
+                except ValueError as exc:
+                    raise InputError(f"{where}.{key}: {exc}") from exc
                 index = _int_field(data, "index", where, default=1)
             else:
                 label = label_maker()

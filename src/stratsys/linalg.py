@@ -13,6 +13,7 @@ reproducible.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -247,10 +248,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" (ints are accepted as-is)."""
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    return Fraction(str(text))
+def parse_rational(value) -> Fraction:
+    """Parse an integer (not a bool) or a string "p" or "p/q" with q != 0;
+    anything else, floats included, raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and re.fullmatch(r"[+-]?\d+(/0*[1-9]\d*)?", value):
+        return Fraction(value)
+    raise ValueError(f'expected an integer or a "p/q" string with q != 0, got {value!r}')

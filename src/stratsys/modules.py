@@ -2,18 +2,21 @@
 
 Named modules (tau-orbits of projectives and injectives, tube points) are
 handled symbolically: their dimension vectors come from Coxeter powers, and
-Hom/Ext dimensions are reduced by exact hereditary identities
+Hom dimensions over the hereditary path algebra reduce by three identities
 
-  * Hom(P_i, M) = dim M_i and Hom(M, I_j) = dim M_j        (Yoneda),
-  * Hom(tau X, tau Y) = Hom(X, Y) away from projectives,
-  * Hom(tau^- X, Y) = Hom(X, tau Y) away from injectives/projectives,
-  * dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y>        (Euler),
-  * dim Ext^1(X, Y) = dim Hom(Y, tau X)                     (Auslander),
+  * Hom(P_i, M) = dim M_i and Hom(M, I_j) = dim M_j         (Yoneda),
+  * Hom(X, Y) = Hom(tau X, tau Y) for X indecomposable and not projective,
+    Hom(X, Y) = Hom(tau^- X, tau^- Y) for Y indecomposable and not
+    injective                                                (tau shift),
+  * dim Hom(X, Y) = <dim X, dim Y> + dim Hom(Y, tau X)       (Auslander),
 
-to small structural computations on materialized representations.  Each
-identity is cross-validated against brute-force structure in the test suite.
-Without this reduction the generalized Kronecker orbit checks would need
-matrices with ~10^5 rows, which no structural checker can materialize.
+the last being the Euler identity dim Ext^1(X, Y) = dim Hom(X, Y) -
+<dim X, dim Y> with Ext^1(X, Y) = D Hom(Y, tau X).  Only tube-tube pairs and
+explicit representations are computed structurally, on materialized
+representations.  Each identity is cross-validated against that structure in
+the test suite.  Without this reduction the generalized Kronecker orbit
+checks would need matrices with ~10^5 rows, which no structural checker can
+materialize.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _inj_dims(q: Quiver) -> dict[DimVector, int]:
     return {injective_dim_vector(q, v): v for v in q.vertices}
 
 
-_ORBIT_DIMS: dict[tuple, list[DimVector]] = {}
+_ORBIT_DIMS: dict[tuple, tuple[DimVector, ...]] = {}
 
 
 def _orbit_dims(q: Quiver, kind: str, vertex: int, power: int) -> DimVector:
@@ -116,23 +119,20 @@ def _orbit_dims(q: Quiver, kind: str, vertex: int, power: int) -> DimVector:
     happens exactly when the previous module was injective resp. projective)
     every later power is the zero module; over Dynkin quivers the raw
     Coxeter powers would cycle back to positive vectors, so death is
-    tracked cumulatively.
+    tracked cumulatively (the Coxeter image of zero is zero).  A cached
+    orbit is never mutated: a longer one is grown on a local copy and stored
+    whole, so concurrent callers only ever read complete prefixes.
     """
     key = (q, kind, vertex)
-    orbit = _ORBIT_DIMS.setdefault(key, [])
-    if not orbit:
-        base = (projective_dim_vector(q, vertex) if kind == PREPROJ
-                else injective_dim_vector(q, vertex))
-        orbit.append(base)
-    phi = coxeter_of(q)
-    zero = q.zero_vector()
-    while len(orbit) <= power:
-        last = orbit[-1]
-        if last == zero:
-            orbit.append(zero)
-            continue
-        nxt = phi.apply_inverse(last) if kind == PREPROJ else phi.apply(last)
-        orbit.append(zero if any(x < 0 for x in nxt) else nxt)
+    orbit = _ORBIT_DIMS.get(key, ())
+    if len(orbit) <= power:
+        grown = list(orbit) or [projective_dim_vector(q, vertex) if kind == PREPROJ
+                                else injective_dim_vector(q, vertex)]
+        phi = coxeter_of(q)
+        while len(grown) <= power:
+            nxt = phi.apply_inverse(grown[-1]) if kind == PREPROJ else phi.apply(grown[-1])
+            grown.append(q.zero_vector() if any(x < 0 for x in nxt) else nxt)
+        orbit = _ORBIT_DIMS[key] = tuple(grown)
     return orbit[power]
 
 
@@ -223,14 +223,6 @@ def ref_tau(ref: ModuleRef, steps: int = 1) -> Optional[ModuleRef]:
     return None
 
 
-def _is_projective_dims(q: Quiver, dims: DimVector) -> Optional[int]:
-    return _proj_dims(q).get(tuple(dims))
-
-
-def _is_injective_dims(q: Quiver, dims: DimVector) -> Optional[int]:
-    return _inj_dims(q).get(tuple(dims))
-
-
 # ---------------------------------------------------------------------------
 # the dimension engine
 # ---------------------------------------------------------------------------
@@ -267,6 +259,8 @@ def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
 
 
 def _pair_hom(a: ModuleRef, b: ModuleRef) -> int:
+    """One reduction step for dim Hom(a, b); the recursion ends after at most
+    three steps, at a zero module, a Yoneda endpoint or a structural pair."""
     q = a.quiver
     dims_a = ref_dims(a)
     dims_b = ref_dims(b)
@@ -275,117 +269,31 @@ def _pair_hom(a: ModuleRef, b: ModuleRef) -> int:
     # Yoneda endpoints (sound for pedigreed refs: exceptional modules and
     # tube points are determined by their dimension vectors)
     if a.kind != PLAIN:
-        v = _is_projective_dims(q, dims_a)
+        v = _proj_dims(q).get(tuple(dims_a))
         if v is not None:
             return int(dims_b[q.index(v)])
     if b.kind != PLAIN:
-        v = _is_injective_dims(q, dims_b)
+        v = _inj_dims(q).get(tuple(dims_b))
         if v is not None:
             return int(dims_a[q.index(v)])
-    if a.kind == PREPROJ and b.kind == PREPROJ:
-        return _hom_preproj_pair(a, b)
-    if a.kind == PREINJ and b.kind == PREINJ:
-        return _hom_preinj_pair(a, b)
-    if a.kind == PREPROJ and b.kind == PREINJ:
-        return _hom_preproj_to_preinj(a, b)
-    if a.kind == PREINJ and b.kind == PREPROJ:
-        return _hom_via_auslander(a, b)
-    if a.kind == PREPROJ and b.kind == TUBE:
-        return _hom_preproj_to_tube(a, b)
-    if a.kind == TUBE and b.kind == PREPROJ:
-        return _hom_via_auslander(a, b)
-    if a.kind == TUBE and b.kind == PREINJ:
-        return _hom_tube_to_preinj(a, b)
-    if a.kind == PREINJ and b.kind == TUBE:
-        return _hom_via_auslander(a, b)
-    return _structural_hom(a, b)
-
-
-def _shiftable_down(q: Quiver, ref: ModuleRef, steps: int, want: str) -> bool:
-    """Check the orbit stays clear of injectives (want='noninj') or
-    projectives (want='nonproj') while lowering the power by 1..steps."""
-    for k in range(1, steps + 1):
-        power = ref.power - k
-        if power < 0:
-            return False
-        dims = _orbit_dims(q, ref.kind, ref.vertex, power)
-        if want == "noninj" and _is_injective_dims(q, dims) is not None:
-            return False
-        if want == "nonproj" and _is_projective_dims(q, dims) is not None:
-            return False
-    return True
-
-
-def _hom_preproj_pair(a: ModuleRef, b: ModuleRef) -> int:
-    q = a.quiver
-    c = min(a.power, b.power)
-    if c and (not _shiftable_down(q, a, c, "noninj") or not _shiftable_down(q, b, c, "noninj")):
+    if PLAIN in (a.kind, b.kind) or a.kind == b.kind == TUBE:
         return _structural_hom(a, b)
-    a2 = ModuleRef(q, PREPROJ, vertex=a.vertex, power=a.power - c)
-    b2 = ModuleRef(q, PREPROJ, vertex=b.vertex, power=b.power - c)
-    if a2.power == 0:
-        return int(ref_dims(b2)[q.index(a2.vertex)])  # Yoneda
-    return _structural_hom(a2, b2)  # small gap: projective target
-
-
-def _hom_preinj_pair(a: ModuleRef, b: ModuleRef) -> int:
-    q = a.quiver
-    c = min(a.power, b.power)
-    if c and (not _shiftable_down(q, a, c, "nonproj") or not _shiftable_down(q, b, c, "nonproj")):
-        return _structural_hom(a, b)
-    a2 = ModuleRef(q, PREINJ, vertex=a.vertex, power=a.power - c)
-    b2 = ModuleRef(q, PREINJ, vertex=b.vertex, power=b.power - c)
-    if b2.power == 0:
-        return int(ref_dims(a2)[q.index(b2.vertex)])  # dual Yoneda
-    return _structural_hom(a2, b2)  # small gap: injective source
-
-
-def _hom_preproj_to_preinj(a: ModuleRef, b: ModuleRef) -> int:
-    # Hom(tau^-a P_i, tau^b I_j) = Hom(P_i, tau^{a+b} I_j), then Yoneda
-    q = a.quiver
-    ok = _shiftable_down(q, a, a.power, "noninj")
-    if ok:
-        for k in range(a.power):
-            dims = _orbit_dims(q, PREINJ, b.vertex, b.power + k)
-            if _is_projective_dims(q, dims) is not None:
-                ok = False
-                break
-    if not ok:
-        return _structural_hom(a, b)
-    dims = _orbit_dims(q, PREINJ, b.vertex, a.power + b.power)
-    return int(dims[q.index(a.vertex)])
-
-
-def _hom_via_auslander(a: ModuleRef, b: ModuleRef) -> int:
-    """hom(a,b) = <dim a, dim b> + ext(a,b) with ext(a,b) = hom(b, tau a)."""
-    q = a.quiver
-    dims_a = ref_dims(a)
-    if _is_projective_dims(q, dims_a) is not None and a.kind != PLAIN:
-        ext = 0
-    else:
-        ta = ref_tau(a, 1)
-        if ta is None:
-            return _structural_hom(a, b)
-        ext = pair_hom(b, ta)
-    return euler_form(q, dims_a, ref_dims(b)) + ext
-
-
-def _hom_preproj_to_tube(a: ModuleRef, b: ModuleRef) -> int:
-    # Hom(tau^-a P_i, R) = Hom(P_i, tau^a R), then Yoneda
-    q = a.quiver
-    if not _shiftable_down(q, a, a.power, "noninj"):
-        return _structural_hom(a, b)
-    rotated = ref_tau(b, a.power)
-    return int(ref_dims(rotated)[q.index(a.vertex)])
-
-
-def _hom_tube_to_preinj(a: ModuleRef, b: ModuleRef) -> int:
-    # Hom(R, tau^b I_j) = Hom(tau^{-b} R, I_j), then dual Yoneda
-    q = a.quiver
-    if not _shiftable_down(q, b, b.power, "nonproj"):
-        return _structural_hom(a, b)
-    rotated = ref_tau(a, -b.power)
-    return int(ref_dims(rotated)[q.index(b.vertex)])
+    if a.kind == PREPROJ or b.kind == PREINJ:
+        # tau shift: Hom(X, Y) = Hom(tau X, tau Y) for X indecomposable and
+        # not projective, dually Hom(X, Y) = Hom(tau^- X, tau^- Y) for Y
+        # indecomposable and not injective.  A nonzero tau^-k P_i is not
+        # projective for k > 0, so k shifts reach P_i (dually tau^k I_j
+        # reaches I_j).  If the other side dies on the way it passed a
+        # projective P, and Hom(X, P) = 0 for X indecomposable and not
+        # projective: the image is projective and would split off X (dually
+        # Hom(I, Y) = 0).
+        steps = a.power if a.kind == PREPROJ else -b.power
+        a, b = ref_tau(a, steps), ref_tau(b, steps)
+        return 0 if a is None or b is None else pair_hom(a, b)
+    # Auslander: a is tau^k I_j or a tube point, b is tau^-k P_i or a tube
+    # point, and dim Hom(a, b) = <dim a, dim b> + dim Ext^1(a, b) with
+    # Ext^1(a, b) = D Hom(b, tau a)
+    return euler_form(q, dims_a, dims_b) + pair_hom(b, ref_tau(a, 1))
 
 
 # ---------------------------------------------------------------------------

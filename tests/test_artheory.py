@@ -136,10 +136,21 @@ def _engine_refs(q, exp):
     return refs
 
 
+def _star(arms):
+    """Arms arrows into the sink 0: Dynkin D4 for three arms (every tau-orbit
+    dies after three modules), Euclidean D~4 for four."""
+    from stratsys.quiver import Quiver
+
+    return Quiver.make(list(range(arms + 1)), [(v, 0, f"a{v}") for v in range(1, arms + 1)])
+
+
 @pytest.mark.parametrize("maker,exp", [
     (lambda: kronecker(2), 3),
     (lambda: kronecker(3), 1),
     (lambda: canonical_apq(1, 2), 2),
+    pytest.param(lambda: _star(3), 4, id="star-d4-4"),
+    pytest.param(lambda: _star(4), 2, id="star-d4tilde-2"),
+    pytest.param(lambda: canonical_apq(2, 3), 3, id="apq23-3"),
 ])
 def test_engine_matches_structure_orbit_modules(maker, exp):
     q = maker()
@@ -151,6 +162,66 @@ def test_engine_matches_structure_orbit_modules(maker, exp):
             ma, mb = materialize(a), materialize(b)
             assert hom == hom_dim(ma, mb), (a.describe(), b.describe())
             assert ext == ext1_dim(ma, mb), (a.describe(), b.describe())
+
+
+def test_apq_families_materializes_only_tube_pairs_and_explicit_modules(monkeypatch, capsys):
+    """Yoneda, the tau shift and the Auslander formula answer every pair with
+    a tau-orbit side; only tube-tube and explicit pairs reach the structure."""
+    from stratsys import modules
+    from stratsys.cli import main
+
+    structural = modules._structural_hom
+    kinds = []
+
+    def recording(a, b):
+        kinds.append((a.kind, b.kind))
+        return structural(a, b)
+
+    modules._HOM_CACHE.clear()
+    monkeypatch.setattr(modules, "_structural_hom", recording)
+    assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
+    capsys.readouterr()
+    assert kinds
+    assert all(modules.PLAIN in pair or pair == (modules.TUBE, modules.TUBE)
+               for pair in kinds), sorted(set(kinds))
+
+
+def test_orbit_dims_cache_is_thread_safe():
+    """Four threads extending one cached orbit at once, with a tiny switch
+    interval, must read and leave behind the single-threaded orbit."""
+    import sys
+    import threading
+
+    from stratsys import modules
+
+    q, top = kronecker(3), 12
+    key = (q, modules.PREPROJ, 1)
+    modules._ORBIT_DIMS.pop(key, None)
+    reference = [modules._orbit_dims(q, modules.PREPROJ, 1, k) for k in range(top)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            modules._ORBIT_DIMS.pop(key, None)
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait()
+                dims = [modules._orbit_dims(q, modules.PREPROJ, 1, k)
+                        for k in reversed(range(top))]
+                seen.append(dims[::-1])
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert seen == [reference] * 4
+            cached = list(modules._ORBIT_DIMS[key])
+            assert cached == reference[:len(cached)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_engine_matches_structure_with_tubes():
@@ -167,8 +238,8 @@ def test_engine_matches_structure_with_tubes():
 
 
 def test_engine_on_dynkin_orbit_modules():
-    # A_3 linear quiver: orbits hit projective-injective modules, exercising
-    # the materialize fallbacks
+    # A_3 linear quiver: orbits hit projective-injective modules and die,
+    # exercising the zero answer of the tau shift
     from stratsys.quiver import Quiver
 
     q = Quiver.make([1, 2, 3], [(3, 2, "a"), (2, 1, "b")])

@@ -211,10 +211,24 @@ TWO_CYCLE = {"vertices": [1, 2], "arrows": [{"src": 1, "tgt": 2, "label": "a"},
      ".modules[0].tauP.k"),
     ("ss check", {"quiver": {"kronecker": {"m": 2.5}}, "modules": [{"S": 1}]},
      ".quiver.kronecker.m"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}}, "modules": [{"E_lambda": True}]},
+     ".modules[0].E_lambda"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}}, "modules": [{"E_lambda": 0.5}]},
+     ".modules[0].E_lambda"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}}, "modules": [{"E_lambda": "1/0"}]},
+     ".modules[0].E_lambda"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1],
+                 "maps": {"a1": [[True]]}}, ".maps.a1"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1],
+                 "maps": {"a1": [[0.5]]}}, ".maps.a1"),
+    ("rep hom", {"quiver": {"kronecker": {"m": 2}}, "dims": [1, 1],
+                 "maps": {"a1": [["1/0"]]}}, ".maps.a1"),
 ], ids=["missing-vertex", "unknown-vertex", "negative-power", "cyclic-rep-ext",
         "cyclic-rep-hom", "dims-null", "dims-nested", "dims-float", "dims-bool",
         "dims-short", "maps-list", "maps-false", "maps-unknown-arrow", "maps-string-rows",
-        "float-power", "float-arrow-count"])
+        "float-power", "float-arrow-count", "lambda-bool", "lambda-float",
+        "lambda-zero-denominator", "map-entry-bool", "map-entry-float",
+        "map-entry-zero-denominator"])
 def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload, field):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -251,6 +265,8 @@ PINNED_REPORTS = {
                        "212936e5b7192ef48c676f02349391e16555272318669d2c3109872074b308cd"),
     "apq-families-p2q3": ("--json apq families --p 2 --q 3", 0,
                           "b961c22482984e600fdb6a8e81701d9e0a17c58c3f812e2337cfdadaa30f2601"),
+    "apq-families-p3q4": ("--json apq families --p 3 --q 4", 0,
+                          "44c5b3dd623f23440052656c3fd89931e6fcac306087c45e922c011e2c410bc6"),
 }
 
 
