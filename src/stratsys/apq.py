@@ -102,7 +102,11 @@ def tube_point_dim_vector(p: int, q: int, point: TubePoint) -> DimVector:
 
 
 class ApqAlgebra:
-    """Context object tying (p, q) to its canonical quiver and tube catalogue."""
+    """Context object tying (p, q) to its canonical quiver and tube catalogue.
+
+    Get one from ``apq_algebra``, which keeps one per (p, q): the memos on
+    ``simple_regular`` and ``tube_point`` key on the instance and keep it
+    alive."""
 
     def __init__(self, p: int, q: int):
         if not (1 <= p <= q):
@@ -110,8 +114,6 @@ class ApqAlgebra:
         self.p = p
         self.q = q
         self.quiver = canonical_apq(p, q)
-        self._mouth_cache: dict[tuple[TubeLabel, int], Representation] = {}
-        self._point_cache: dict[TubePoint, Representation] = {}
 
     # -- arrows of the canonical shape --------------------------------------
 
@@ -137,24 +139,18 @@ class ApqAlgebra:
     def tube_rank(self, label: TubeLabel) -> int:
         return tube_rank(self.p, self.q, label)
 
+    @functools.cache
     def simple_regular(self, label: TubeLabel, index: int) -> Representation:
         """The index-th mouth module of the tube (explicit matrices)."""
-        key = (label, index)
-        cached = self._mouth_cache.get(key)
-        if cached is not None:
-            return cached
         p, q = self.p, self.q
         rank = self.tube_rank(label)
         if not 1 <= index <= rank:
             raise ValueError(f"mouth index {index} out of range for rank {rank}")
         if label.kind == "infty" and index <= p - 1:
-            rep = simple(self.quiver, index)
-        elif label.kind == "zero" and index <= q - 1:
-            rep = simple(self.quiver, p + index - 1)
-        else:
-            rep = self._big_mouth(label)
-        self._mouth_cache[key] = rep
-        return rep
+            return simple(self.quiver, index)
+        if label.kind == "zero" and index <= q - 1:
+            return simple(self.quiver, p + index - 1)
+        return self._big_mouth(label)
 
     def _big_mouth(self, label: TubeLabel) -> Representation:
         p, q = self.p, self.q
@@ -198,11 +194,9 @@ class ApqAlgebra:
 
     # -- points higher up the ray --------------------------------------------
 
+    @functools.cache
     def tube_point(self, point: TubePoint) -> Representation:
         """Realize E_i[level] as an iterated non-split extension along the ray."""
-        cached = self._point_cache.get(point)
-        if cached is not None:
-            return cached
         rank = self.tube_rank(point.tube)
         rep = self.simple_regular(point.tube, point.index)
         for k in range(1, point.level):
@@ -212,7 +206,6 @@ class ApqAlgebra:
         want = tube_point_dim_vector(self.p, self.q, point)
         if rep.dims != want:
             raise ArithmeticError("tube point has unexpected dimension vector")
-        self._point_cache[point] = rep
         return rep
 
     def cone(self, point: TubePoint) -> frozenset[tuple[int, int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .linalg import RationalMatrix
 from .quiver import Quiver, classify_type, defect, injective_dim_vector, projective_dim_vector
@@ -90,25 +90,16 @@ def nakayama_of_inclusion(pres: ProjPresentation) -> tuple[Representation, Repre
     return nu1, nu0, mats
 
 
-_TAU_CACHE: dict[int, tuple[Representation, Representation]] = {}
-_TAU_INV_CACHE: dict[int, tuple[Representation, Representation]] = {}
-
-
 def tau(m: Representation) -> Representation:
     """AR translate: kernel of the Nakayama functor on the minimal
     presentation.  Projectives are sent to the zero representation."""
     if m.is_zero():
         return zero_rep(m.quiver)
-    cached = _TAU_CACHE.get(id(m))
-    if cached is not None and cached[0] is m:
-        return cached[1]
     pres = minimal_presentation(m)
     if not pres.slots1:
-        out = zero_rep(m.quiver)
-    else:
-        nu1, nu0, mats = nakayama_of_inclusion(pres)
-        out, _incl = kernel_representation(nu1, nu0, mats)
-    _TAU_CACHE[id(m)] = (m, out)
+        return zero_rep(m.quiver)
+    nu1, nu0, mats = nakayama_of_inclusion(pres)
+    out, _incl = kernel_representation(nu1, nu0, mats)
     return out
 
 
@@ -116,14 +107,7 @@ def tau_inv(m: Representation) -> Representation:
     """Inverse translate via duality: reverse arrows, apply tau, dualize back."""
     if m.is_zero():
         return zero_rep(m.quiver)
-    cached = _TAU_INV_CACHE.get(id(m))
-    if cached is not None and cached[0] is m:
-        return cached[1]
-    dual = dual_representation(m)
-    translated = tau(dual)
-    out = dual_representation(translated)
-    _TAU_INV_CACHE[id(m)] = (m, out)
-    return out
+    return dual_representation(tau(dual_representation(m)))
 
 
 def tau_power(m: Representation, k: int) -> Representation:
@@ -145,24 +129,28 @@ def _match_vertex(q: Quiver, dims, kind: str) -> Optional[int]:
     return None
 
 
-def _scan_orbit(m: Representation, kind: str, cap: int, dim_budget: int
-                ) -> Optional[ArPosition]:
+def _orbit_walk(m: Representation, kind: str, cap: int, dim_budget: int
+                ) -> Iterator[Optional[ArPosition]]:
+    """Walk the tau orbit (kind "P") or the tau_inv orbit (kind "I") of m,
+    one step per item: None while the orbit goes on, then its position when
+    it dies.  The walk stops after cap + 1 steps or at a module beyond the
+    dimension budget."""
     q = m.quiver
     step = tau if kind == "P" else tau_inv
     current = m
-    k = 0
-    while k <= cap and current.total_dim <= dim_budget:
+    for k in range(cap + 1):
+        if current.total_dim > dim_budget:
+            return
         nxt = step(current)
         if nxt.is_zero():
             v = _match_vertex(q, current.dims, kind)
             if v is None:
                 raise ArithmeticError("orbit died on a non-(co)generator; "
                                       "module was not indecomposable?")
-            tag = "Preprojective" if kind == "P" else "Preinjective"
-            return ArPosition(tag, v, k)
+            yield ArPosition("Preprojective" if kind == "P" else "Preinjective", v, k)
+            return
+        yield None
         current = nxt
-        k += 1
-    return None
 
 
 def ar_position(m: Representation, cap: int = 64, dim_budget: int = 4096) -> ArPosition:
@@ -181,36 +169,23 @@ def ar_position(m: Representation, cap: int = 64, dim_budget: int = 4096) -> ArP
         d = defect(q, m.dims)
         if d == 0:
             return ArPosition("Regular")
-        kind = "P" if d < 0 else "I"
-        found = _scan_orbit(m, kind, cap, dim_budget)
+        found = next(filter(None, _orbit_walk(m, "P" if d < 0 else "I", cap, dim_budget)),
+                     None)
         if found is None:
             raise ArithmeticError("defect promised a terminating orbit but the "
                                   "cap was exceeded; was the module indecomposable?")
         return found
     # alternate the directions so a terminating orbit is found without first
-    # exhausting the budget on the diverging one
-    states = {"P": m, "I": m}
-    steps = {"P": tau, "I": tau_inv}
-    counts = {"P": 0, "I": 0}
-    alive = {"P": True, "I": True}
-    while any(alive.values()):
-        for kind in ("P", "I"):
-            if not alive[kind]:
-                continue
-            current = states[kind]
-            if counts[kind] > cap or current.total_dim > dim_budget:
-                alive[kind] = False
-                continue
-            nxt = steps[kind](current)
-            if nxt.is_zero():
-                v = _match_vertex(q, current.dims, kind)
-                if v is None:
-                    raise ArithmeticError("orbit died on a non-(co)generator; "
-                                          "module was not indecomposable?")
-                tag = "Preprojective" if kind == "P" else "Preinjective"
-                return ArPosition(tag, v, counts[kind])
-            states[kind] = nxt
-            counts[kind] += 1
+    # exhausting the budget on the diverging one: a tau step, then a tau_inv
+    # step, until one walk finds the position or both have stopped
+    walks = [_orbit_walk(m, "P", cap, dim_budget), _orbit_walk(m, "I", cap, dim_budget)]
+    while walks:
+        for walk in list(walks):
+            found = next(walk, walk)  # the walk itself marks its end
+            if found is walk:
+                walks.remove(walk)
+            elif found is not None:
+                return found
     raise CapExceededError(
         "neither tau orbit terminated within the cap; on a wild quiver this "
         "is regular-or-unknown")

@@ -9,6 +9,7 @@ an all-regular complete system over a wild quiver.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -581,21 +582,9 @@ def regular_css_search(q: Quiver, dim_cap: int,
         raise ValueError("regular complete systems require a wild quiver")
     if q.n < 3:
         raise ValueError("need at least three vertices")
-    dims_list = []
-
-    def all_dims(prefix):
-        if len(prefix) == q.n:
-            if any(prefix):
-                dims_list.append(tuple(prefix))
-            return
-        for d in range(dim_cap + 1):
-            all_dims(prefix + [d])
-
-    all_dims([])
+    dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
     pool: list[Representation] = []
     for dims in sorted(dims_list, key=lambda d: (sum(d), d)):
-        if sum(dims) > dim_cap * q.n:
-            continue
         if euler_form(q, dims, dims) != 1:
             continue
         if not _coxeter_screen_regular(q, dims, screen_steps):

@@ -90,7 +90,6 @@ def ref_plain(rep: Representation) -> ModuleRef:
 # caches
 # ---------------------------------------------------------------------------
 
-_ORBIT_REPS: dict[tuple, Representation] = {}
 _HOM_CACHE: dict[tuple, int] = {}
 
 
@@ -150,49 +149,51 @@ def ref_total_dim(ref: ModuleRef) -> int:
 
 
 def ref_key(ref: ModuleRef):
-    if ref.kind == PLAIN:
-        return (PLAIN, id(ref.rep_obj))
+    """Cache key of a pedigreed descriptor."""
     if ref.kind == TUBE:
         return (TUBE, ref.apq, ref.point)
     return (ref.kind, ref.quiver, ref.vertex, ref.power)
 
 
+@functools.cache
+def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
+    """tau^{-power} P_vertex (kind PREPROJ) or tau^{power} I_vertex (PREINJ),
+    one translate of the member before it, checked against the Coxeter
+    prediction."""
+    if power == 0:
+        return projective(q, vertex) if kind == PREPROJ else injective(q, vertex)
+    prev = _orbit_rep(q, kind, vertex, power - 1)
+    rep = tau_inv(prev) if kind == PREPROJ else tau(prev)
+    if rep.dims != _orbit_dims(q, kind, vertex, power):
+        raise ArithmeticError("the orbit drifted from the Coxeter prediction")
+    return rep
+
+
 def materialize(ref: ModuleRef, cap: int = MATERIALIZE_CAP) -> Representation:
-    """Explicit representation for the descriptor; exact but size-guarded."""
+    """Explicit representation for the descriptor; exact but size-guarded.
+
+    An orbit module is built from every member of its orbit before it, so
+    the cap bounds the total dimension of those members together."""
     if ref.kind == PLAIN:
         return ref.rep_obj
-    total = ref_total_dim(ref)
+    dims = ref_dims(ref)
+    if not any(dims):
+        return zero_rep(ref.quiver)
+    if ref.kind == TUBE:
+        total = sum(dims)
+    else:
+        total = sum(sum(_orbit_dims(ref.quiver, ref.kind, ref.vertex, k))
+                    for k in range(ref.power + 1))
     if total > cap:
         raise TooLargeError(
-            f"{ref.describe()} has total dimension {total}, beyond the cap {cap}")
-    if total == 0:
-        return zero_rep(ref.quiver)
-    key = ref_key(ref)
-    cached = _ORBIT_REPS.get(key)
-    if cached is not None:
-        return cached
+            f"{ref.describe()} needs modules of total dimension {total}, beyond the cap {cap}")
     if ref.kind == TUBE:
         p, q = ref.apq
-        rep = apq_algebra(p, q).tube_point(ref.point)
-    elif ref.kind == PREPROJ:
-        if ref.power == 0:
-            rep = projective(ref.quiver, ref.vertex)
-        else:
-            prev = materialize(ModuleRef(ref.quiver, PREPROJ, vertex=ref.vertex,
-                                         power=ref.power - 1), cap)
-            rep = tau_inv(prev)
-            if rep.dims != ref_dims(ref):
-                raise ArithmeticError("tau_inv drifted from the Coxeter prediction")
-    else:
-        if ref.power == 0:
-            rep = injective(ref.quiver, ref.vertex)
-        else:
-            prev = materialize(ModuleRef(ref.quiver, PREINJ, vertex=ref.vertex,
-                                         power=ref.power - 1), cap)
-            rep = tau(prev)
-            if rep.dims != ref_dims(ref):
-                raise ArithmeticError("tau drifted from the Coxeter prediction")
-    _ORBIT_REPS[key] = rep
+        return apq_algebra(p, q).tube_point(ref.point)
+    # build the orbit upwards, so that each _orbit_rep call finds the member
+    # before it cached and the recursion stays one level deep
+    for k in range(ref.power + 1):
+        rep = _orbit_rep(ref.quiver, ref.kind, ref.vertex, k)
     return rep
 
 

@@ -429,44 +429,35 @@ def _radical_vectors(m: Representation, vertex: int) -> list[tuple[Fraction, ...
     return linalg.span_basis(cols, m.dims[k])
 
 
-def _top_lift_indices(m: Representation, vertex: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Radical basis at the vertex plus standard-vector indices lifting the top."""
+def _top_lift_indices(m: Representation, vertex: int) -> list[int]:
+    """Standard-vector indices at the vertex whose vectors lift a basis of the top."""
     k = m.quiver.index(vertex)
-    rad = _radical_vectors(m, vertex)
-    pivot_cols = {vec.index(1) for vec in rad}  # each RREF row leads with its 1
-    lifts = [j for j in range(m.dims[k]) if j not in pivot_cols]
-    return rad, lifts
+    # each RREF row of the radical basis leads with its 1
+    pivot_cols = {vec.index(1) for vec in _radical_vectors(m, vertex)}
+    return [j for j in range(m.dims[k]) if j not in pivot_cols]
 
 
 def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int, RationalMatrix]]:
     """Cover (+)_slots P_v -> M: slot vertices and per-vertex matrices.
 
     Slot columns at vertex w are indexed by (slot, path from slot vertex to w).
+    A slot lifts a standard vector e_j at its vertex, so its column for a
+    path is column j of the path matrix.
     """
     q = m.quiver
     table = paths_table(q)
-    slots: list[int] = []
-    generators: list[tuple[Fraction, ...]] = []  # chosen lift vector in M at slot vertex
-    for v in q.vertices:
-        _, lifts = _top_lift_indices(m, v)
-        k = q.index(v)
-        for j in lifts:
-            slots.append(v)
-            gen = tuple(Fraction(1) if r == j else Fraction(0) for r in range(m.dims[k]))
-            generators.append(gen)
+    lifts = {v: _top_lift_indices(m, v) for v in q.vertices}
     cover: dict[int, RationalMatrix] = {}
     for w in q.vertices:
         kw = q.index(w)
-        columns: list[tuple[Fraction, ...]] = []
-        for slot, v in enumerate(slots):
-            gen = generators[slot]
-            for path in table[(v, w)]:
-                mat = m.map_along(path, v)
-                columns.append(tuple(sum((mat.entries[r][c] * gen[c] for c in range(mat.cols)),
-                                         Fraction(0)) for r in range(m.dims[kw])))
-        entries = tuple(tuple(col[r] for col in columns) for r in range(m.dims[kw]))
+        columns = []  # (path matrix entries, column index), one per slot and path
+        for v in q.vertices:
+            if lifts[v]:
+                mats = [m.map_along(path, v).entries for path in table[(v, w)]]
+                columns.extend((mat, j) for j in lifts[v] for mat in mats)
+        entries = tuple(tuple(mat[r][j] for mat, j in columns) for r in range(m.dims[kw]))
         cover[w] = RationalMatrix(m.dims[kw], len(columns), entries)
-    return tuple(slots), cover
+    return tuple(v for v in q.vertices for _ in lifts[v]), cover
 
 
 def _projective_sum(q: Quiver, slots: Sequence[int]) -> Representation:
@@ -575,32 +566,20 @@ def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple
     return total_cols - rk, total_rows - rk
 
 
-_PRES_CACHE: dict[int, ProjPresentation] = {}
-
-
-def presentation_of(m: Representation) -> ProjPresentation:
-    key = id(m)
-    pres = _PRES_CACHE.get(key)
-    if pres is None or pres.module is not m:
-        pres = minimal_presentation(m)
-        _PRES_CACHE[key] = pres
-    return pres
-
-
 def ext1_dim_direct(x: Representation, y: Representation) -> int:
     """dim Ext^1 via the projective-presentation route (independent oracle)."""
     if x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
     if x.is_zero() or y.is_zero():
         return 0
-    _, ext = hom_ext_via_presentation(presentation_of(x), y)
+    _, ext = hom_ext_via_presentation(minimal_presentation(x), y)
     return ext
 
 
 def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
     if x.is_zero() or y.is_zero():
         return 0
-    hom, _ = hom_ext_via_presentation(presentation_of(x), y)
+    hom, _ = hom_ext_via_presentation(minimal_presentation(x), y)
     return hom
 
 

@@ -287,3 +287,70 @@ def test_tau_power_zero_for_dynkin_orbit_end():
     m = projective(q, 1)
     out = tau_power(m, -10)
     assert out.is_zero()
+
+
+def _record_tau_calls(monkeypatch):
+    """Record (function, dims) for every tau and tau_inv call by name."""
+    from stratsys import artheory
+
+    calls = []
+    for name in ("tau", "tau_inv"):
+        def record(m, fn=getattr(artheory, name), name=name):
+            calls.append((name, m.dims))
+            return fn(m)
+        monkeypatch.setattr(artheory, name, record)
+    return calls
+
+
+def test_ar_position_dynkin_alternates_tau_and_tau_inv(monkeypatch):
+    # A_3 is Dynkin, so both orbits are walked in turn, a tau step first.
+    # tau_inv runs tau on the dual, which shows as the call after it.
+    from stratsys.quiver import Quiver
+    from stratsys.reps import simple
+
+    q = Quiver.make([1, 2, 3], [(3, 2, "a"), (2, 1, "b")])
+    calls = _record_tau_calls(monkeypatch)
+    # the tau_inv walk reaches zero first, right after one tau step
+    assert ar_position(injective(q, 2)) == ArPosition("Preinjective", 2, 0)
+    assert calls == [("tau", (0, 1, 1)), ("tau_inv", (0, 1, 1)), ("tau", (0, 1, 1))]
+    # the tau walk reaches zero in its second step, before a second tau_inv
+    calls.clear()
+    assert ar_position(simple(q, 2)) == ArPosition("Preprojective", 1, 1)
+    assert calls == [("tau", (0, 1, 0)), ("tau_inv", (0, 1, 0)), ("tau", (0, 1, 0)),
+                     ("tau", (1, 0, 0))]
+
+
+# recorded with the alternating loop that ar_position had before its two
+# orbit walks shared one generator
+WILD_REGULAR_TAU_CALLS = [
+    ("tau", (1, 1)), ("tau_inv", (1, 1)), ("tau", (1, 1)),
+    ("tau", (2, 5)), ("tau_inv", (5, 2)), ("tau", (5, 2)),
+]
+
+
+def test_ar_position_wild_regular_exceeds_cap(kron3, monkeypatch):
+    from stratsys.artheory import CapExceededError
+    from stratsys.reps import make_rep
+
+    m = make_rep(kron3, (1, 1), {"a1": [[1]]})
+    calls = _record_tau_calls(monkeypatch)
+    with pytest.raises(CapExceededError):
+        ar_position(m, cap=1)
+    assert calls == WILD_REGULAR_TAU_CALLS
+
+
+def test_tau_and_ext_keep_no_module_alive(kron2):
+    import gc
+    import weakref
+
+    from stratsys.reps import ext1_dim_direct, make_rep
+
+    m = make_rep(kron2, (1, 1), {"a1": [[1]]})
+    tau(m)
+    tau_inv(m)
+    ext1_dim_direct(m, m)
+    auslander_check(m, m)
+    alive = weakref.ref(m)
+    del m
+    gc.collect()
+    assert alive() is None

@@ -324,3 +324,34 @@ def test_rep_and_ar_commands(rep_files, capsys):
     assert code == 0 and "Preprojective" in out
     code, out = run_cli(["rep", "supp", rep_files["P2"]], capsys)
     assert code == 0 and "sincere: true" in out
+
+
+def test_ar_pos_wild_regular_is_regular_or_unknown(tmp_path, capsys):
+    from stratsys.io_json import rep_to_json
+    from stratsys.quiver import kronecker
+    from stratsys.reps import make_rep
+
+    path = tmp_path / "regular.json"
+    rep = make_rep(kronecker(3), (1, 1), {"a1": [[1]]})
+    path.write_text(json.dumps(rep_to_json(rep)), encoding="utf-8")
+    code, out = run_cli(["ar", "pos", str(path), "--cap", "1"], capsys)
+    assert code == 1
+    assert "regular-or-unknown" in out
+
+
+def test_long_orbit_chain_exits_2(tmp_path, capsys):
+    """tau^-990 P_1 over K_2 has total dimension 3961, under the cap, but the
+    990 modules before it that materialize must build add up to far more."""
+    import time
+
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"quiver": {"kronecker": {"m": 2}},
+                                "modules": [{"S": 1}, {"tauP": {"i": 1, "k": 990}}]}),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["ss", "check", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_representation
 from stratsys.io_json import rep_to_json
+from stratsys.linalg import format_rational
 from stratsys.quiver import euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
@@ -192,3 +193,26 @@ def test_nonsplit_extensions_are_pinned(apq23, rng):
             payload = json.dumps(rep_to_json(e), sort_keys=True)
             digests.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
     assert digests == NONSPLIT_DIGESTS
+
+
+# sha256 of the JSON list of [dims, slots0, slots1, iota] of minimal_presentation
+# for eight seeded random modules per quiver; iota as sorted [j, i, [[path,
+# coefficient], ...]] entries
+PRESENTATION_DIGESTS = {
+    "apq23": "6ae77d586c9a490a05fadf6c70fc50434d65df12c3c1ff42d237a4e92ee31fe4",
+    "kron2": "cf6fc1f8d094afe1024b5cf2be6ff5717414a6ed091b348f154c5879e65f9f39",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_DIGESTS))
+def test_minimal_presentations_are_pinned(request, rng, name):
+    q = request.getfixturevalue(name)
+    rows = []
+    for _ in range(8):
+        m = random_representation(q, rng)
+        pres = minimal_presentation(m)
+        iota = sorted([j, i, [[list(path), format_rational(c)] for path, c in terms]]
+                      for (j, i), terms in pres.iota.items())
+        rows.append([list(m.dims), list(pres.slots0), list(pres.slots1), iota])
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == PRESENTATION_DIGESTS[name]
