@@ -45,11 +45,15 @@ class FamilyInstance:
 # Kronecker classification
 # ---------------------------------------------------------------------------
 
+def _require_generalized_kronecker(m: int) -> None:
+    if m < 2:
+        raise ValueError("generalized Kronecker classification needs m >= 2")
+
+
 def kronecker_css_list(m: int, exponent_bound: int) -> list[FamilyInstance]:
     """The five catalogued families of complete systems over the m-Kronecker
     quiver, instantiated for listed indices up to the bound."""
-    if m < 2:
-        raise ValueError("generalized Kronecker classification needs m >= 2")
+    _require_generalized_kronecker(m)
     q = kronecker(m)
     out: list[FamilyInstance] = []
     out.append(FamilyInstance(1, {}, StratSystem(q, (ref_preinj(q, 2, 0),
@@ -85,7 +89,8 @@ def family5_index_zero(m: int) -> FamilyInstance:
 
 def kronecker_orbit_pool(m: int, dim_cap: int) -> list[ModuleRef]:
     """All tau-orbit modules of projectives and injectives whose dimension
-    vectors stay entrywise within the cap."""
+    vectors stay entrywise within the cap; an orbit that dies (m = 1) ends
+    at its zero module."""
     q = kronecker(m)
     pool: list[ModuleRef] = []
     for v in q.vertices:
@@ -94,7 +99,7 @@ def kronecker_orbit_pool(m: int, dim_cap: int) -> list[ModuleRef]:
             while True:
                 ref = (ref_preproj(q, v, k) if kind == "P" else ref_preinj(q, v, k))
                 dims = ref_dims(ref)
-                if any(d > dim_cap for d in dims):
+                if not any(dims) or any(d > dim_cap for d in dims):
                     break
                 pool.append(ref)
                 k += 1
@@ -117,6 +122,7 @@ def enumerate_css_kronecker(m: int, dim_cap: int) -> tuple[list[StratSystem], Ch
     and that every other dimension vector is excluded because any module on
     it has forced self-extensions.
     """
+    _require_generalized_kronecker(m)
     report = CheckReport(f"kronecker-enumeration m={m} cap={dim_cap}")
     q = kronecker(m)
     pool = kronecker_orbit_pool(m, dim_cap)

@@ -208,23 +208,25 @@ def span_basis(vectors: Sequence[Sequence], length: int) -> list[tuple[Fraction,
     return [_rref_entries(row, c, range(length)) for c, row in sorted(pivots.items())]
 
 
-def solve(matrix: RationalMatrix, rhs: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution of M x = b, or None when the system is inconsistent.
+def solve(matrix: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
+    """One exact solution X of M X = B, or None when some column of B lies
+    outside the column space of M.
 
-    Deterministic choice: free variables are set to 0.
+    One elimination over the rows of [M | B]; free variables are set to 0.
+    The RREF of [M | B] restricted to M's columns is the RREF of M, so column
+    j of X is the solution of M x = B[:, j] on its own.
     """
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length mismatch")
-    ncols = matrix.cols
-    pivots = _eliminate((dict(enumerate((*row, b))) for row, b in zip(matrix.entries, rhs)),
+    if rhs.rows != matrix.rows:
+        raise ValueError("right-hand side row count mismatch")
+    n = matrix.cols
+    pivots = _eliminate((dict(enumerate(row + b)) for row, b in zip(matrix.entries, rhs.entries)),
                         reduced=True)
-    if ncols in pivots:
+    if any(c >= n for c in pivots):
         return None
-    x = [_ZERO] * ncols
-    for c, row in pivots.items():
-        if ncols in row:
-            x[c] = Fraction(row[ncols], row[c])
-    return tuple(x)
+    zero_row = (_ZERO,) * rhs.cols
+    return RationalMatrix(n, rhs.cols, tuple(
+        _rref_entries(pivots[c], c, range(n, n + rhs.cols)) if c in pivots else zero_row
+        for c in range(n)))
 
 
 def invert(matrix: RationalMatrix) -> RationalMatrix:

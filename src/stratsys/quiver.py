@@ -161,29 +161,6 @@ def _is_connected(q: Quiver) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# admissible numbering
-# ---------------------------------------------------------------------------
-
-def admissible_numbering(q: Quiver) -> list[int]:
-    """Vertices listed so that position k gets number k+1 and arrows j->i have j>i.
-
-    Deterministic: among the available sinks of the remaining quiver, the
-    smallest caller label is numbered first.
-    """
-    remaining = set(q.vertices)
-    numbered: list[int] = []
-    while remaining:
-        sinks = sorted(v for v in remaining
-                       if all(a.tgt not in remaining for a in q.arrows if a.src == v))
-        if not sinks:
-            raise ValueError("quiver has a directed cycle; no admissible numbering")
-        v = sinks[0]
-        numbered.append(v)
-        remaining.discard(v)
-    return numbered
-
-
-# ---------------------------------------------------------------------------
 # Euler form and Coxeter transform
 # ---------------------------------------------------------------------------
 

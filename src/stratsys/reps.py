@@ -363,22 +363,14 @@ def sub_representation(m: Representation,
         entries = tuple(tuple(Fraction(basis[c][r]) for c in range(cols)) for r in range(m.dims[k]))
         incl[v] = RationalMatrix(m.dims[k], cols, entries)
         dims.append(cols)
-    maps: dict[str, list[list[Fraction]]] = {}
-    for ai, a in enumerate(q.arrows):
-        s, t = q.index(a.src), q.index(a.tgt)
-        image = m.maps[ai].mul(incl[a.src])  # dims[t]_ambient x sub_s
-        # express each image column in the target sub-basis
-        sub_t = incl[a.tgt]
-        cols_out = []
-        for c in range(image.cols):
-            rhs = tuple(image.entries[r][c] for r in range(image.rows))
-            sol = linalg.solve(sub_t, rhs)
-            if sol is None:
-                raise ValueError("subspaces are not closed under the arrow maps")
-            cols_out.append(sol)
-        maps[a.label] = [[cols_out[c][r] for c in range(image.cols)]
-                         for r in range(len(vectors.get(a.tgt, [])))]
-    sub = make_rep(q, dims, maps)
+    maps = []
+    for a, mat in zip(q.arrows, m.maps):
+        # coordinates of the image columns in the target sub-basis
+        coords = linalg.solve(incl[a.tgt], mat.mul(incl[a.src]))
+        if coords is None:
+            raise ValueError("subspaces are not closed under the arrow maps")
+        maps.append(coords)
+    sub = Representation(q, tuple(dims), tuple(maps))
     return sub, incl
 
 

@@ -1,4 +1,4 @@
-"""Stratifying systems: axioms, completeness, ordering, filtrations, extension.
+"""Stratifying systems: axioms, completeness, filtration finiteness, extension.
 
 A stratifying system is an ordered list (X_1, ..., X_t) of indecomposable
 modules with Hom(X_j, X_i) = 0 for j > i and Ext^1(X_j, X_i) = 0 for j >= i;
@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .linalg import RationalMatrix, rank as matrix_rank
-from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, TooLargeError,
-                      materialize, pair_ext, pair_hom, ref_dims,
-                      ref_is_exceptional, ref_plain, ref_preinj, ref_preproj,
-                      ref_total_dim, ref_tube, same_module)
+from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
+                      pair_hom, ref_dims, ref_is_exceptional, ref_preinj,
+                      ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .quiver import Quiver, classify_type
 from .report import CheckReport
-from .reps import Representation, hom_space, kernel_representation
 
 
 @dataclass(frozen=True)
@@ -39,18 +35,6 @@ class StratSystem:
 
     def describe(self) -> str:
         return "(" + ", ".join(m.describe() for m in self.modules) + ")"
-
-
-def system_from(quiver: Quiver, modules: Sequence) -> StratSystem:
-    refs = []
-    for m in modules:
-        if isinstance(m, ModuleRef):
-            refs.append(m)
-        elif isinstance(m, Representation):
-            refs.append(ref_plain(m))
-        else:
-            raise TypeError(f"cannot interpret {type(m).__name__} as a module")
-    return StratSystem(quiver, tuple(refs))
 
 
 # ---------------------------------------------------------------------------
@@ -96,193 +80,6 @@ def check_css(s: StratSystem) -> CheckReport:
     if s.size != n:
         report.add("complete (t = n)", value=(s.size, n), note="incomplete")
     return report
-
-
-# ---------------------------------------------------------------------------
-# tilting summands into stratifying order
-# ---------------------------------------------------------------------------
-
-def is_basic_tilting(summands: Sequence[ModuleRef]) -> CheckReport:
-    """Pairwise non-isomorphic, Ext-orthogonal, n exceptional summands;
-    over a hereditary algebra this certifies a basic tilting module."""
-    report = CheckReport("basic-tilting")
-    if not summands:
-        report.add("nonempty")
-        return report
-    q = summands[0].quiver
-    report.checked += 1
-    if len(summands) != q.n:
-        report.add("summand-count", value=(len(summands), q.n))
-    for i, m in enumerate(summands, start=1):
-        report.checked += 1
-        if not ref_is_exceptional(m):
-            report.add("exceptional", subject=(i,))
-    for i in range(len(summands)):
-        for j in range(len(summands)):
-            if i < j and same_module(summands[i], summands[j]):
-                report.add("pairwise-nonisomorphic", subject=(i + 1, j + 1))
-            report.checked += 1
-            e = pair_ext(summands[i], summands[j])
-            if e:
-                report.add("ext-orthogonal", subject=(i + 1, j + 1), value=e)
-    return report
-
-
-class NotOrderableError(ValueError):
-    """The Hom relation on the summands contains a cycle."""
-
-
-def tilting_order(summands: Sequence) -> StratSystem:
-    """Order basic-tilting summands so that all nonzero Homs point forward.
-
-    Kahn's algorithm on the Hom digraph (edge a -> b iff Hom(T_a, T_b) != 0),
-    taking the smallest input index among available sources.  A cycle means
-    the input was not a basic tilting module.
-    """
-    if not summands:
-        raise ValueError("no summands given")
-    refs = [m if isinstance(m, ModuleRef) else ref_plain(m) for m in summands]
-    q = refs[0].quiver
-    n = len(refs)
-    edges = {(a, b) for a in range(n) for b in range(n)
-             if a != b and pair_hom(refs[a], refs[b]) != 0}
-    indeg = [0] * n
-    for _, b in edges:
-        indeg[b] += 1
-    order: list[int] = []
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    while ready:
-        a = ready.pop(0)
-        order.append(a)
-        for b in range(n):
-            if (a, b) in edges:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-        ready.sort()
-    if len(order) != n:
-        raise NotOrderableError("Hom relation has a cycle; not a basic tilting module")
-    system = StratSystem(q, tuple(refs[i] for i in order))
-    verdict = check_css(system)
-    if not verdict.passed:
-        raise NotOrderableError("ordered summands fail the axioms; "
-                                "input was not a basic tilting module")
-    return system
-
-
-# ---------------------------------------------------------------------------
-# filtration multiplicities
-# ---------------------------------------------------------------------------
-
-FILTRATION_DIM_CAP = 12
-
-
-def _nonneg_solutions(targets: Sequence[int], columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All c >= 0 with sum c_k columns[k] = targets (bounded enumeration)."""
-    sols: list[tuple[int, ...]] = []
-    t = len(columns)
-
-    def rec(k: int, remaining: list[int], chosen: list[int]):
-        if k == t:
-            if all(x == 0 for x in remaining):
-                sols.append(tuple(chosen))
-            return
-        col = columns[k]
-        bound = min((rem // c for rem, c in zip(remaining, col) if c), default=sum(remaining))
-        for c in range(bound + 1):
-            rest = [rem - c * x for rem, x in zip(remaining, col)]
-            if all(r >= 0 for r in rest):
-                rec(k + 1, rest, chosen + [c])
-
-    rec(0, list(targets), [])
-    return sols
-
-
-def filtration_multiplicity(m: Representation, s: StratSystem,
-                            dim_cap: int = FILTRATION_DIM_CAP) -> Optional[tuple[int, ...]]:
-    """Multiplicities [M : X_i] of a filtration with quotients in the system,
-    or None when none was found.
-
-    Search: a numeric certificate first (the dimension vector must be a
-    nonnegative combination of the members'), then the fast path when all
-    members are simple, then a recursive search over surjections onto the
-    members with kernels recursing.  The surjections tried are a sample
-    (basis maps and small signed combinations), so None means "none found",
-    not "none exists", unless the numeric certificate already failed.
-    """
-    if m.total_dim > dim_cap:
-        raise TooLargeError(f"module dimension {m.total_dim} exceeds the cap {dim_cap}")
-    member_dims = [ref_dims(x) for x in s.modules]
-    sols = _nonneg_solutions(m.dims, member_dims)
-    if not sols:
-        return None
-    if all(sum(d) == 1 for d in member_dims):
-        # all members simple: multiplicities are composition multiplicities
-        if len(sols) != 1:
-            return None
-        return sols[0]
-    members = [materialize(x) for x in s.modules]
-    result = _filter_search(m, members, 0)
-    return result
-
-
-def _filter_search(m: Representation, members: list[Representation], depth: int) -> Optional[tuple[int, ...]]:
-    if m.is_zero():
-        return tuple(0 for _ in members)
-    if depth > m.total_dim + 16:
-        return None
-    for idx, x in enumerate(members):
-        if x.total_dim > m.total_dim:
-            continue
-        space = hom_space(m, x)
-        if space.dim == 0:
-            continue
-        for mats in _surjection_candidates(m, x, space):
-            kernel, _ = kernel_representation(m, x, mats)
-            sub = _filter_search(kernel, members, depth + 1)
-            if sub is not None:
-                out = list(sub)
-                out[idx] += 1
-                return tuple(out)
-    return None
-
-
-def _surjection_candidates(m: Representation, x: Representation, space) -> Iterable:
-    """Deterministic sample of surjections M -> X: basis elements first, then
-    small signed combinations."""
-    combos: list[tuple[int, ...]] = []
-    h = space.dim
-    singles = [tuple(1 if k == i else 0 for k in range(h)) for i in range(h)]
-    combos.extend(singles)
-    if h >= 2:
-        grid: list[tuple[int, ...]] = [()]
-        for _ in range(h):
-            grid = [c + (s,) for c in grid for s in (1, -1, 0)]
-        combos.extend(c for c in grid if sum(abs(v) for v in c) >= 2)
-    seen = set()
-    for combo in combos:
-        if combo in seen:
-            continue
-        seen.add(combo)
-        mats = []
-        ok = True
-        for k in range(len(m.dims)):
-            rows_n, cols_n = x.dims[k], m.dims[k]
-            acc = [[Fraction(0)] * cols_n for _ in range(rows_n)]
-            for c, basis_elt in zip(combo, space.basis):
-                if c == 0:
-                    continue
-                mat = basis_elt[k]
-                for r in range(rows_n):
-                    for cc in range(cols_n):
-                        acc[r][cc] += c * mat.entries[r][cc]
-            mat = RationalMatrix(rows_n, cols_n, tuple(tuple(row) for row in acc))
-            if matrix_rank(mat) != rows_n:
-                ok = False
-                break
-            mats.append(mat)
-        if ok:
-            yield mats
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ def test_bad_parameters_exit_2(capsys):
     capsys.readouterr()
     assert main(["kron", "list", "--m", "1"]) == 2
     capsys.readouterr()
+    assert main(["kron", "enumerate", "--m", "1", "--cap", "3"]) == 2
+    capsys.readouterr()
 
 
 def test_quiver_validate_and_classify(files, capsys):

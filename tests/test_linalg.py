@@ -15,6 +15,10 @@ def mat(rows):
     return RationalMatrix.from_rows(rows)
 
 
+def column(entries):
+    return RationalMatrix.from_rows([[x] for x in entries], cols=1)
+
+
 def test_rank_identity():
     assert rank(RationalMatrix.identity(2)) == 2
 
@@ -43,15 +47,19 @@ def test_kernel_zero_matrix_full():
 
 
 def test_solve_identity():
-    assert solve(RationalMatrix.identity(2), [3, 5]) == (Fraction(3), Fraction(5))
+    assert solve(RationalMatrix.identity(2), column([3, 5])) == column([3, 5])
+    assert solve(RationalMatrix.identity(2), mat([[3, 7], [5, 0]])) == mat([[3, 7], [5, 0]])
 
 
 def test_solve_underdetermined_free_vars_zero():
-    assert solve(mat([[1, 1]]), [2]) == (Fraction(2), Fraction(0))
+    assert solve(mat([[1, 1]]), column([2])) == column([2, 0])
+    assert solve(mat([[1, 1]]), mat([[2, -1]])) == mat([[2, -1], [0, 0]])
 
 
 def test_solve_inconsistent():
-    assert solve(mat([[1], [1]]), [0, 1]) is None
+    assert solve(mat([[1], [1]]), column([0, 1])) is None
+    # one consistent column does not rescue the other
+    assert solve(mat([[1], [1]]), mat([[1, 0], [1, 1]])) is None
 
 
 def test_invert_rational_entries():
@@ -95,11 +103,14 @@ def test_kernel_vectors_annihilate_and_count(m):
 @given(small_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_is_exact_when_consistent(m, data):
-    coeffs = data.draw(st.lists(small_entries, min_size=m.cols, max_size=m.cols))
-    rhs = m.apply(coeffs)
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    coeffs = data.draw(st.lists(st.lists(small_entries, min_size=k, max_size=k),
+                                min_size=m.cols, max_size=m.cols))
+    rhs = m.mul(RationalMatrix.from_rows(coeffs, cols=k))
     sol = solve(m, rhs)
     assert sol is not None
-    assert m.apply(sol) == rhs
+    assert (sol.rows, sol.cols) == (m.cols, k)
+    assert m.mul(sol) == rhs
 
 
 def _augmented(m, column):
@@ -128,12 +139,34 @@ def test_span_basis_is_rref_of_the_same_row_space(m):
 @settings(max_examples=80, deadline=None)
 def test_solve_is_none_exactly_when_rhs_raises_rank(m, data):
     rhs = data.draw(st.lists(small_entries, min_size=m.rows, max_size=m.rows))
-    sol = solve(m, rhs)
+    sol = solve(m, column(rhs))
     inconsistent = rank(_augmented(m, rhs)) > rank(m)
     assert (sol is None) == inconsistent
     if sol is not None:
-        assert len(sol) == m.cols
-        assert m.apply(sol) == tuple(rhs)
+        assert (sol.rows, sol.cols) == (m.cols, 1)
+        assert m.mul(sol) == column(rhs)
+
+
+@given(small_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matrix_rhs_matches_column_by_column(m, data):
+    # each column of B is either in the column space of M or drawn at random
+    columns = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(small_entries, min_size=m.cols, max_size=m.cols))
+            columns.append(m.apply(coeffs))
+        else:
+            columns.append(data.draw(st.lists(small_entries, min_size=m.rows,
+                                              max_size=m.rows)))
+    rhs = RationalMatrix.from_rows(list(zip(*columns)) if columns else [()] * m.rows,
+                                   cols=len(columns))
+    singles = [solve(m, column(b)) for b in columns]
+    sol = solve(m, rhs)
+    assert (sol is None) == any(x is None for x in singles)
+    if sol is not None:
+        for j, x in enumerate(singles):
+            assert tuple(row[j] for row in sol.entries) == tuple(row[0] for row in x.entries)
 
 
 @given(small_matrices(square=True))
@@ -159,9 +192,10 @@ def test_every_entry_point_handles_empty_shapes(rows, cols):
     assert kernel_basis(m) == list(identity)
     assert kernel_basis_of_rows([{} for _ in range(rows)], cols) == list(identity)
     assert span_basis(m.entries, cols) == []
-    assert solve(m, [0] * rows) == (Fraction(0),) * cols
+    for k in (0, 2):
+        assert solve(m, RationalMatrix.zero(rows, k)) == RationalMatrix.zero(cols, k)
     if rows:
-        assert solve(m, [0] * (rows - 1) + [1]) is None
+        assert solve(m, mat([[0, 0]] * (rows - 1) + [[0, 1]])) is None
     if rows == cols:
         assert invert(m).entries == ()
     else:

@@ -1,6 +1,6 @@
 import pytest
 
-from stratsys.quiver import (Quiver, admissible_numbering, canonical_apq,
+from stratsys.quiver import (Quiver, canonical_apq,
                              classify_type, coxeter_transform, defect,
                              euler_form, injective_dim_vector, kronecker,
                              null_root, projective_dim_vector, validate)
@@ -29,37 +29,6 @@ def test_validate_duplicate_labels():
     report = validate(q)
     assert not report.passed
     assert report.violations[0].axiom == "distinct-labels"
-
-
-def _toposort_oracle(q):
-    # independent reference: repeatedly remove the smallest remaining sink
-    remaining = set(q.vertices)
-    order = []
-    while remaining:
-        sinks = sorted(v for v in remaining
-                       if all(a.tgt not in remaining for a in q.arrows if a.src == v))
-        order.append(sinks[0])
-        remaining.discard(sinks[0])
-    return order
-
-
-def test_numbering_linear_quiver_identity():
-    q = Quiver.make([1, 2, 3], [(3, 2, "a"), (2, 1, "b")])
-    assert admissible_numbering(q) == [1, 2, 3]
-
-
-def test_numbering_kronecker():
-    assert admissible_numbering(kronecker(5)) == [1, 2]
-
-
-def test_numbering_apq_matches_toposort_oracle():
-    q = canonical_apq(2, 3)
-    order = admissible_numbering(q)
-    assert order == _toposort_oracle(q)
-    assert order[0] == 0  # the unique sink comes first
-    position = {v: k for k, v in enumerate(order)}
-    for a in q.arrows:
-        assert position[a.src] > position[a.tgt]
 
 
 def test_euler_form_kronecker_values():

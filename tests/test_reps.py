@@ -5,13 +5,14 @@ import pytest
 
 from conftest import random_representation
 from stratsys.io_json import rep_to_json
-from stratsys.linalg import format_rational
+from stratsys.linalg import format_rational, rank
 from stratsys.quiver import euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
                            hom_space, injective, is_brick, is_exceptional,
-                           is_morphism, is_sincere, make_rep, minimal_presentation,
-                           nonsplit_extension, projective, simple, supp)
+                           is_morphism, is_sincere, kernel_representation,
+                           make_rep, minimal_presentation, nonsplit_extension,
+                           projective, simple, sub_representation, supp)
 
 
 def test_named_module_dims_kronecker(kron2):
@@ -98,6 +99,30 @@ def test_hom_space_basis_satisfies_intertwiner(kron2, apq23, rng):
             assert space.dim == hom_dim(x, y)
             for mats in space.basis:
                 assert is_morphism(x, y, mats)
+
+
+def test_sub_representation_rejects_a_subspace_not_closed(kron2):
+    p2 = projective(kron2, 2)  # dims (2, 1): the arrows send e_2 to e_a1 and e_a2
+    whole, _ = sub_representation(p2, {1: [(1, 0), (0, 1)], 2: [(1,)]})
+    assert whole == p2
+    with pytest.raises(ValueError, match="not closed"):
+        sub_representation(p2, {1: [(1, 0)], 2: [(1,)]})
+
+
+def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
+    nonzero = 0
+    for _ in range(12):
+        x = random_representation(apq23, rng)
+        y = random_representation(apq23, rng)
+        for mats in hom_space(x, y).basis:
+            sub, incl = kernel_representation(x, y, mats)
+            for k, v in enumerate(apq23.vertices):
+                assert incl[v].cols == sub.dims[k] == x.dims[k] - rank(mats[k])
+                assert mats[k].mul(incl[v]).is_zero()
+            for a, sub_map, x_map in zip(apq23.arrows, sub.maps, x.maps):
+                assert incl[a.tgt].mul(sub_map) == x_map.mul(incl[a.src])
+                nonzero += not sub_map.is_zero()
+    assert nonzero > 0
 
 
 def test_yoneda_projective(kron2, apq23, rng):

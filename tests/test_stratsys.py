@@ -3,15 +3,12 @@ from itertools import permutations
 import pytest
 
 from stratsys.classifier import enumerate_css_kronecker, kronecker_orbit_pool
-from stratsys.modules import (materialize, pair_hom, ref_plain, ref_preinj,
-                              ref_preproj)
+from stratsys.modules import pair_hom, ref_plain, ref_preinj, ref_preproj
 from stratsys.quiver import canonical_apq, kronecker
-from stratsys.reps import direct_sum, make_rep, projective
-from stratsys.systems import (CandidatePool, NotOrderableError, StratSystem,
-                              _exceptional_sequences, check_css, check_ss,
-                              extend_to_complete, filtration_multiplicity,
-                              is_basic_tilting, is_filtration_finite, system_from,
-                              tilting_order)
+from stratsys.reps import make_rep
+from stratsys.systems import (CandidatePool, StratSystem, _exceptional_sequences,
+                              check_css, check_ss, extend_to_complete,
+                              is_filtration_finite)
 from stratsys.tubes import (fg_system, max_regular_ss_size,
                             regular_exceptional_pool)
 
@@ -75,59 +72,6 @@ def test_incli_bound_over_generated_systems(kron2):
             assert s.size <= s.quiver.n
 
 
-def test_tilting_order_projectives(kron2):
-    ordered = tilting_order([ref_preproj(kron2, 1, 0), ref_preproj(kron2, 2, 0)])
-    assert [m.describe() for m in ordered.modules] == ["P_1", "P_2"]
-    assert check_css(ordered).passed
-
-
-def test_tilting_order_mixed(kron2):
-    ordered = tilting_order([ref_preproj(kron2, 2, 0), ref_preproj(kron2, 1, 1)])
-    assert [m.describe() for m in ordered.modules] == ["P_2", "tau^-1 P_1"]
-    assert check_css(ordered).passed
-
-
-def test_tilting_order_loop_rejected(kron2):
-    p1 = ref_preproj(kron2, 1, 0)
-    with pytest.raises(NotOrderableError):
-        tilting_order([p1, p1])
-
-
-def test_is_basic_tilting(kron2):
-    good = is_basic_tilting([ref_preproj(kron2, 1, 0), ref_preproj(kron2, 2, 0)])
-    assert good.passed
-    bad = is_basic_tilting([ref_preproj(kron2, 1, 0), ref_preinj(kron2, 2, 0)])
-    assert not bad.passed  # Ext^1(I_2, P_1) != 0
-
-
-def test_filtration_composition_factors(kron2):
-    system = StratSystem(kron2, (ref_preinj(kron2, 2, 0), ref_preproj(kron2, 1, 0)))
-    assert filtration_multiplicity(projective(kron2, 2), system) == (1, 2)
-
-
-def test_filtration_of_member_is_unit(kron2):
-    system = StratSystem(kron2, (ref_preinj(kron2, 2, 0), ref_preproj(kron2, 1, 0)))
-    assert filtration_multiplicity(projective(kron2, 1), system) == (0, 1)
-
-
-def test_filtration_regular_not_filtered(kron2):
-    r = make_rep(kron2, (1, 1), {"a1": [[1]], "a2": [[1]]})
-    system = StratSystem(kron2, (ref_preproj(kron2, 1, 0), ref_preproj(kron2, 2, 0)))
-    assert filtration_multiplicity(r, system) is None
-
-
-def test_filtration_dimension_identity(kron2):
-    system = StratSystem(kron2, (ref_preproj(kron2, 1, 0), ref_preproj(kron2, 2, 0)))
-    m = direct_sum([projective(kron2, 1), projective(kron2, 2), projective(kron2, 2)])
-    mults = filtration_multiplicity(m, system)
-    assert mults is not None
-    total = [0, 0]
-    for mult, ref in zip(mults, system.modules):
-        dims = materialize(ref).dims
-        total = [t + mult * d for t, d in zip(total, dims)]
-    assert tuple(total) == m.dims
-
-
 def test_filtration_finite_matches_corollary(kron2):
     p1, p2, i1, i2 = _kron_refs(kron2)
     assert not is_filtration_finite(StratSystem(kron2, (i2, p1)))
@@ -173,12 +117,6 @@ def test_extend_unique_slot_after_fixing_y():
     assert completion is not None
     assert completion.modules[0].describe() == "I_4"  # S_{p+q-1} at the source
     assert not any("uniqueness" in f for f in report.flags)
-
-
-def test_system_from_mixed_inputs(kron2):
-    s = system_from(kron2, [projective(kron2, 1), ref_preproj(kron2, 2, 0)])
-    assert s.size == 2
-    assert check_css(s).passed
 
 
 def _brute_force_sequences(pool, n):
