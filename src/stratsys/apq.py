@@ -105,8 +105,8 @@ class ApqAlgebra:
     """Context object tying (p, q) to its canonical quiver and tube catalogue.
 
     Get one from ``apq_algebra``, which keeps one per (p, q): the memos on
-    ``simple_regular`` and ``tube_point`` key on the instance and keep it
-    alive."""
+    ``simple_regular``, ``tube_point`` and ``tube_point_dims`` key on the
+    instance and keep it alive."""
 
     def __init__(self, p: int, q: int):
         if not (1 <= p <= q):
@@ -195,6 +195,10 @@ class ApqAlgebra:
     # -- points higher up the ray --------------------------------------------
 
     @functools.cache
+    def tube_point_dims(self, point: TubePoint) -> DimVector:
+        return tube_point_dim_vector(self.p, self.q, point)
+
+    @functools.cache
     def tube_point(self, point: TubePoint) -> Representation:
         """Realize E_i[level] as an iterated non-split extension along the ray."""
         rank = self.tube_rank(point.tube)
@@ -203,8 +207,7 @@ class ApqAlgebra:
             top_index = (point.index - 1 + k) % rank + 1
             top = self.simple_regular(point.tube, top_index)
             rep = nonsplit_extension(top, rep)
-        want = tube_point_dim_vector(self.p, self.q, point)
-        if rep.dims != want:
+        if rep.dims != self.tube_point_dims(point):
             raise ArithmeticError("tube point has unexpected dimension vector")
         return rep
 

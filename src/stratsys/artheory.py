@@ -15,12 +15,11 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .linalg import RationalMatrix
-from .quiver import Quiver, classify_type, defect, injective_dim_vector, projective_dim_vector
+from .quiver import Path, Quiver, classify_type, defect
 from .report import CheckReport
-from .reps import (Path, ProjPresentation, Representation, direct_sum,
+from .reps import (ProjPresentation, Representation, direct_sum,
                    dual_representation, ext1_dim, hom_dim, injective,
-                   kernel_representation, minimal_presentation, paths_table,
-                   zero_rep)
+                   kernel_representation, minimal_presentation, zero_rep)
 
 
 class CapExceededError(RuntimeError):
@@ -42,7 +41,7 @@ def _injective_path_matrix(q: Quiver, x: int, v: int, w: int, path: Path) -> Rat
     It is the transpose of "compose with the path": paths x ~> v map to
     paths x ~> w by appending the path's labels.
     """
-    table = paths_table(q)
+    table = q.context.paths
     rows_paths = table[(x, v)]
     cols_paths = table[(x, w)]
     index = {p: k for k, p in enumerate(cols_paths)}
@@ -59,7 +58,7 @@ def nakayama_of_inclusion(pres: ProjPresentation) -> tuple[Representation, Repre
                                                            list[RationalMatrix]]:
     """Apply the Nakayama functor to P1 -> P0, giving nu(P1) -> nu(P0)."""
     q = pres.module.quiver
-    table = paths_table(q)
+    table = q.context.paths
     nu1 = direct_sum([injective(q, w) for w in pres.slots1]) if pres.slots1 else zero_rep(q)
     nu0 = direct_sum([injective(q, v) for v in pres.slots0]) if pres.slots0 else zero_rep(q)
     mats: list[RationalMatrix] = []
@@ -122,11 +121,8 @@ def tau_power(m: Representation, k: int) -> Representation:
 
 
 def _match_vertex(q: Quiver, dims, kind: str) -> Optional[int]:
-    maker = projective_dim_vector if kind == "P" else injective_dim_vector
-    for v in q.vertices:
-        if tuple(dims) == maker(q, v):
-            return v
-    return None
+    ctx = q.context
+    return (ctx.proj_vertex if kind == "P" else ctx.inj_vertex).get(tuple(dims))
 
 
 def _orbit_walk(m: Representation, kind: str, cap: int, dim_budget: int

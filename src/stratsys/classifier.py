@@ -17,7 +17,7 @@ from typing import Optional
 from .apq import apq_algebra
 from .modules import (ModuleRef, ref_dims, ref_plain, ref_preinj,
                       ref_preproj, ref_total_dim, same_module)
-from .quiver import Quiver, classify_type, coxeter_transform, euler_form, kronecker
+from .quiver import Quiver, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
 from .systems import (CandidatePool, StratSystem, _exceptional_sequences,
@@ -562,7 +562,7 @@ def _coxeter_screen_regular(q: Quiver, dims, steps: int = 24) -> bool:
     """Exclude orbits that provably terminate: a negative coordinate in some
     Coxeter iterate certifies a preprojective (forward) or preinjective
     (backward) module.  Surviving the screen is regular-or-unknown."""
-    phi = coxeter_transform(q)
+    phi = q.context.coxeter
     v = tuple(dims)
     for _ in range(steps):
         v = phi.apply(v)

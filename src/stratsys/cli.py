@@ -239,6 +239,17 @@ def cmd_wild(args, report: Report) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _bound(text: str) -> int:
+    """A search bound or cap: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratsys",
@@ -262,33 +273,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_ar.add_argument("action", choices=["tau", "tauinv", "pos"])
     p_ar.add_argument("x")
     p_ar.add_argument("--k", type=int, default=1)
-    p_ar.add_argument("--cap", type=int, default=64)
+    p_ar.add_argument("--cap", type=_bound, default=64)
 
     p_ss = sub.add_parser("ss", help="stratifying-system checks on a system file")
     p_ss.add_argument("action", choices=["check", "css", "extend", "filtfinite"])
     p_ss.add_argument("file")
-    p_ss.add_argument("--bound", type=int, default=8)
+    p_ss.add_argument("--bound", type=_bound, default=8)
     p_ss.add_argument("--positions", choices=["front", "back", "outer", "any"],
                       default="any")
 
     p_kron = sub.add_parser("kron", help="Kronecker classification lists")
     p_kron.add_argument("action", choices=["list", "enumerate"])
     p_kron.add_argument("--m", type=int, required=True)
-    p_kron.add_argument("--bound", type=int, default=6)
-    p_kron.add_argument("--cap", type=int, default=9)
+    p_kron.add_argument("--bound", type=_bound, default=6)
+    p_kron.add_argument("--cap", type=_bound, default=9)
 
     p_apq = sub.add_parser("apq", help="canonical cycle quiver verifications")
     p_apq.add_argument("action", choices=["families", "ysearch-post", "ysearch-pre",
                                           "sincerity", "tubes"])
     p_apq.add_argument("--p", type=int, required=True)
     p_apq.add_argument("--q", type=int, required=True)
-    p_apq.add_argument("--tbound", type=int, default=None)
-    p_apq.add_argument("--kmax", type=int, default=8)
+    p_apq.add_argument("--tbound", type=_bound, default=None)
+    p_apq.add_argument("--kmax", type=_bound, default=8)
 
     p_wild = sub.add_parser("wild", help="wild-quiver regular system search")
     p_wild.add_argument("action", choices=["regcss"])
     p_wild.add_argument("file")
-    p_wild.add_argument("--cap", type=int, default=6)
+    p_wild.add_argument("--cap", type=_bound, default=6)
     return parser
 
 

@@ -17,18 +17,23 @@ representations.  Each identity is cross-validated against that structure in
 the test suite.  Without this reduction the generalized Kronecker orbit
 checks would need matrices with ~10^5 rows, which no structural checker can
 materialize.
+
+Every memo of the engine lives in the quiver's ``QuiverContext``: the
+Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
+orbit modules (``orbit_reps``) and one (dim Hom, dim Hom - <a, b>) entry per
+pedigreed pair (``hom_ext``), so ``pair_hom``, ``pair_ext`` and
+``pair_hom_ext`` answer a pair once.  Explicit representations are never
+memoized.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .apq import TubeLabel, TubePoint, apq_algebra, tube_point_dim_vector
+from .apq import TubeLabel, TubePoint, apq_algebra
 from .artheory import tau, tau_inv
-from .quiver import (CoxeterTransform, DimVector, Quiver, coxeter_transform,
-                     euler_form, injective_dim_vector, projective_dim_vector)
+from .quiver import DimVector, Quiver, euler_form
 from .reps import Representation, hom_dim, injective, projective, zero_rep
 
 MATERIALIZE_CAP = 4000
@@ -87,29 +92,8 @@ def ref_plain(rep: Representation) -> ModuleRef:
 
 
 # ---------------------------------------------------------------------------
-# caches
+# dimension vectors and orbit modules (memoized in the quiver's context)
 # ---------------------------------------------------------------------------
-
-_HOM_CACHE: dict[tuple, int] = {}
-
-
-@functools.cache
-def coxeter_of(q: Quiver) -> CoxeterTransform:
-    return coxeter_transform(q)
-
-
-@functools.cache
-def _proj_dims(q: Quiver) -> dict[DimVector, int]:
-    return {projective_dim_vector(q, v): v for v in q.vertices}
-
-
-@functools.cache
-def _inj_dims(q: Quiver) -> dict[DimVector, int]:
-    return {injective_dim_vector(q, v): v for v in q.vertices}
-
-
-_ORBIT_DIMS: dict[tuple, tuple[DimVector, ...]] = {}
-
 
 def _orbit_dims(q: Quiver, kind: str, vertex: int, power: int) -> DimVector:
     """Coxeter-powered dimension vector of tau^{-k} P_v or tau^k I_v.
@@ -122,16 +106,17 @@ def _orbit_dims(q: Quiver, kind: str, vertex: int, power: int) -> DimVector:
     orbit is never mutated: a longer one is grown on a local copy and stored
     whole, so concurrent callers only ever read complete prefixes.
     """
-    key = (q, kind, vertex)
-    orbit = _ORBIT_DIMS.get(key, ())
+    ctx = q.context
+    key = (kind, vertex)
+    orbit = ctx.orbit_dims.get(key, ())
     if len(orbit) <= power:
-        grown = list(orbit) or [projective_dim_vector(q, vertex) if kind == PREPROJ
-                                else injective_dim_vector(q, vertex)]
-        phi = coxeter_of(q)
+        start = ctx.proj_dims if kind == PREPROJ else ctx.inj_dims
+        grown = list(orbit) or [start[q.index(vertex)]]
+        phi = ctx.coxeter
         while len(grown) <= power:
             nxt = phi.apply_inverse(grown[-1]) if kind == PREPROJ else phi.apply(grown[-1])
             grown.append(q.zero_vector() if any(x < 0 for x in nxt) else nxt)
-        orbit = _ORBIT_DIMS[key] = tuple(grown)
+        orbit = ctx.orbit_dims[key] = tuple(grown)
     return orbit[power]
 
 
@@ -139,8 +124,7 @@ def ref_dims(ref: ModuleRef) -> DimVector:
     if ref.kind == PREPROJ or ref.kind == PREINJ:
         return _orbit_dims(ref.quiver, ref.kind, ref.vertex, ref.power)
     if ref.kind == TUBE:
-        p, q = ref.apq
-        return tube_point_dim_vector(p, q, ref.point)
+        return apq_algebra(*ref.apq).tube_point_dims(ref.point)
     return ref.rep_obj.dims
 
 
@@ -149,23 +133,31 @@ def ref_total_dim(ref: ModuleRef) -> int:
 
 
 def ref_key(ref: ModuleRef):
-    """Cache key of a pedigreed descriptor."""
+    """Key of a pedigreed descriptor inside its quiver's context."""
     if ref.kind == TUBE:
-        return (TUBE, ref.apq, ref.point)
-    return (ref.kind, ref.quiver, ref.vertex, ref.power)
+        return (TUBE, ref.point)
+    return (ref.kind, ref.vertex, ref.power)
 
 
-@functools.cache
 def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
     """tau^{-power} P_vertex (kind PREPROJ) or tau^{power} I_vertex (PREINJ),
     one translate of the member before it, checked against the Coxeter
     prediction."""
+    ctx = q.context
+    key = (kind, vertex, power)
+    rep = ctx.orbit_reps.get(key)
+    if rep is not None:
+        ctx.hits["orbit_reps"] += 1
+        return rep
+    ctx.misses["orbit_reps"] += 1
     if power == 0:
-        return projective(q, vertex) if kind == PREPROJ else injective(q, vertex)
-    prev = _orbit_rep(q, kind, vertex, power - 1)
-    rep = tau_inv(prev) if kind == PREPROJ else tau(prev)
-    if rep.dims != _orbit_dims(q, kind, vertex, power):
-        raise ArithmeticError("the orbit drifted from the Coxeter prediction")
+        rep = projective(q, vertex) if kind == PREPROJ else injective(q, vertex)
+    else:
+        prev = _orbit_rep(q, kind, vertex, power - 1)
+        rep = tau_inv(prev) if kind == PREPROJ else tau(prev)
+        if rep.dims != _orbit_dims(q, kind, vertex, power):
+            raise ArithmeticError("the orbit drifted from the Coxeter prediction")
+    ctx.orbit_reps[key] = rep
     return rep
 
 
@@ -191,7 +183,7 @@ def materialize(ref: ModuleRef, cap: int = MATERIALIZE_CAP) -> Representation:
         p, q = ref.apq
         return apq_algebra(p, q).tube_point(ref.point)
     # build the orbit upwards, so that each _orbit_rep call finds the member
-    # before it cached and the recursion stays one level deep
+    # before it memoized and the recursion stays one level deep
     for k in range(ref.power + 1):
         rep = _orbit_rep(ref.quiver, ref.kind, ref.vertex, k)
     return rep
@@ -228,31 +220,54 @@ def ref_tau(ref: ModuleRef, steps: int = 1) -> Optional[ModuleRef]:
 # the dimension engine
 # ---------------------------------------------------------------------------
 
-def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
-    """dim Hom(a, b), reduced symbolically where pedigrees allow."""
-    if a.quiver != b.quiver:
+def _same_quiver(a: ModuleRef, b: ModuleRef) -> Quiver:
+    q = a.quiver
+    if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
-    key = None
+    return q
+
+
+def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
+    """dim Hom(a, b), reduced symbolically where pedigrees allow.  A
+    pedigreed pair is answered once: its entry (dim Hom, dim Hom - <dim a,
+    dim b>) stays in the quiver's context."""
+    q = _same_quiver(a, b)
+    if a.kind == PLAIN or b.kind == PLAIN:
+        return _pair_hom(a, b)
+    ctx = q.context
+    key = (ref_key(a), ref_key(b))
+    entry = ctx.hom_ext.get(key)
+    if entry is None:
+        ctx.misses["hom_ext"] += 1
+        hom = _pair_hom(a, b)
+        entry = ctx.hom_ext[key] = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
+    else:
+        ctx.hits["hom_ext"] += 1
+    return entry[0]
+
+
+def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
+    """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
+    identity dim Ext^1 = dim Hom - <dim a, dim b>; a pedigreed pair that was
+    answered before reads both from its context entry."""
+    q = _same_quiver(a, b)
+    entry = None
     if a.kind != PLAIN and b.kind != PLAIN:
-        key = (ref_key(a), ref_key(b))
-        cached = _HOM_CACHE.get(key)
-        if cached is not None:
-            return cached
-    value = _pair_hom(a, b)
-    if key is not None:
-        _HOM_CACHE[key] = value
-    return value
-
-
-def pair_ext(a: ModuleRef, b: ModuleRef, hom: Optional[int] = None) -> int:
-    """dim Ext^1(a, b) by the Euler identity on top of pair_hom, or on top of
-    ``hom`` when the caller already holds dim Hom(a, b)."""
-    if hom is None:
+        ctx = q.context
+        entry = ctx.hom_ext.get((ref_key(a), ref_key(b)))
+        if entry is not None:
+            ctx.hits["hom_ext"] += 1
+    if entry is None:
         hom = pair_hom(a, b)
-    value = hom - euler_form(a.quiver, ref_dims(a), ref_dims(b))
-    if value < 0:
+        entry = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
+    if entry[1] < 0:
         raise ArithmeticError("negative Ext dimension out of the engine")
-    return value
+    return entry
+
+
+def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
+    """dim Ext^1(a, b) by the Euler identity on top of the Hom dimension."""
+    return pair_hom_ext(a, b)[1]
 
 
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
@@ -269,12 +284,13 @@ def _pair_hom(a: ModuleRef, b: ModuleRef) -> int:
         return 0
     # Yoneda endpoints (sound for pedigreed refs: exceptional modules and
     # tube points are determined by their dimension vectors)
+    ctx = q.context
     if a.kind != PLAIN:
-        v = _proj_dims(q).get(tuple(dims_a))
+        v = ctx.proj_vertex.get(tuple(dims_a))
         if v is not None:
             return int(dims_b[q.index(v)])
     if b.kind != PLAIN:
-        v = _inj_dims(q).get(tuple(dims_b))
+        v = ctx.inj_vertex.get(tuple(dims_b))
         if v is not None:
             return int(dims_a[q.index(v)])
     if PLAIN in (a.kind, b.kind) or a.kind == b.kind == TUBE:
@@ -302,7 +318,7 @@ def _pair_hom(a: ModuleRef, b: ModuleRef) -> int:
 # ---------------------------------------------------------------------------
 
 def ref_is_exceptional(ref: ModuleRef) -> bool:
-    return pair_hom(ref, ref) == 1 and pair_ext(ref, ref) == 0
+    return pair_hom_ext(ref, ref) == (1, 0)
 
 
 def same_module(a: ModuleRef, b: ModuleRef) -> bool:

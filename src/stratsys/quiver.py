@@ -1,22 +1,28 @@
-"""Finite acyclic quivers and their numerical invariants.
+"""Finite acyclic quivers, their numerical invariants and their cache context.
 
 A quiver is a finite directed multigraph with integer vertex labels and
 string arrow labels.  All operations report caller-chosen labels, never
 internal indices.  Dimension vectors are plain tuples of ints, ordered by
 the quiver's vertex list.
+
+Each quiver instance is compiled once on construction (hash, vertex index,
+arrow index pairs), and every per-quiver memo of the package lives in the one
+``QuiverContext`` shared by all equal quivers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Any, Optional, Sequence
 
 from .linalg import RationalMatrix, invert
 from .report import CheckReport
 
 DimVector = tuple[int, ...]
+Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,42 @@ class Quiver:
 
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
+    # compiled once per instance, no part of eq, repr or hash
+    _hash: int = field(init=False, repr=False, compare=False)
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _arrow_pairs: Optional[tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
+    _context: Optional["QuiverContext"] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # never raises on a quiver that ``validate`` rejects: a duplicate
+        # vertex keeps its first position (as tuple.index does), and an
+        # arrow endpoint outside the vertices leaves the pairs unset
+        index: dict[int, int] = {}
+        for i, v in enumerate(self.vertices):
+            index.setdefault(v, i)
+        pairs = None
+        if all(a.src in index and a.tgt in index for a in self.arrows):
+            pairs = tuple((index[a.src], index[a.tgt]) for a in self.arrows)
+        object.__setattr__(self, "_hash", hash((self.vertices, self.arrows)))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_arrow_pairs", pairs)
+        object.__setattr__(self, "_context", None)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def context(self) -> "QuiverContext":
+        """The cache context of this quiver's value (see ``QuiverContext``)."""
+        ctx = self._context
+        if ctx is None:
+            with _CONTEXTS_LOCK:
+                ctx = _CONTEXTS.get(self)
+                if ctx is None:
+                    ctx = _CONTEXTS[self] = QuiverContext(self)
+            object.__setattr__(self, "_context", ctx)
+        return ctx
 
     @staticmethod
     def make(vertices: Sequence[int], arrows: Sequence[tuple]) -> "Quiver":
@@ -49,7 +91,10 @@ class Quiver:
         return len(self.vertices)
 
     def index(self, vertex: int) -> int:
-        return self.vertices.index(vertex)
+        try:
+            return self._index[vertex]
+        except KeyError:
+            raise ValueError(f"{vertex!r} is not a vertex") from None
 
     def arrows_out(self, vertex: int) -> list[Arrow]:
         return [a for a in self.arrows if a.src == vertex]
@@ -86,6 +131,104 @@ class Quiver:
     def from_json(data: dict) -> "Quiver":
         return Quiver.make(data["vertices"],
                            [(a["src"], a["tgt"], a["label"]) for a in data["arrows"]])
+
+
+# ---------------------------------------------------------------------------
+# the cache context
+# ---------------------------------------------------------------------------
+
+class QuiverContext:
+    """Every memo of one quiver value, in one place.
+
+    ``Quiver.context`` looks the context up by value (hash and equality,
+    never ``id()``), so equal quivers built apart share it, and caches it on
+    the instance.  The derived invariants are computed on first use: the
+    projective and injective dimension vectors (the rows and columns of the
+    path-count matrix) with their inverse maps, the Coxeter transform and
+    the path table.  The upper layers keep their memos in plain dicts:
+    ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
+    vectors, each orbit a tuple replaced whole when it grows, and the
+    materialized orbit modules), ``hom_ext`` (``modules``: one raw
+    (dim Hom, dim Hom - <a,b>) entry per pedigreed pair) and ``pools``
+    (``systems``: the candidate list per ``CandidatePool``).  ``hits`` and
+    ``misses`` count the lookups in ``hom_ext``, ``orbit_reps`` and ``pools``.
+
+    Thread guarantees: one context per value (creation is locked), memo
+    values are immutable and a function of their key, and a memo is only
+    ever replaced whole, so a concurrent reader sees a complete value or a
+    miss.  Racing misses compute the same value twice; the counts are exact
+    in single-threaded runs only.
+    """
+
+    COUNTED = ("hom_ext", "orbit_reps", "pools")
+    DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex",
+               "coxeter", "paths")
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every memo and zero the counts; the context stays the one
+        of its quiver value."""
+        for name in self.DERIVED:
+            self.__dict__.pop(name, None)
+        self.orbit_dims: dict[tuple[str, int], tuple[DimVector, ...]] = {}
+        self.orbit_reps: dict[tuple[str, int, int], Any] = {}
+        self.hom_ext: dict[tuple, tuple[int, int]] = {}
+        self.pools: dict[Any, tuple] = {}
+        self.hits = dict.fromkeys(self.COUNTED, 0)
+        self.misses = dict.fromkeys(self.COUNTED, 0)
+
+    @cached_property
+    def proj_dims(self) -> tuple[DimVector, ...]:
+        """dim P_v for each vertex, in vertex order: the rows of the
+        path-count matrix."""
+        return _path_count_matrix(self.quiver)
+
+    @cached_property
+    def inj_dims(self) -> tuple[DimVector, ...]:
+        """dim I_v for each vertex, in vertex order: the columns of the
+        path-count matrix."""
+        return tuple(zip(*self.proj_dims))
+
+    @cached_property
+    def proj_vertex(self) -> dict[DimVector, int]:
+        return dict(zip(self.proj_dims, self.quiver.vertices))
+
+    @cached_property
+    def inj_vertex(self) -> dict[DimVector, int]:
+        return dict(zip(self.inj_dims, self.quiver.vertices))
+
+    @cached_property
+    def coxeter(self) -> "CoxeterTransform":
+        return coxeter_transform(self.quiver)
+
+    @cached_property
+    def paths(self) -> dict[tuple[int, int], tuple[Path, ...]]:
+        """All directed paths (u, v) -> ordered tuple of label sequences.
+
+        Paths are listed in lexicographic label order with prefixes first,
+        which fixes the bases of projectives and injectives deterministically.
+        """
+        q = self.quiver
+        table: dict[tuple[int, int], list[Path]] = {(u, v): [] for u in q.vertices
+                                                     for v in q.vertices}
+
+        def extend(start: int, current: int, labels: list[str]) -> None:
+            table[(start, current)].append(tuple(labels))
+            for a in sorted(q.arrows_out(current), key=lambda ar: ar.label):
+                labels.append(a.label)
+                extend(start, a.tgt, labels)
+                labels.pop()
+
+        for u in q.vertices:
+            extend(u, u, [])
+        return {key: tuple(sorted(val)) for key, val in table.items()}
+
+
+_CONTEXTS: dict[Quiver, QuiverContext] = {}
+_CONTEXTS_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +311,16 @@ def euler_form(q: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
     """Bilinear form <x,y> = sum_v x_v y_v - sum_{a: s->t} x_s y_t."""
     if len(x) != q.n or len(y) != q.n:
         raise ValueError("dimension vector length mismatch")
+    pairs = q._arrow_pairs
+    if pairs is None:  # some arrow endpoint is not a vertex
+        pairs = [(q.index(a.src), q.index(a.tgt)) for a in q.arrows]
     total = sum(int(a) * int(b) for a, b in zip(x, y))
-    for a in q.arrows:
-        total -= int(x[q.index(a.src)]) * int(y[q.index(a.tgt)])
+    for s, t in pairs:
+        total -= int(x[s]) * int(y[t])
     return total
 
 
-def path_count_matrix(q: Quiver) -> list[list[int]]:
+def _path_count_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     """C[i][j] = number of directed paths from vertices[i] to vertices[j]."""
     outgoing = {v: [a.tgt for a in q.arrows_out(v)] for v in q.vertices}
 
@@ -185,19 +331,17 @@ def path_count_matrix(q: Quiver) -> list[list[int]]:
             c += count(t, w)
         return c
 
-    return [[count(u, w) for w in q.vertices] for u in q.vertices]
+    return tuple(tuple(count(u, w) for w in q.vertices) for u in q.vertices)
 
 
 def projective_dim_vector(q: Quiver, i: int) -> DimVector:
     """dim P_i: entry at v counts directed paths from i to v."""
-    counts = path_count_matrix(q)
-    return tuple(counts[q.index(i)][j] for j in range(q.n))
+    return q.context.proj_dims[q.index(i)]
 
 
 def injective_dim_vector(q: Quiver, i: int) -> DimVector:
     """dim I_i: entry at v counts directed paths from v to i."""
-    counts = path_count_matrix(q)
-    return tuple(counts[j][q.index(i)] for j in range(q.n))
+    return q.context.inj_dims[q.index(i)]
 
 
 @dataclass(frozen=True)
@@ -223,10 +367,11 @@ class CoxeterTransform:
 
 
 def coxeter_transform(q: Quiver) -> CoxeterTransform:
-    """Construct Phi from the defining property P_i |-> -I_i (exact)."""
+    """Construct Phi from the defining property P_i |-> -I_i (exact); the
+    quiver's context keeps one as ``coxeter``."""
     n = q.n
-    p_cols = [projective_dim_vector(q, v) for v in q.vertices]
-    i_cols = [injective_dim_vector(q, v) for v in q.vertices]
+    ctx = q.context
+    p_cols, i_cols = ctx.proj_dims, ctx.inj_dims
     pmat = RationalMatrix.from_rows([[Fraction(p_cols[j][i]) for j in range(n)] for i in range(n)])
     imat = [[Fraction(-i_cols[j][i]) for j in range(n)] for i in range(n)]
     pinv = invert(pmat)

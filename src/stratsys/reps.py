@@ -9,36 +9,13 @@ projective-presentation route, which must always agree.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .linalg import RationalMatrix
-from .quiver import DimVector, Quiver, euler_form
-
-Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
-
-@functools.cache
-def paths_table(q: Quiver) -> dict[tuple[int, int], tuple[Path, ...]]:
-    """All directed paths (u, v) -> ordered tuple of label sequences.
-
-    Paths are listed in lexicographic label order with prefixes first, which
-    fixes the bases of projectives and injectives deterministically.
-    """
-    table: dict[tuple[int, int], list[Path]] = {(u, v): [] for u in q.vertices for v in q.vertices}
-
-    def extend(start: int, current: int, labels: list[str]) -> None:
-        table[(start, current)].append(tuple(labels))
-        for a in sorted(q.arrows_out(current), key=lambda ar: ar.label):
-            labels.append(a.label)
-            extend(start, a.tgt, labels)
-            labels.pop()
-
-    for u in q.vertices:
-        extend(u, u, [])
-    return {key: tuple(sorted(val)) for key, val in table.items()}
+from .quiver import DimVector, Path, Quiver, euler_form
 
 
 @dataclass(frozen=True)
@@ -129,7 +106,7 @@ def projective(q: Quiver, i: int) -> Representation:
     """P_i: basis at v = paths from i to v; arrows append themselves."""
     if i not in q.vertices:
         raise KeyError(f"unknown vertex {i}")
-    table = paths_table(q)
+    table = q.context.paths
     basis = {v: table[(i, v)] for v in q.vertices}
     dims = tuple(len(basis[v]) for v in q.vertices)
     maps: dict[str, list[list[Fraction]]] = {}
@@ -148,7 +125,7 @@ def injective(q: Quiver, i: int) -> Representation:
     """I_i: basis at v = dual basis of paths from v to i."""
     if i not in q.vertices:
         raise KeyError(f"unknown vertex {i}")
-    table = paths_table(q)
+    table = q.context.paths
     basis = {v: table[(v, i)] for v in q.vertices}
     dims = tuple(len(basis[v]) for v in q.vertices)
     maps: dict[str, list[list[Fraction]]] = {}
@@ -437,7 +414,7 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
     path is column j of the path matrix.
     """
     q = m.quiver
-    table = paths_table(q)
+    table = q.context.paths
     lifts = {v: _top_lift_indices(m, v) for v in q.vertices}
     cover: dict[int, RationalMatrix] = {}
     for w in q.vertices:
@@ -462,7 +439,7 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
     """Minimal projective presentation; over a hereditary algebra the kernel
     of the cover is projective, so the presentation has length one."""
     q = m.quiver
-    table = paths_table(q)
+    table = q.context.paths
     slots0, cover = projective_cover_data(m)
     p0 = _projective_sum(q, slots0)
     # sanity: the cover must be onto

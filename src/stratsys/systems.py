@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
-                      pair_hom, ref_dims, ref_is_exceptional, ref_preinj,
+                      pair_hom, pair_hom_ext, ref_dims, ref_is_exceptional, ref_preinj,
                       ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .quiver import Quiver, classify_type
@@ -111,6 +111,19 @@ class CandidatePool:
 
 
 def build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
+    """The pool's exceptional candidates, one per dimension vector, in
+    search order; built once per pool in the quiver's context."""
+    ctx = quiver.context
+    refs = ctx.pools.get(pool)
+    if refs is not None:
+        ctx.hits["pools"] += 1
+    else:
+        ctx.misses["pools"] += 1
+        refs = ctx.pools[pool] = tuple(_build_candidates(quiver, pool))
+    return list(refs)
+
+
+def _build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
     refs: list[ModuleRef] = []
     for v in quiver.vertices:
         for k in range(pool.exponent_bound + 1):
@@ -165,8 +178,7 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     slots = slots or (lambda size, last: (size,))
 
     def hom_ext(a: int, b: int) -> tuple[int, int]:
-        hom = pair_hom(items[a], items[b])
-        return hom, pair_ext(items[a], items[b], hom)
+        return pair_hom_ext(items[a], items[b])
 
     if length - len(start) > 1:
         hom_ext = functools.cache(hom_ext)

@@ -177,7 +177,7 @@ def test_apq_families_materializes_only_tube_pairs_and_explicit_modules(monkeypa
         kinds.append((a.kind, b.kind))
         return structural(a, b)
 
-    modules._HOM_CACHE.clear()
+    canonical_apq(2, 3).context.clear()
     monkeypatch.setattr(modules, "_structural_hom", recording)
     assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
     capsys.readouterr()
@@ -187,22 +187,23 @@ def test_apq_families_materializes_only_tube_pairs_and_explicit_modules(monkeypa
 
 
 def test_orbit_dims_cache_is_thread_safe():
-    """Four threads extending one cached orbit at once, with a tiny switch
-    interval, must read and leave behind the single-threaded orbit."""
+    """Four threads extending one orbit in the quiver's context at once, with
+    a tiny switch interval, must read and leave behind the single-threaded
+    orbit."""
     import sys
     import threading
 
     from stratsys import modules
 
     q, top = kronecker(3), 12
-    key = (q, modules.PREPROJ, 1)
-    modules._ORBIT_DIMS.pop(key, None)
+    memo, key = q.context.orbit_dims, (modules.PREPROJ, 1)
+    memo.pop(key, None)
     reference = [modules._orbit_dims(q, modules.PREPROJ, 1, k) for k in range(top)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(200):
-            modules._ORBIT_DIMS.pop(key, None)
+            memo.pop(key, None)
             barrier = threading.Barrier(4)
             seen = []
 
@@ -218,7 +219,7 @@ def test_orbit_dims_cache_is_thread_safe():
             for thread in threads:
                 thread.join()
             assert seen == [reference] * 4
-            cached = list(modules._ORBIT_DIMS[key])
+            cached = list(memo[key])
             assert cached == reference[:len(cached)]
     finally:
         sys.setswitchinterval(interval)

@@ -131,6 +131,14 @@ def test_bad_parameters_exit_2(capsys):
     capsys.readouterr()
     assert main(["kron", "enumerate", "--m", "1", "--cap", "3"]) == 2
     capsys.readouterr()
+    # negative bounds and caps are usage errors, not failed or empty searches
+    for argv in (["apq", "sincerity", "--p", "2", "--q", "3", "--kmax", "-1"],
+                 ["wild", "regcss", str(REPO_ROOT / "samples" / "wild_double_path.quiver.json"),
+                  "--cap", "-1"],
+                 ["apq", "families", "--p", "2", "--q", "3", "--tbound", "-1"],
+                 ["kron", "enumerate", "--m", "3", "--cap", "-1"]):
+        assert main(argv) == 2, argv
+        assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_quiver_validate_and_classify(files, capsys):
