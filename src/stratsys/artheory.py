@@ -1,9 +1,11 @@
 """The Auslander-Reiten translate as an explicit construction.
 
 tau is computed structurally: take the minimal projective presentation
-0 -> P1 -> P0 -> M -> 0, apply the Nakayama functor (P_i goes to I_i, path
-coefficients carried along), and take the kernel.  tau_inv is the dual
-construction, realized through the standard duality with the opposite
+0 -> P1 -> P0 -> M -> 0, apply the Nakayama functor nu = D Hom(-, A), and
+take the kernel of nu(P1) -> nu(P0).  nu sends P_i to I_i, and at vertex x
+its map is the transpose of Hom(iota, P_x), the matrix that the presentation
+route to Hom and Ext^1 builds (``reps.presentation_matrix``).  tau_inv is the
+dual construction, realized through the standard duality with the opposite
 quiver.  The Coxeter transform is only ever a cross-check on dimension
 vectors, never the definition.
 """
@@ -11,15 +13,14 @@ vectors, never the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
-from .linalg import RationalMatrix
-from .quiver import Path, Quiver, classify_type, defect
+from .quiver import Quiver, classify_type, defect
 from .report import CheckReport
-from .reps import (ProjPresentation, Representation, direct_sum,
-                   dual_representation, ext1_dim, hom_dim, injective,
-                   kernel_representation, minimal_presentation, zero_rep)
+from .reps import (Representation, direct_sum, dual_representation, ext1_dim,
+                   hom_dim, injective, kernel_representation,
+                   minimal_presentation, presentation_matrix, projective,
+                   zero_rep)
 
 
 class CapExceededError(RuntimeError):
@@ -35,70 +36,19 @@ class ArPosition:
     power: int = 0
 
 
-def _injective_path_matrix(q: Quiver, x: int, v: int, w: int, path: Path) -> RationalMatrix:
-    """Matrix at vertex x of the morphism I_w -> I_v attached to a path v ~> w.
-
-    It is the transpose of "compose with the path": paths x ~> v map to
-    paths x ~> w by appending the path's labels.
-    """
-    table = q.context.paths
-    rows_paths = table[(x, v)]
-    cols_paths = table[(x, w)]
-    index = {p: k for k, p in enumerate(cols_paths)}
-    entries = [[Fraction(0)] * len(cols_paths) for _ in range(len(rows_paths))]
-    for r, sigma in enumerate(rows_paths):
-        target = sigma + path
-        k = index.get(target)
-        if k is not None:
-            entries[r][k] = Fraction(1)
-    return RationalMatrix(len(rows_paths), len(cols_paths), tuple(tuple(row) for row in entries))
-
-
-def nakayama_of_inclusion(pres: ProjPresentation) -> tuple[Representation, Representation,
-                                                           list[RationalMatrix]]:
-    """Apply the Nakayama functor to P1 -> P0, giving nu(P1) -> nu(P0)."""
-    q = pres.module.quiver
-    table = q.context.paths
-    nu1 = direct_sum([injective(q, w) for w in pres.slots1]) if pres.slots1 else zero_rep(q)
-    nu0 = direct_sum([injective(q, v) for v in pres.slots0]) if pres.slots0 else zero_rep(q)
-    mats: list[RationalMatrix] = []
-    for x in q.vertices:
-        col_off = []
-        total_cols = 0
-        for w in pres.slots1:
-            col_off.append(total_cols)
-            total_cols += len(table[(x, w)])
-        row_off = []
-        total_rows = 0
-        for v in pres.slots0:
-            row_off.append(total_rows)
-            total_rows += len(table[(x, v)])
-        block = [[Fraction(0)] * total_cols for _ in range(total_rows)]
-        for (j, i), terms in pres.iota.items():
-            v = pres.slots0[i]
-            w = pres.slots1[j]
-            for path, coeff in terms:
-                mat = _injective_path_matrix(q, x, v, w, path)
-                for r in range(mat.rows):
-                    row = block[row_off[i] + r]
-                    for c in range(mat.cols):
-                        if mat.entries[r][c]:
-                            row[col_off[j] + c] += coeff * mat.entries[r][c]
-        mats.append(RationalMatrix(total_rows, total_cols,
-                                   tuple(tuple(row) for row in block)))
-    return nu1, nu0, mats
-
-
 def tau(m: Representation) -> Representation:
     """AR translate: kernel of the Nakayama functor on the minimal
     presentation.  Projectives are sent to the zero representation."""
+    q = m.quiver
     if m.is_zero():
-        return zero_rep(m.quiver)
+        return zero_rep(q)
     pres = minimal_presentation(m)
     if not pres.slots1:
-        return zero_rep(m.quiver)
-    nu1, nu0, mats = nakayama_of_inclusion(pres)
-    out, _incl = kernel_representation(nu1, nu0, mats)
+        return zero_rep(q)
+    # nu = D Hom(-, A), so nu(iota) at x is the transpose of Hom(iota, P_x);
+    # P_x at v and I_v at x share the basis of paths x ~> v
+    mats = [presentation_matrix(pres, projective(q, x)).transpose() for x in q.vertices]
+    out, _incl = kernel_representation(direct_sum([injective(q, w) for w in pres.slots1]), mats)
     return out
 
 

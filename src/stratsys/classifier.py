@@ -535,7 +535,7 @@ GENERIC_STREAMS = (
 
 
 def _generic_representation(q: Quiver, dims, stream) -> Representation:
-    values = iter(stream * 200)
+    values = itertools.cycle(stream)
     maps = {}
     for a in q.arrows:
         rows_n = dims[q.index(a.tgt)]

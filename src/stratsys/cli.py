@@ -324,6 +324,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = Report(argv)
     try:
         HANDLERS[args.group](args, report)
+        # rendered here so that an unprintable value (an integer beyond the
+        # interpreter's digit limit) is an input error too
+        if args.json:
+            out = json.dumps(report.to_json(with_timing=args.timing), indent=2,
+                             sort_keys=True)
+        else:
+            out = report.human()
     except (InputError, TooLargeError, ValueError) as exc:
         payload = {"command": argv, "verdict": "error", "error": str(exc),
                    "details": [], "timing": None}
@@ -332,11 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.to_json(with_timing=args.timing), indent=2,
-                         sort_keys=True))
-    else:
-        print(report.human())
+    print(out)
     return 1 if report.failed else 0
 
 

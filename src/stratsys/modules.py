@@ -37,6 +37,7 @@ from .quiver import DimVector, Quiver, euler_form
 from .reps import Representation, hom_dim, injective, projective, zero_rep
 
 MATERIALIZE_CAP = 4000
+ORBIT_CAP = 10_000  # highest tau power whose orbit dimension vectors are grown
 
 
 class TooLargeError(RuntimeError):
@@ -104,12 +105,18 @@ def _orbit_dims(q: Quiver, kind: str, vertex: int, power: int) -> DimVector:
     Coxeter powers would cycle back to positive vectors, so death is
     tracked cumulatively (the Coxeter image of zero is zero).  A cached
     orbit is never mutated: a longer one is grown on a local copy and stored
-    whole, so concurrent callers only ever read complete prefixes.
+    whole, so concurrent callers only ever read complete prefixes.  The
+    stored orbit grows with the power (its entries can grow exponentially),
+    so a power beyond ``ORBIT_CAP`` raises ``TooLargeError`` up front.
     """
     ctx = q.context
     key = (kind, vertex)
     orbit = ctx.orbit_dims.get(key, ())
     if len(orbit) <= power:
+        if power > ORBIT_CAP:
+            name = "P" if kind == PREPROJ else "I"
+            raise TooLargeError(f"the tau-orbit of {name}_{vertex} up to power {power} "
+                                f"is beyond the cap {ORBIT_CAP}")
         start = ctx.proj_dims if kind == PREPROJ else ctx.inj_dims
         grown = list(orbit) or [start[q.index(vertex)]]
         phi = ctx.coxeter

@@ -16,9 +16,10 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Any, Optional, Sequence
 
-from .linalg import RationalMatrix, invert
+from .linalg import RationalMatrix, invert, kernel_basis
 from .report import CheckReport
 
 DimVector = tuple[int, ...]
@@ -398,36 +399,30 @@ def coxeter_transform(q: Quiver) -> CoxeterTransform:
     return CoxeterTransform(q, tuple(phi_rows), tuple(inv_rows))
 
 
+def _symmetrized_form(q: Quiver) -> list[list[int]]:
+    """B[i][j] = <e_i, e_j> + <e_j, e_i>: 2 on the diagonal, minus one for
+    each arrow end between the two vertices (a loop counts twice)."""
+    form = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
+    for a in q.arrows:
+        s, t = q.index(a.src), q.index(a.tgt)
+        form[s][t] -= 1
+        form[t][s] -= 1
+    return form
+
+
 def null_root(q: Quiver) -> Optional[DimVector]:
     """Primitive positive radical vector of the symmetrized Euler form, if any.
 
     For Euclidean quivers this is the null root delta; Dynkin quivers have
     none and wild quivers have no positive one.
     """
-    n = q.n
-    # symmetrized form matrix: B[i][j] = <e_i,e_j> + <e_j,e_i>
-    e = [q.unit_vector(v) for v in q.vertices]
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(euler_form(q, e[i], e[j]) + euler_form(q, e[j], e[i]))
-                     for j in range(n)])
-    from math import gcd
-
-    from .linalg import kernel_basis
-
-    basis = kernel_basis(RationalMatrix.from_rows(rows))
+    basis = kernel_basis(RationalMatrix.from_rows(_symmetrized_form(q)))
     if len(basis) != 1:
         return None
-    vec = basis[0]
-    denoms = 1
-    for x in vec:
-        denoms = denoms * x.denominator // gcd(denoms, x.denominator)
-    ints = [int(x * denoms) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
+    scale = lcm(*(x.denominator for x in basis[0]))
+    ints = [int(x * scale) for x in basis[0]]
+    g = gcd(*ints)  # positive: the basis vector is nonzero
+    ints = [x // g for x in ints]
     if all(x <= 0 for x in ints):
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
@@ -453,104 +448,34 @@ class QuiverClass:
 
 
 def classify_type(q: Quiver) -> QuiverClass:
-    """Classify by the underlying undirected multigraph.
+    """Classify a connected quiver by its Tits form (Gabriel; Dlab-Ringel).
 
-    The Dynkin (A, D, E) and Euclidean (A~, D~, E~) shapes are recognized by
-    their complete structural characterization (degree and branch analysis);
-    every other connected graph is wild.
+    The quiver is Dynkin iff the symmetrized Euler form is positive
+    definite, Euclidean iff it is positive semidefinite and singular, and
+    wild otherwise; a loop makes it wild.  Exact symmetric elimination
+    decides this: a negative pivot, or a zero pivot whose row is not zero,
+    means the form is indefinite, and any other zero pivot means it is
+    singular.  Precondition: the quiver is connected (``validate`` rejects
+    the rest); on a disconnected quiver the answer is the type of its worst
+    component.
     """
-    n = q.n
-    m = len(q.arrows)
-    if n == 1:
-        return QuiverClass("Dynkin") if m == 0 else QuiverClass("Wild")
-    # multiplicity of undirected edges
-    pair_counts: dict[tuple[int, int], int] = {}
-    for a in q.arrows:
-        key = (min(a.src, a.tgt), max(a.src, a.tgt))
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    if any(u == v for u, v in pair_counts):
-        return QuiverClass("Wild")  # loops
-    if any(c >= 2 for c in pair_counts.values()):
-        if n == 2 and m == 2:
-            return QuiverClass("Euclidean")  # Kronecker double edge = A~1
+    if any(a.src == a.tgt for a in q.arrows):
         return QuiverClass("Wild")
-    # simple underlying graph from here on
-    deg = {v: 0 for v in q.vertices}
-    for (u, v), c in pair_counts.items():
-        deg[u] += c
-        deg[v] += c
-    degs = sorted(deg.values(), reverse=True)
-    if m == n - 1:
-        return _classify_tree(q, deg, degs)
-    if m == n:
-        if all(d == 2 for d in degs):
-            return QuiverClass("Euclidean")  # cycle = A~_{n-1}
-        return QuiverClass("Wild")
-    return QuiverClass("Wild")
-
-
-def _branch_lengths(q: Quiver, center: int) -> list[int]:
-    """Lengths of the paths hanging off a branch vertex of a tree."""
-    adjacency: dict[int, set[int]] = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adjacency[a.src].add(a.tgt)
-        adjacency[a.tgt].add(a.src)
-    lengths = []
-    for start in adjacency[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return sorted(lengths)
-
-
-def _classify_tree(q: Quiver, deg: dict[int, int], degs: list[int]) -> QuiverClass:
-    n = q.n
-    if degs[0] <= 2:
-        return QuiverClass("Dynkin")  # path = A_n
-    branch3 = [v for v, d in deg.items() if d == 3]
-    branch4 = [v for v, d in deg.items() if d == 4]
-    if degs[0] >= 5 or len(branch4) > 1 or (branch4 and branch3):
-        return QuiverClass("Wild")
-    if branch4:
-        if _branch_lengths(q, branch4[0]) == [1, 1, 1, 1]:
-            return QuiverClass("Euclidean")  # D~4 star
-        return QuiverClass("Wild")
-    if len(branch3) == 1:
-        lengths = _branch_lengths(q, branch3[0])
-        a, b, c = lengths
-        if (a, b) == (1, 1):
-            return QuiverClass("Dynkin")  # D_n
-        if lengths == [1, 2, 2]:
-            return QuiverClass("Dynkin")  # E6
-        if lengths == [1, 2, 3]:
-            return QuiverClass("Dynkin")  # E7
-        if lengths == [1, 2, 4]:
-            return QuiverClass("Dynkin")  # E8
-        if lengths == [2, 2, 2]:
-            return QuiverClass("Euclidean")  # E~6
-        if lengths == [1, 3, 3]:
-            return QuiverClass("Euclidean")  # E~7
-        if lengths == [1, 2, 5]:
-            return QuiverClass("Euclidean")  # E~8
-        return QuiverClass("Wild")
-    if len(branch3) == 2:
-        # D~_n: two branch vertices joined by a path, four pendant edges;
-        # equivalently every leaf hangs directly off a branch vertex
-        adjacency: dict[int, set[int]] = {v: set() for v in q.vertices}
-        for a in q.arrows:
-            adjacency[a.src].add(a.tgt)
-            adjacency[a.tgt].add(a.src)
-        leaves = [v for v, d in deg.items() if d == 1]
-        if all(deg[next(iter(adjacency[leaf]))] == 3 for leaf in leaves):
-            return QuiverClass("Euclidean")
-        return QuiverClass("Wild")
-    return QuiverClass("Wild")
+    rows = [[Fraction(x) for x in row] for row in _symmetrized_form(q)]
+    singular = False
+    for k in range(q.n):
+        pivot = rows[k][k]
+        if pivot < 0 or (pivot == 0 and any(rows[k][k + 1:])):
+            return QuiverClass("Wild")
+        if pivot == 0:
+            singular = True
+            continue
+        for i in range(k + 1, q.n):
+            factor = rows[i][k] / pivot
+            if factor:
+                for j in range(k + 1, q.n):
+                    rows[i][j] -= factor * rows[k][j]
+    return QuiverClass("Euclidean" if singular else "Dynkin")
 
 
 # ---------------------------------------------------------------------------

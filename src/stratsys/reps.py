@@ -351,10 +351,10 @@ def sub_representation(m: Representation,
     return sub, incl
 
 
-def kernel_representation(x: Representation, y: Representation,
-                          mats: Sequence[RationalMatrix]
+def kernel_representation(x: Representation, mats: Sequence[RationalMatrix]
                           ) -> tuple[Representation, dict[int, RationalMatrix]]:
-    """Kernel of a morphism (x -> y) as a representation plus inclusions."""
+    """Kernel of a morphism out of x, given by its matrix at each vertex, as a
+    representation plus inclusions."""
     q = x.quiver
     vectors: dict[int, list[tuple[Fraction, ...]]] = {}
     for k, v in enumerate(q.vertices):
@@ -429,29 +429,22 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
     return tuple(v for v in q.vertices for _ in lifts[v]), cover
 
 
-def _projective_sum(q: Quiver, slots: Sequence[int]) -> Representation:
-    if not slots:
-        return zero_rep(q)
-    return direct_sum([projective(q, v) for v in slots])
-
-
 def minimal_presentation(m: Representation) -> ProjPresentation:
     """Minimal projective presentation; over a hereditary algebra the kernel
     of the cover is projective, so the presentation has length one."""
     q = m.quiver
     table = q.context.paths
     slots0, cover = projective_cover_data(m)
-    p0 = _projective_sum(q, slots0)
+    p0 = direct_sum([projective(q, v) for v in slots0]) if slots0 else zero_rep(q)
     # sanity: the cover must be onto
     for k, v in enumerate(q.vertices):
         if m.dims[k] and linalg.rank(cover[v]) != m.dims[k]:
             raise ArithmeticError("projective cover failed to be surjective")
-    cover_mats = [cover[v] for v in q.vertices]
-    kernel, incl = kernel_representation(p0, m, cover_mats)
+    kernel, incl = kernel_representation(p0, [cover[v] for v in q.vertices])
     # kernel is projective: read off its cover, which must be an isomorphism
     slots1, kcover = projective_cover_data(kernel)
-    p1 = _projective_sum(q, slots1)
-    if p1.total_dim != kernel.total_dim:
+    proj_dims = q.context.proj_dims
+    if sum(sum(proj_dims[q.index(w)]) for w in slots1) != kernel.total_dim:
         raise ArithmeticError("kernel of cover is not projective; algebra not hereditary?")
     # iota: P1 -> P0 as concrete matrices: incl . kcover
     iota_mats = {v: incl[v].mul(kcover[v]) for v in q.vertices}
@@ -491,14 +484,14 @@ def _slot_generator_column(q: Quiver, table, slots: Sequence[int], slot_index: i
     raise AssertionError("slot not found")
 
 
-def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple[int, int]:
-    """(dim Hom(M, y), dim Ext^1(M, y)) from the presentation of M.
+def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMatrix:
+    """Hom(iota, y): Hom(P0, y) -> Hom(P1, y) for the presentation's inclusion.
 
-    Applying Hom(-, y) to 0 -> P1 -> P0 -> M -> 0 identifies Hom(P_v, y)
-    with y at the slot vertex; the connecting matrix is assembled from the
-    path coefficients of the inclusion, each path acting through y's maps.
+    Hom(P_v, y) is identified with y at v, slot by slot, so the rows are
+    indexed by (slot of P1, basis of y there) and the columns by (slot of P0,
+    basis of y there); the block of slots (j, i) sums the path coefficients
+    of the inclusion, each path acting through y's maps.
     """
-    q = y.quiver
     slots0, slots1 = pres.slots0, pres.slots1
     col_off = []
     total_cols = 0
@@ -531,8 +524,16 @@ def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple
             for c in range(len(src)):
                 if src[c]:
                     out[col_off[i] + c] = src[c]
-    rk = linalg.rank_of_rows(rows, total_cols) if total_cols else 0
-    return total_cols - rk, total_rows - rk
+    return RationalMatrix(total_rows, total_cols, tuple(tuple(row) for row in rows))
+
+
+def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple[int, int]:
+    """(dim Hom(M, y), dim Ext^1(M, y)) from the presentation of M: applying
+    Hom(-, y) to 0 -> P1 -> P0 -> M -> 0 leaves the kernel and cokernel of
+    ``presentation_matrix``."""
+    mat = presentation_matrix(pres, y)
+    rk = linalg.rank_of_rows(mat.entries, mat.cols) if mat.cols else 0
+    return mat.cols - rk, mat.rows - rk
 
 
 def ext1_dim_direct(x: Representation, y: Representation) -> int:

@@ -355,3 +355,38 @@ def test_tau_and_ext_keep_no_module_alive(kron2):
     del m
     gc.collect()
     assert alive() is None
+
+
+# sha256 of the JSON list of rep_to_json(tau(m)), resp. tau_inv(m), over 8
+# seeded modules; ``ar tau`` prints these bases, so the pins fix the explicit
+# construction and not only its dimension vectors
+TAU_PINS = {
+    "kron2": ("03c71a455e589cd29383a96efb45ddf85558fae39b91a9b8fbef2eee545d854c",
+              "7dab3e76e60838a641941de45e89381c7d5787302cf1830432a7e06a7bee7345"),
+    "apq23": ("0def3f4d005b615c64ec5d59d66e52a3da0cbd213eeded98f9e1857ff5763b47",
+              "91e7c015722327ba1c25801f62ce05d170e750fe2b282c516e958e4949c80bd6"),
+    "wild-sample": ("0e7529203ab412a1df2949d88ba861f609e2ecbbcd9a6631389fe55525461d9e",
+                    "c8612b8f7e57f8a61259145fdc056c1ea02c4264165605c0baf5139b7f3eff2f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_PINS))
+def test_tau_bases_are_pinned(name):
+    import hashlib
+    import json
+    import random
+    from pathlib import Path
+
+    from stratsys.io_json import rep_to_json
+    from stratsys.quiver import Quiver
+
+    sample = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
+    q = {"kron2": lambda: kronecker(2), "apq23": lambda: canonical_apq(2, 3),
+         "wild-sample": lambda: Quiver.from_json(json.loads(sample.read_text()))}[name]()
+    rng = random.Random(8)
+    modules = [random_representation(q, rng) for _ in range(8)]
+    digests = tuple(
+        hashlib.sha256(json.dumps([rep_to_json(f(m)) for m in modules],
+                                  sort_keys=True).encode()).hexdigest()
+        for f in (tau, tau_inv))
+    assert digests == TAU_PINS[name]

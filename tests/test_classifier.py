@@ -206,3 +206,13 @@ def test_exceptional_of_dims_unit_root():
     assert rep is not None
     assert rep.dims == (2, 1, 0)
     assert exceptional_of_dims(WILD3, (1, 1, 1)) is None  # <d,d> != 1
+
+
+def test_generic_representation_cycles_its_stream():
+    from stratsys.classifier import GENERIC_STREAMS, _generic_representation
+
+    q = Quiver.make([1, 2, 3], [(3, 2, "b"), (2, 1, "a")])
+    stream = GENERIC_STREAMS[0]
+    rep = _generic_representation(q, (80, 80, 1), stream)  # 6480 entries
+    entries = [x for mat in rep.maps for row in mat.entries for x in row]
+    assert entries == [stream[k % len(stream)] for k in range(6480)]

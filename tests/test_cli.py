@@ -365,3 +365,31 @@ def test_long_orbit_chain_exits_2(tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in captured.out + captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("modules", [
+    # Hom(tau^-3000 P_1, tau^3000 I_2) reads dimension vectors of more than
+    # 4300 digits, which the report cannot print
+    [{"tauP": {"i": 1, "k": 3000}}, {"tauI": {"i": 2, "k": 3000}}],
+    # the orbit dimension vectors alone would exhaust memory
+    [{"tauP": {"i": 1, "k": 1_000_000}}],
+], ids=["unprintable-value", "orbit-beyond-cap"])
+def test_huge_tau_powers_exit_2(tmp_path, capsys, json_flag, modules):
+    from stratsys.quiver import kronecker
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"quiver": {"kronecker": {"m": 3}}, "modules": modules}),
+                    encoding="utf-8")
+    try:
+        code = main(json_flag + ["ss", "check", str(path)])
+    finally:
+        kronecker(3).context.clear()  # drop the long orbit it grew
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    if json_flag:
+        assert json.loads(captured.out)["verdict"] == "error"
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")

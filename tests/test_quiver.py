@@ -77,6 +77,9 @@ def test_classify_examples():
     assert classify_type(kronecker(3)).tag == "Wild"
     assert classify_type(canonical_apq(2, 3)).tag == "Euclidean"
     assert classify_type(canonical_apq(1, 2)).tag == "Euclidean"
+    # one loop has the Tits form of the Jordan quiver, which is singular
+    # positive semidefinite, yet its path algebra is infinite-dimensional
+    assert classify_type(Quiver.make([1], [(1, 1, "l")])).tag == "Wild"
 
 
 def test_classify_catalogue():
@@ -126,6 +129,75 @@ def test_classify_orientation_independent():
         arrows[k] = (tgt, src, label)
         flipped = Quiver.make(base.vertices, arrows)
         assert classify_type(flipped).tag == "Euclidean"
+
+
+def _star_edges(arms):
+    edges, v = [], 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            edges.append((prev, v))
+            prev, v = v, v + 1
+    return v, edges
+
+
+def _d_tilde_edges(n):
+    """D~_n on n + 1 vertices: a chain of n - 3 vertices, two leaves at each end."""
+    chain = n - 3
+    edges = [(k, k + 1) for k in range(chain - 1)]
+    edges += [(0, chain), (0, chain + 1), (chain - 1, chain + 2), (chain - 1, chain + 3)]
+    return n + 1, edges
+
+
+EUCLIDEAN_GRAPHS = {
+    **{f"A~{n - 1}": (n, [(k, (k + 1) % n) for k in range(n)]) for n in range(2, 9)},
+    **{f"D~{n}": _d_tilde_edges(n) for n in range(4, 8)},
+    "E~6": _star_edges([2, 2, 2]),
+    "E~7": _star_edges([1, 3, 3]),
+    "E~8": _star_edges([1, 2, 5]),
+}
+
+
+def _oriented(n, edges, flip):
+    """Quiver on vertices 1..n; edge k runs backwards when flip(k)."""
+    arrows = [((v, u) if flip(k) else (u, v)) + (f"e{k}",) for k, (u, v) in enumerate(edges)]
+    return Quiver.make(range(1, n + 1), [(s + 1, t + 1, label) for s, t, label in arrows])
+
+
+def _connected(q):
+    seen, stack = {q.vertices[0]}, [q.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for a in q.arrows:
+            for x, y in ((a.src, a.tgt), (a.tgt, a.src)):
+                if x == v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == q.n
+
+
+@pytest.mark.parametrize("flip", [lambda k: k % 2, lambda k: k % 3 == 0],
+                         ids=["alternating", "every-third"])
+@pytest.mark.parametrize("name", sorted(EUCLIDEAN_GRAPHS))
+def test_classify_around_each_euclidean_graph(name, flip):
+    """Euclidean graphs are the minimal non-Dynkin ones and the maximal
+    non-wild ones: every connected one-vertex deletion is Dynkin, and every
+    added pendant vertex or extra arrow is wild."""
+    n, edges = EUCLIDEAN_GRAPHS[name]
+    q = _oriented(n, edges, flip)
+    assert classify_type(q).tag == "Euclidean"
+    arrows = [(a.src, a.tgt, a.label) for a in q.arrows]
+    for v in q.vertices:
+        sub = Quiver.make([w for w in q.vertices if w != v],
+                          [a for a in arrows if v not in a[:2]])
+        if _connected(sub):
+            assert classify_type(sub).tag == "Dynkin", (name, v)
+        pendant = Quiver.make(q.vertices + (n + 1,), arrows + [(n + 1, v, "new")])
+        assert classify_type(pendant).tag == "Wild", (name, v)
+        for w in q.vertices:
+            if w != v:
+                extra = Quiver.make(q.vertices, arrows + [(v, w, "new")])
+                assert classify_type(extra).tag == "Wild", (name, v, w)
 
 
 def test_kronecker_constructor():
