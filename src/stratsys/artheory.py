@@ -6,16 +6,20 @@ take the kernel of nu(P1) -> nu(P0).  nu sends P_i to I_i, and at vertex x
 its map is the transpose of Hom(iota, P_x), the matrix that the presentation
 route to Hom and Ext^1 builds (``reps.presentation_matrix``).  tau_inv is the
 dual construction, realized through the standard duality with the opposite
-quiver.  The Coxeter transform is only ever a cross-check on dimension
-vectors, never the definition.
+quiver.
+
+``ar_position`` decides from dimension vectors: dim tau X = Phi(dim X) for
+every indecomposable non-projective X (Dlab-Ringel), so the Coxeter orbit of
+dim M says where M sits, and one structural walk of tau (or tau_inv) on the
+side it picks certifies the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .quiver import Quiver, classify_type, defect
+from .quiver import classify_type, defect
 from .report import CheckReport
 from .reps import (Representation, direct_sum, dual_representation, ext1_dim,
                    hom_dim, injective, kernel_representation,
@@ -70,71 +74,65 @@ def tau_power(m: Representation, k: int) -> Representation:
     return out
 
 
-def _match_vertex(q: Quiver, dims, kind: str) -> Optional[int]:
-    ctx = q.context
-    return (ctx.proj_vertex if kind == "P" else ctx.inj_vertex).get(tuple(dims))
+DIM_BUDGET = 4096  # largest total dimension of a module a certifying walk translates
 
 
-def _orbit_walk(m: Representation, kind: str, cap: int, dim_budget: int
-                ) -> Iterator[Optional[ArPosition]]:
-    """Walk the tau orbit (kind "P") or the tau_inv orbit (kind "I") of m,
-    one step per item: None while the orbit goes on, then its position when
-    it dies.  The walk stops after cap + 1 steps or at a module beyond the
-    dimension budget."""
-    q = m.quiver
-    step = tau if kind == "P" else tau_inv
-    current = m
-    for k in range(cap + 1):
-        if current.total_dim > dim_budget:
-            return
-        nxt = step(current)
-        if nxt.is_zero():
-            v = _match_vertex(q, current.dims, kind)
-            if v is None:
-                raise ArithmeticError("orbit died on a non-(co)generator; "
-                                      "module was not indecomposable?")
-            yield ArPosition("Preprojective" if kind == "P" else "Preinjective", v, k)
-            return
-        yield None
-        current = nxt
+def ar_position(m: Representation, cap: int = 64) -> ArPosition:
+    """Trichotomy for an indecomposable module, read off the Coxeter orbits
+    of its dimension vector and certified by one structural walk.
 
-
-def ar_position(m: Representation, cap: int = 64, dim_budget: int = 4096) -> ArPosition:
-    """Trichotomy for an indecomposable module (caller certifies indecomposability).
-
-    Over a Euclidean quiver the defect (the radical linear form of the Euler
-    form) picks the terminating direction up front: negative means the tau
-    orbit ends in a projective, positive means the tau_inv orbit ends in an
-    injective, zero certifies regular.  Elsewhere both orbits are iterated
-    structurally within the cap.
+    The tau side ends at k when Phi^{k+1}(dim M) is the first iterate with a
+    negative entry, the tau_inv side likewise with Phi^-1; each side looks at
+    cap + 1 iterates within ``DIM_BUDGET``.  Over a Euclidean quiver the
+    defect (the radical linear form of the Euler form) picks the side, and
+    zero certifies regular; elsewhere the side that ends first is taken, the
+    tau side on a tie.  No structural work is done unless a side ends.
     """
     if m.is_zero():
         raise ValueError("zero module has no AR position")
     q = m.quiver
+    sides = ("P", "I")
     if classify_type(q).tag == "Euclidean":
         d = defect(q, m.dims)
         if d == 0:
             return ArPosition("Regular")
-        found = next(filter(None, _orbit_walk(m, "P" if d < 0 else "I", cap, dim_budget)),
-                     None)
-        if found is None:
-            raise ArithmeticError("defect promised a terminating orbit but the "
-                                  "cap was exceeded; was the module indecomposable?")
-        return found
-    # alternate the directions so a terminating orbit is found without first
-    # exhausting the budget on the diverging one: a tau step, then a tau_inv
-    # step, until one walk finds the position or both have stopped
-    walks = [_orbit_walk(m, "P", cap, dim_budget), _orbit_walk(m, "I", cap, dim_budget)]
-    while walks:
-        for walk in list(walks):
-            found = next(walk, walk)  # the walk itself marks its end
-            if found is walk:
-                walks.remove(walk)
-            elif found is not None:
-                return found
+        sides = ("P",) if d < 0 else ("I",)
+    phi = q.context.coxeter
+    orbits = {side: phi.ending_orbit(m.dims, cap + 1, side == "I", DIM_BUDGET)
+              for side in sides}
+    ended = [side for side in sides if orbits[side] is not None]
+    if ended:
+        side = min(ended, key=lambda side: len(orbits[side]))  # the first on a tie
+        return _certify(m, side, orbits[side])
+    if len(sides) == 1:
+        raise ArithmeticError("defect promised a terminating orbit but the "
+                              "cap was exceeded; was the module indecomposable?")
     raise CapExceededError(
         "neither tau orbit terminated within the cap; on a wild quiver this "
         "is regular-or-unknown")
+
+
+def _certify(m: Representation, side: str, orbit: tuple) -> ArPosition:
+    """Translate m once per predicted iterate: each image must have the
+    predicted dimension vector, the last nonzero one that of P_i (side "P")
+    or I_i, and the next one must be zero.  A projective summand in any
+    earlier translate would break the next dimension vector, so m is
+    tau^{-k} P_i (or tau^k I_i) even if it was handed in decomposable."""
+    q = m.quiver
+    ctx = q.context
+    vertex = (ctx.proj_vertex if side == "P" else ctx.inj_vertex).get(orbit[-1])
+    if vertex is None:
+        raise ArithmeticError("orbit died on a non-(co)generator; "
+                              "module was not indecomposable?")
+    step = tau if side == "P" else tau_inv
+    current = m
+    for predicted in orbit[1:] + (q.zero_vector(),):
+        current = step(current)
+        if current.dims != predicted:
+            raise ArithmeticError("the tau orbit left its Coxeter prediction; "
+                                  "module was not indecomposable?")
+    return ArPosition("Preprojective" if side == "P" else "Preinjective", vertex,
+                      len(orbit) - 1)
 
 
 def auslander_check(x: Representation, y: Representation) -> CheckReport:

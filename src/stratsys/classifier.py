@@ -20,8 +20,8 @@ from .modules import (ModuleRef, ref_dims, ref_plain, ref_preinj,
 from .quiver import Quiver, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
-from .systems import (CandidatePool, StratSystem, _exceptional_sequences,
-                      check_css, check_ss, extend_to_complete)
+from .systems import (StratSystem, _exceptional_sequences, check_css, check_ss,
+                      extend_to_complete)
 from .tubes import f_members, g_members
 
 
@@ -148,13 +148,14 @@ def enumerate_css_kronecker(m: int, dim_cap: int) -> tuple[list[StratSystem], Ch
     return found, report
 
 
-def compare_kronecker_enumeration(m: int, dim_cap: int,
-                                  exponent_bound: int = 24) -> CheckReport:
+def compare_kronecker_enumeration(m: int, dim_cap: int) -> CheckReport:
     """Enumeration result versus the catalogued list (plus the flagged i=0
     member of family 5): the two sets of ordered pairs must coincide."""
     found, report = enumerate_css_kronecker(m, dim_cap)
     report.name = f"kronecker-list-comparison m={m} cap={dim_cap}"
-    listed = kronecker_css_list(m, exponent_bound) + [family5_index_zero(m)]
+    # for m >= 2 the orbit entries grow by at least one per step, so every
+    # member of index i > dim_cap has an entry beyond the cap
+    listed = kronecker_css_list(m, dim_cap) + [family5_index_zero(m)]
     expected = set()
     for inst in listed:
         key = tuple(ref_dims(r) for r in inst.system.modules)
@@ -505,8 +506,8 @@ def verify_family_uniqueness(p: int, q: int, inst: FamilyInstance,
     completing the remaining system at the front."""
     report = CheckReport(f"uniqueness {inst.label()}")
     rest = StratSystem(inst.system.quiver, inst.system.modules[1:])
-    pool = CandidatePool(exponent_bound=exponent_bound)
-    completion, ext_report = extend_to_complete(rest, pool=pool, positions=[0])
+    completion, ext_report = extend_to_complete(rest, exponent_bound=exponent_bound,
+                                                positions=[0])
     report.checked += 1
     if completion is None:
         report.add("completion-found", note="no completion within bounds")
@@ -553,31 +554,16 @@ def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
         return None
     for stream in GENERIC_STREAMS:
         rep = _generic_representation(q, dims, stream)
-        if hom_dim(rep, rep) == 1 and ext1_dim(rep, rep) == 0:
+        # <d, d> = 1 makes dim Ext^1(rep, rep) = dim End(rep) - 1
+        if hom_dim(rep, rep) == 1:
             return rep
     return None
 
 
-def _coxeter_screen_regular(q: Quiver, dims, steps: int = 24) -> bool:
-    """Exclude orbits that provably terminate: a negative coordinate in some
-    Coxeter iterate certifies a preprojective (forward) or preinjective
-    (backward) module.  Surviving the screen is regular-or-unknown."""
-    phi = q.context.coxeter
-    v = tuple(dims)
-    for _ in range(steps):
-        v = phi.apply(v)
-        if any(x < 0 for x in v):
-            return False
-    v = tuple(dims)
-    for _ in range(steps):
-        v = phi.apply_inverse(v)
-        if any(x < 0 for x in v):
-            return False
-    return True
+SCREEN_STEPS = 24  # Coxeter iterates the regular screen looks at on each side
 
 
-def regular_css_search(q: Quiver, dim_cap: int,
-                       screen_steps: int = 24) -> tuple[Optional[StratSystem], CheckReport]:
+def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], CheckReport]:
     """Bounded constructive search for a complete stratifying system made of
     regular exceptional modules over a wild quiver with >= 3 vertices.
 
@@ -589,11 +575,14 @@ def regular_css_search(q: Quiver, dim_cap: int,
     if q.n < 3:
         raise ValueError("need at least three vertices")
     dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
+    phi = q.context.coxeter
     pool: list[Representation] = []
     for dims in sorted(dims_list, key=lambda d: (sum(d), d)):
         if euler_form(q, dims, dims) != 1:
             continue
-        if not _coxeter_screen_regular(q, dims, screen_steps):
+        # an orbit that ends within the screen is preprojective or preinjective;
+        # surviving the screen is regular-or-unknown
+        if any(phi.ending_orbit(dims, SCREEN_STEPS, inverse) for inverse in (False, True)):
             continue
         rep = exceptional_of_dims(q, dims)
         report.checked += 1
@@ -609,5 +598,5 @@ def regular_css_search(q: Quiver, dim_cap: int,
     final = check_css(system)
     report.merge(final)
     report.flag("members certified regular-or-unknown by Coxeter screening "
-                f"({screen_steps} steps)")
+                f"({SCREEN_STEPS} steps)")
     return (system if final.passed else None), report

@@ -25,8 +25,7 @@ from .modules import TooLargeError, materialize
 from .quiver import classify_type, validate
 from .report import CheckReport
 from .reps import ext1_dim, ext1_dim_direct, hom_space, is_sincere, supp
-from .systems import (CandidatePool, check_css, check_ss, extend_to_complete,
-                      is_filtration_finite)
+from .systems import check_css, check_ss, extend_to_complete, is_filtration_finite
 
 
 class Report:
@@ -159,7 +158,7 @@ def cmd_ss(args, report: Report) -> None:
         positions = {"front": [0], "back": [system.size], "outer": "outer",
                      "any": None}[args.positions]
         completion, ext_report = extend_to_complete(
-            system, pool=CandidatePool(exponent_bound=args.bound), positions=positions)
+            system, exponent_bound=args.bound, positions=positions)
         report.add(ext_report)
         if completion is not None:
             report.data["completion"] = [module_ref_to_json(m) for m in completion.modules]

@@ -168,11 +168,11 @@ def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
     return rep
 
 
-def materialize(ref: ModuleRef, cap: int = MATERIALIZE_CAP) -> Representation:
+def materialize(ref: ModuleRef) -> Representation:
     """Explicit representation for the descriptor; exact but size-guarded.
 
     An orbit module is built from every member of its orbit before it, so
-    the cap bounds the total dimension of those members together."""
+    ``MATERIALIZE_CAP`` bounds the total dimension of those members together."""
     if ref.kind == PLAIN:
         return ref.rep_obj
     dims = ref_dims(ref)
@@ -183,9 +183,9 @@ def materialize(ref: ModuleRef, cap: int = MATERIALIZE_CAP) -> Representation:
     else:
         total = sum(sum(_orbit_dims(ref.quiver, ref.kind, ref.vertex, k))
                     for k in range(ref.power + 1))
-    if total > cap:
-        raise TooLargeError(
-            f"{ref.describe()} needs modules of total dimension {total}, beyond the cap {cap}")
+    if total > MATERIALIZE_CAP:
+        raise TooLargeError(f"{ref.describe()} needs modules of total dimension {total}, "
+                            f"beyond the cap {MATERIALIZE_CAP}")
     if ref.kind == TUBE:
         p, q = ref.apq
         return apq_algebra(p, q).tube_point(ref.point)

@@ -151,7 +151,7 @@ class QuiverContext:
     vectors, each orbit a tuple replaced whole when it grows, and the
     materialized orbit modules), ``hom_ext`` (``modules``: one raw
     (dim Hom, dim Hom - <a,b>) entry per pedigreed pair) and ``pools``
-    (``systems``: the candidate list per ``CandidatePool``).  ``hits`` and
+    (``systems``: the candidate list per exponent bound).  ``hits`` and
     ``misses`` count the lookups in ``hom_ext``, ``orbit_reps`` and ``pools``.
 
     Thread guarantees: one context per value (creation is locked), memo
@@ -365,6 +365,29 @@ class CoxeterTransform:
         for _ in range(abs(k)):
             v = step(v)
         return v
+
+    def ending_orbit(self, x: Sequence[int], steps: int, inverse: bool,
+                     budget: Optional[int] = None) -> Optional[tuple[DimVector, ...]]:
+        """The iterates x, Phi x, ..., Phi^k x (Phi^-1 when ``inverse``) where
+        Phi^{k+1} x is the first iterate with a negative entry and k < steps;
+        None when no such k exists, or when an iterate before Phi^{k+1} x
+        sums to more than ``budget``.
+
+        dim tau X = Phi(dim X) for every indecomposable non-projective X
+        (Dlab-Ringel), so an indecomposable X whose forward orbit ends at k
+        is tau^{-k} P_i, and one whose inverse orbit ends at k is tau^k I_i.
+        """
+        step = self.apply_inverse if inverse else self.apply
+        v = tuple(int(t) for t in x)
+        orbit = [v]
+        for _ in range(steps):
+            if budget is not None and sum(v) > budget:
+                return None
+            v = step(v)
+            if any(t < 0 for t in v):
+                return tuple(orbit)
+            orbit.append(v)
+        return None
 
 
 def coxeter_transform(q: Quiver) -> CoxeterTransform:

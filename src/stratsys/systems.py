@@ -100,36 +100,29 @@ def is_filtration_finite(s: StratSystem) -> bool:
 # extension to a complete system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """Search space for completions: tau-orbit modules of projectives and
-    injectives up to the exponent bound, plus the simple-regular catalogue
-    when the quiver is a canonical Euclidean cycle."""
-
-    exponent_bound: int = 8
-    include_regulars: bool = True
-
-
-def build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
-    """The pool's exceptional candidates, one per dimension vector, in
-    search order; built once per pool in the quiver's context."""
+def build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
+    """Search space for completions: the exceptional tau-orbit modules of
+    projectives and injectives up to the exponent bound, plus the
+    simple-regular catalogue when the quiver is a canonical Euclidean cycle;
+    one per dimension vector, in search order, built once per bound in the
+    quiver's context."""
     ctx = quiver.context
-    refs = ctx.pools.get(pool)
+    refs = ctx.pools.get(exponent_bound)
     if refs is not None:
         ctx.hits["pools"] += 1
     else:
         ctx.misses["pools"] += 1
-        refs = ctx.pools[pool] = tuple(_build_candidates(quiver, pool))
+        refs = ctx.pools[exponent_bound] = tuple(_build_candidates(quiver, exponent_bound))
     return list(refs)
 
 
-def _build_candidates(quiver: Quiver, pool: CandidatePool) -> list[ModuleRef]:
+def _build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
     refs: list[ModuleRef] = []
     for v in quiver.vertices:
-        for k in range(pool.exponent_bound + 1):
+        for k in range(exponent_bound + 1):
             refs.append(ref_preproj(quiver, v, k))
             refs.append(ref_preinj(quiver, v, k))
-    if pool.include_regulars and classify_type(quiver).tag == "Euclidean":
+    if classify_type(quiver).tag == "Euclidean":
         pq = recognize_apq(quiver)
         if pq is not None:
             p, q = pq
@@ -199,12 +192,10 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     return grow(tuple(start), 0)
 
 
-def extend_to_complete(s: StratSystem,
-                       pool: Optional[CandidatePool] = None,
-                       candidates: Optional[Sequence[ModuleRef]] = None,
-                       positions=None
+def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
                        ) -> tuple[Optional[StratSystem], CheckReport]:
-    """Insert exceptional modules until the system is complete.
+    """Insert exceptional modules from ``build_candidates(s.quiver,
+    exponent_bound)`` until the system is complete.
 
     ``positions`` restricts insertion slots: a list of indices (single-slot
     searches), the string "outer" (prepend or append only), or None for
@@ -226,9 +217,7 @@ def extend_to_complete(s: StratSystem,
     if s.size == n:
         report.checked += 1
         return s, report
-    cands = list(candidates) if candidates is not None else build_candidates(
-        s.quiver, pool or CandidatePool())
-    items = list(s.modules) + cands
+    items = list(s.modules) + build_candidates(s.quiver, exponent_bound)
 
     def slot_list(size: int, last: int) -> Iterable[int]:
         if positions == "outer":

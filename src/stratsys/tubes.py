@@ -20,7 +20,7 @@ from .report import CheckReport
 from .reps import brick_iso, ext1_dim, hom_dim, supp
 from .systems import StratSystem, _exceptional_sequences
 
-DEFAULT_LAMBDA_SAMPLE = (1, 2, "1/2", -1)
+LAMBDA_SAMPLE = (1, 2, "1/2", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def fg_system(p: int, q: int) -> StratSystem:
 # tau cycles on the mouths
 # ---------------------------------------------------------------------------
 
-def verify_tau_cycles(p: int, q: int, lambda_sample=DEFAULT_LAMBDA_SAMPLE) -> CheckReport:
+def verify_tau_cycles(p: int, q: int) -> CheckReport:
     """Structurally apply tau to every mouth module and compare with the
     predicted cyclic neighbour (brick isomorphism test), including the
     wrap-arounds and the fixed points of the rank-1 tubes."""
@@ -72,7 +72,7 @@ def verify_tau_cycles(p: int, q: int, lambda_sample=DEFAULT_LAMBDA_SAMPLE) -> Ch
                 report.flag("tau E_q^(0) = E_{q-1}^(0) holds")
             if brick_iso(tau(alg.simple_regular(label, 1)), big):
                 report.flag("tau E_1^(0) = E_q^(0) holds")
-    for lam in lambda_sample:
+    for lam in LAMBDA_SAMPLE:
         label = tube_lambda(lam)
         mouth = alg.simple_regular(label, 1)
         image = tau(mouth)
@@ -167,7 +167,7 @@ def mouth_ss(p: int, q: int, label: TubeLabel) -> StratSystem:
 
 
 def tube_rigid_bound_check(p: int, q: int, label: TubeLabel,
-                           families=None, max_level: int | None = None) -> CheckReport:
+                           families=None) -> CheckReport:
     """Check the cone-length bound and the summand bound inside one tube.
 
     Candidate families are either given explicitly (sequences of TubePoint)
@@ -179,11 +179,10 @@ def tube_rigid_bound_check(p: int, q: int, label: TubeLabel,
     """
     alg = apq_algebra(p, q)
     rank = alg.tube_rank(label)
-    top = max_level if max_level is not None else rank + 1
     report = CheckReport(f"tube-rigid-bounds p={p} q={q} tube={label.short()}")
     if families is None:
         points = [TubePoint(label, i, j)
-                  for i in range(1, rank + 1) for j in range(1, top + 1)]
+                  for i in range(1, rank + 1) for j in range(1, rank + 2)]
         candidate_families = [family
                               for size in range(1, rank + 1)
                               for family in combinations(points, size)]

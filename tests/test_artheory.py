@@ -7,7 +7,7 @@ from stratsys.apq import TUBE_INFTY, TUBE_ZERO, apq_algebra, tube_lambda
 from stratsys.artheory import (ArPosition, ar_position, auslander_check, tau,
                                tau_inv, tau_power)
 from stratsys.modules import (materialize, pair_ext, pair_hom, ref_preinj,
-                              ref_preproj, ref_tube)
+                              ref_preproj, ref_total_dim, ref_tube)
 from stratsys.quiver import canonical_apq, coxeter_transform, kronecker
 from stratsys.reps import (brick_iso, direct_sum, ext1_dim, hom_dim, injective,
                            projective)
@@ -303,30 +303,22 @@ def _record_tau_calls(monkeypatch):
     return calls
 
 
-def test_ar_position_dynkin_alternates_tau_and_tau_inv(monkeypatch):
-    # A_3 is Dynkin, so both orbits are walked in turn, a tau step first.
-    # tau_inv runs tau on the dual, which shows as the call after it.
+def test_ar_position_dynkin_walks_only_the_certifying_side(monkeypatch):
+    # A_3 is Dynkin, so both Coxeter orbits are read and the one that ends
+    # first is certified structurally, the tau side on a tie.  tau_inv runs
+    # tau on the dual, which shows as the call after it.
     from stratsys.quiver import Quiver
     from stratsys.reps import simple
 
     q = Quiver.make([1, 2, 3], [(3, 2, "a"), (2, 1, "b")])
     calls = _record_tau_calls(monkeypatch)
-    # the tau_inv walk reaches zero first, right after one tau step
+    # the tau_inv orbit ends at once; no tau step is taken
     assert ar_position(injective(q, 2)) == ArPosition("Preinjective", 2, 0)
-    assert calls == [("tau", (0, 1, 1)), ("tau_inv", (0, 1, 1)), ("tau", (0, 1, 1))]
-    # the tau walk reaches zero in its second step, before a second tau_inv
+    assert calls == [("tau_inv", (0, 1, 1)), ("tau", (0, 1, 1))]
+    # the tau orbit ends after one step, before the tau_inv orbit does
     calls.clear()
     assert ar_position(simple(q, 2)) == ArPosition("Preprojective", 1, 1)
-    assert calls == [("tau", (0, 1, 0)), ("tau_inv", (0, 1, 0)), ("tau", (0, 1, 0)),
-                     ("tau", (1, 0, 0))]
-
-
-# recorded with the alternating loop that ar_position had before its two
-# orbit walks shared one generator
-WILD_REGULAR_TAU_CALLS = [
-    ("tau", (1, 1)), ("tau_inv", (1, 1)), ("tau", (1, 1)),
-    ("tau", (2, 5)), ("tau_inv", (5, 2)), ("tau", (5, 2)),
-]
+    assert calls == [("tau", (0, 1, 0)), ("tau", (1, 0, 0))]
 
 
 def test_ar_position_wild_regular_exceeds_cap(kron3, monkeypatch):
@@ -337,7 +329,43 @@ def test_ar_position_wild_regular_exceeds_cap(kron3, monkeypatch):
     calls = _record_tau_calls(monkeypatch)
     with pytest.raises(CapExceededError):
         ar_position(m, cap=1)
-    assert calls == WILD_REGULAR_TAU_CALLS
+    assert calls == []  # neither Coxeter orbit ends, so nothing is translated
+
+
+def _wild_sample():
+    import json
+    from pathlib import Path
+
+    from stratsys.quiver import Quiver
+
+    sample = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
+    return Quiver.from_json(json.loads(sample.read_text()))
+
+
+@pytest.mark.parametrize("maker", [lambda: kronecker(3), _wild_sample], ids=["kron3", "wild"])
+def test_ar_position_matches_the_pedigree_with_one_walk(maker, monkeypatch):
+    """Every orbit module tau^-k P_i, tau^k I_i with k <= 3 and total
+    dimension <= 250 over a wild quiver gets its pedigree, certified by
+    exactly k + 1 translates on its own side."""
+    q = maker()
+    modules = []
+    for v in q.vertices:
+        for k in range(4):
+            for ref, position in ((ref_preproj(q, v, k), ArPosition("Preprojective", v, k)),
+                                  (ref_preinj(q, v, k), ArPosition("Preinjective", v, k))):
+                if ref_total_dim(ref) <= 250:
+                    modules.append((materialize(ref), position))
+    assert len(modules) >= 10
+    calls = _record_tau_calls(monkeypatch)
+    for m, position in modules:
+        calls.clear()
+        assert ar_position(m) == position
+        k = position.power
+        if position.kind == "Preprojective":
+            assert [name for name, _ in calls] == ["tau"] * (k + 1)
+        else:  # each tau_inv runs one tau on the dual
+            assert [name for name, _ in calls] == ["tau_inv", "tau"] * (k + 1)
+        assert calls[0][1] == m.dims
 
 
 def test_tau_and_ext_keep_no_module_alive(kron2):
@@ -375,14 +403,11 @@ def test_tau_bases_are_pinned(name):
     import hashlib
     import json
     import random
-    from pathlib import Path
 
     from stratsys.io_json import rep_to_json
-    from stratsys.quiver import Quiver
 
-    sample = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
     q = {"kron2": lambda: kronecker(2), "apq23": lambda: canonical_apq(2, 3),
-         "wild-sample": lambda: Quiver.from_json(json.loads(sample.read_text()))}[name]()
+         "wild-sample": _wild_sample}[name]()
     rng = random.Random(8)
     modules = [random_representation(q, rng) for _ in range(8)]
     digests = tuple(

@@ -45,7 +45,8 @@ def test_kron_orbit_pool_m3_cap13():
 
 
 def test_kron_enumeration_matches_list():
-    for m, cap in ((2, 9), (3, 13)):
+    # at cap 60 the K_2 list needs members beyond index 24
+    for m, cap in ((2, 9), (3, 13), (2, 60)):
         report = compare_kronecker_enumeration(m, cap)
         assert report.passed, report.summary()
         assert any("family 5 extends to i=0" in f for f in report.flags)

@@ -349,6 +349,33 @@ def test_ar_pos_wild_regular_is_regular_or_unknown(tmp_path, capsys):
     assert "regular-or-unknown" in out
 
 
+def test_ar_pos_over_the_wild_sample_translates_nothing(tmp_path, capsys, monkeypatch):
+    """Neither Coxeter orbit of (1, 2, 2) ends within the default cap, so the
+    verdict comes without a structural tau (which would grow without end)."""
+    from stratsys import artheory
+    from stratsys.io_json import rep_to_json
+    from stratsys.quiver import Quiver
+    from stratsys.reps import make_rep
+
+    def refuse(m):
+        raise AssertionError("structural translate on the regular-or-unknown path")
+
+    monkeypatch.setattr(artheory, "tau", refuse)
+    monkeypatch.setattr(artheory, "tau_inv", refuse)
+    q = Quiver.from_json(json.loads((REPO_ROOT / "samples" / "wild_double_path.quiver.json")
+                                    .read_text()))
+    rep = make_rep(q, (1, 2, 2), {"b1": [[1, 2]], "b2": [[-1, 0]],
+                                  "c1": [[1, 0], [1, 1]], "c2": [[2, 0], [0, -1]]})
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps(rep_to_json(rep)), encoding="utf-8")
+    code, out = run_cli(["--json", "ar", "pos", str(path)], capsys)
+    assert code == 1
+    data = json.loads(out)["data"]
+    assert data["position"] == "regular-or-unknown"
+    assert data["note"] == ("neither tau orbit terminated within the cap; on a wild "
+                            "quiver this is regular-or-unknown")
+
+
 def test_long_orbit_chain_exits_2(tmp_path, capsys):
     """tau^-990 P_1 over K_2 has total dimension 3961, under the cap, but the
     990 modules before it that materialize must build add up to far more."""

@@ -58,6 +58,9 @@ WILD = {"vertices": [1, 2, 3], "arrows": [{"src": 2, "tgt": 1, "label": "b1"},
                                           {"src": 2, "tgt": 1, "label": "b2"},
                                           {"src": 3, "tgt": 2, "label": "c1"},
                                           {"src": 3, "tgt": 2, "label": "c2"}]}
+# ``ar pos`` reads the Coxeter orbit before any structural step, so it is
+# also drawn over wild quivers, whose orbits grow without end
+WILD_QUIVERS = [kronecker(3), Quiver.from_json(WILD)]
 
 
 def well_formed(draw) -> bool:
@@ -96,7 +99,7 @@ def descriptor_of(draw, q):
 def invocation(draw):
     """(argv with {0}, {1} standing for file paths, payloads of those files)."""
     q = draw(st.sampled_from(SMALL_QUIVERS))
-    group = draw(st.sampled_from(["quiver", "rep", "ar", "ss", "wild"]))
+    group = draw(st.sampled_from(["quiver", "rep", "ar", "ss", "wild", "wild-pos"]))
     if group == "quiver":
         action = draw(st.sampled_from(["validate", "classify"]))
         return ["quiver", action, "{0}"], [q.to_json() if well_formed(draw) else draw(QUIVER)]
@@ -117,8 +120,11 @@ def invocation(draw):
         return (["ss", action, "{0}", "--bound", str(draw(st.integers(0, 2))),
                  "--positions", draw(st.sampled_from(["front", "back", "outer", "any"]))],
                 [system])
-    return (["wild", "regcss", "{0}", "--cap", str(draw(st.integers(1, 2)))],
-            [WILD if well_formed(draw) else draw(QUIVER)])
+    if group == "wild":
+        return (["wild", "regcss", "{0}", "--cap", str(draw(st.integers(1, 2)))],
+                [WILD if well_formed(draw) else draw(QUIVER)])
+    q = draw(st.sampled_from(WILD_QUIVERS))
+    return ["ar", "pos", "{0}", "--cap", str(draw(st.integers(0, 64)))], [draw(rep_of(q))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,

@@ -7,7 +7,7 @@ import pytest
 
 from stratsys.modules import pair_hom_ext
 from stratsys.quiver import Quiver, canonical_apq, euler_form, validate
-from stratsys.systems import CandidatePool, build_candidates
+from stratsys.systems import build_candidates
 
 
 def test_equal_quivers_share_one_context_and_hash():
@@ -65,7 +65,7 @@ def test_hom_ext_table_is_the_same_cold_and_warm(apq23):
     ctx = apq23.context
 
     def table():
-        pool = build_candidates(apq23, CandidatePool())
+        pool = build_candidates(apq23, 8)
         return [[pair_hom_ext(a, b) for b in pool] for a in pool]
 
     ctx.clear()

@@ -6,9 +6,8 @@ from stratsys.classifier import enumerate_css_kronecker, kronecker_orbit_pool
 from stratsys.modules import pair_hom, ref_plain, ref_preinj, ref_preproj
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import make_rep
-from stratsys.systems import (CandidatePool, StratSystem, _exceptional_sequences,
-                              check_css, check_ss, extend_to_complete,
-                              is_filtration_finite)
+from stratsys.systems import (StratSystem, _exceptional_sequences, check_css, check_ss,
+                              extend_to_complete, is_filtration_finite)
 from stratsys.tubes import (fg_system, max_regular_ss_size,
                             regular_exceptional_pool)
 
@@ -91,7 +90,7 @@ def test_extend_single_slot_front_and_back(kron2):
 
 def test_extend_fg_outer_finds_family_one():
     fg = fg_system(2, 3)
-    completion, report = extend_to_complete(fg, pool=CandidatePool(exponent_bound=4),
+    completion, report = extend_to_complete(fg, exponent_bound=4,
                                             positions="outer")
     assert completion is not None
     assert check_css(completion).passed
@@ -113,7 +112,7 @@ def test_extend_unique_slot_after_fixing_y():
     quiv = fg.quiver
     with_y = StratSystem(quiv, fg.modules + (ref_preproj(quiv, 0, 0),))
     completion, report = extend_to_complete(with_y, positions=[0],
-                                            pool=CandidatePool(exponent_bound=6))
+                                            exponent_bound=6)
     assert completion is not None
     assert completion.modules[0].describe() == "I_4"  # S_{p+q-1} at the source
     assert not any("uniqueness" in f for f in report.flags)
