@@ -22,7 +22,7 @@ from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
 from .systems import (StratSystem, _exceptional_sequences, check_css, check_ss,
                       extend_to_complete)
-from .tubes import f_members, g_members
+from .tubes import LAMBDA_SAMPLE, f_members, g_members
 
 
 @dataclass
@@ -174,13 +174,13 @@ def compare_kronecker_enumeration(m: int, dim_cap: int) -> CheckReport:
     return report
 
 
-def kronecker_regular_selfext_check(m: int, lambda_sample=(1, 2, "1/2", -1)
-                                     ) -> CheckReport:
-    """Structural check that the sampled regular bricks of dimension (1,1)
-    have self-extensions (so they are never stratifying-system members)."""
+def kronecker_regular_selfext_check(m: int) -> CheckReport:
+    """Structural check that the regular bricks of dimension (1,1) at the
+    sampled parameters ``LAMBDA_SAMPLE`` have self-extensions (so they are
+    never stratifying-system members)."""
     q = kronecker(m)
     report = CheckReport(f"kronecker-regular-selfext m={m}")
-    for lam in lambda_sample:
+    for lam in LAMBDA_SAMPLE:
         lam = Fraction(lam)
         maps = {}
         for k, a in enumerate(q.arrows):

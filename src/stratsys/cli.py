@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Any, Optional
@@ -24,7 +25,7 @@ from .io_json import (InputError, module_ref_to_json, quiver_from_json,
 from .modules import TooLargeError, materialize
 from .quiver import classify_type, validate
 from .report import CheckReport
-from .reps import ext1_dim, ext1_dim_direct, hom_space, is_sincere, supp
+from .reps import ext1_dim, ext1_dim_direct, hom_dim, is_sincere, supp
 from .systems import check_css, check_ss, extend_to_complete, is_filtration_finite
 
 
@@ -108,8 +109,7 @@ def cmd_rep(args, report: Report) -> None:
     if x.quiver != y.quiver:
         raise InputError("the two representations live over different quivers")
     if args.action == "hom":
-        space = hom_space(x, y)
-        report.data["hom_dim"] = space.dim
+        report.data["hom_dim"] = hom_dim(x, y)
     else:
         euler_route = ext1_dim(x, y)
         direct_route = ext1_dim_direct(x, y)
@@ -334,12 +334,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         payload = {"command": argv, "verdict": "error", "error": str(exc),
                    "details": [], "timing": None}
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _emit(json.dumps(payload, indent=2, sort_keys=True), sys.stdout)
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            _emit(f"error: {exc}", sys.stderr)
         return 2
-    print(out)
+    _emit(out, sys.stdout)
     return 1 if report.failed else 0
+
+
+def _emit(text: str, stream) -> None:
+    """Print and flush; when the reader has closed the pipe, point the
+    stream at the null device so that the flush at interpreter exit stays
+    quiet, and let the caller return the verdict's exit code."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

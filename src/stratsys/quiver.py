@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Any, Optional, Sequence
 
-from .linalg import RationalMatrix, invert, kernel_basis
+from .linalg import RationalMatrix, kernel_basis
 from .report import CheckReport
 
 DimVector = tuple[int, ...]
@@ -390,47 +390,33 @@ class CoxeterTransform:
         return None
 
 
+def _euler_matrix(q: Quiver) -> list[list[int]]:
+    """E with <x, y> = x^T E y: the identity minus the arrow counts
+    E[s][t] for each arrow s -> t.  Over an acyclic quiver E is the inverse
+    of the path-count matrix."""
+    form = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+    for a in q.arrows:
+        form[q.index(a.src)][q.index(a.tgt)] -= 1
+    return form
+
+
 def coxeter_transform(q: Quiver) -> CoxeterTransform:
-    """Construct Phi from the defining property P_i |-> -I_i (exact); the
-    quiver's context keeps one as ``coxeter``."""
-    n = q.n
-    ctx = q.context
-    p_cols, i_cols = ctx.proj_dims, ctx.inj_dims
-    pmat = RationalMatrix.from_rows([[Fraction(p_cols[j][i]) for j in range(n)] for i in range(n)])
-    imat = [[Fraction(-i_cols[j][i]) for j in range(n)] for i in range(n)]
-    pinv = invert(pmat)
-    phi_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = sum(imat[i][k] * pinv.entries[k][j] for k in range(n))
-            if val.denominator != 1:
-                raise ValueError("Coxeter transform is not integral; invalid quiver?")
-            row.append(int(val))
-        phi_rows.append(tuple(row))
-    phi = RationalMatrix.from_rows(phi_rows)
-    phi_inv = invert(phi)
-    inv_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = phi_inv.entries[i][j]
-            if val.denominator != 1:
-                raise ValueError("Coxeter inverse is not integral")
-            row.append(int(val))
-        inv_rows.append(tuple(row))
-    return CoxeterTransform(q, tuple(phi_rows), tuple(inv_rows))
+    """Phi = -C E^T and Phi^-1 = -C^T E, with C the path-count matrix and E
+    = C^-1 the Euler matrix; then Phi(dim P_i) = -C E^T C^T e_i = -dim I_i.
+    The quiver's context keeps one as ``coxeter``."""
+    c, e = q.context.proj_dims, _euler_matrix(q)
+    r = range(q.n)
+    phi = tuple(tuple(-sum(c[i][k] * e[j][k] for k in r) for j in r) for i in r)
+    phi_inv = tuple(tuple(-sum(c[k][i] * e[k][j] for k in r) for j in r) for i in r)
+    return CoxeterTransform(q, phi, phi_inv)
 
 
 def _symmetrized_form(q: Quiver) -> list[list[int]]:
-    """B[i][j] = <e_i, e_j> + <e_j, e_i>: 2 on the diagonal, minus one for
-    each arrow end between the two vertices (a loop counts twice)."""
-    form = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
-    for a in q.arrows:
-        s, t = q.index(a.src), q.index(a.tgt)
-        form[s][t] -= 1
-        form[t][s] -= 1
-    return form
+    """B = E + E^T, so B[i][j] = <e_i, e_j> + <e_j, e_i>: 2 on the diagonal,
+    minus one for each arrow end between the two vertices (a loop counts
+    twice)."""
+    e = _euler_matrix(q)
+    return [[e[i][j] + e[j][i] for j in range(q.n)] for i in range(q.n)]
 
 
 def null_root(q: Quiver) -> Optional[DimVector]:

@@ -2,9 +2,12 @@
 
 A representation assigns an exact-rational vector space to each vertex and a
 matrix to each arrow (the matrix for an arrow s -> t has shape dims[t] x
-dims[s]).  Hom spaces are computed as kernels of the intertwiner system;
-Ext^1 comes in two independent flavours, an Euler-form route and a
-projective-presentation route, which must always agree.
+dims[s]).  One linear map carries Hom and Ext^1: the coboundary
+(+)_v Hom(x_v, y_v) -> (+)_a Hom(x_s, y_t) of the standard resolution, whose
+kernel is Hom(x, y) and whose cokernel is Ext^1(x, y); ``nonsplit_extension``
+picks its cocycle from that cokernel.  Ext^1 dimensions come in two
+independent flavours, an Euler-form route and a projective-presentation
+route, which must always agree.
 """
 
 from __future__ import annotations
@@ -80,10 +83,7 @@ def make_rep(q: Quiver, dims: Sequence[int], maps: dict[str, Sequence[Sequence]]
         if raw is None:
             mats.append(RationalMatrix.zero(rows_n, cols_n))
         else:
-            mat = RationalMatrix.from_rows(raw, cols=cols_n)
-            if mat.rows == 0 and rows_n == 0:
-                mat = RationalMatrix.zero(0, cols_n)
-            mats.append(mat)
+            mats.append(RationalMatrix.from_rows(raw, cols=cols_n))
     return Representation(q, dims_t, tuple(mats))
 
 
@@ -182,7 +182,7 @@ def is_sincere(m: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hom via the intertwiner system
+# Hom and Ext^1 through the coboundary of the standard resolution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -199,9 +199,15 @@ class HomSpace:
         return len(self.basis)
 
 
-def _intertwiner_rows(x: Representation, y: Representation) -> tuple[list[dict[int, Fraction]], int]:
-    """Sparse equation rows for Hom(x, y); variables are entries of f_v,
-    ordered by (vertex position, row, col)."""
+def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, Fraction]], int]:
+    """The coboundary C^0 -> C^1 of the standard resolution, as sparse rows.
+
+    C^0 = (+)_v Hom(x_v, y_v) with variables the entries of f_v, ordered by
+    (vertex position, row, col); C^1 = (+)_a Hom(x_s, y_t), ordered by
+    (arrow, row, col).  Row i, kept even when empty, is coordinate i of C^1
+    in f |-> (f_t x_a - y_a f_s)_a, so Hom(x, y) is the kernel and
+    Ext^1(x, y) the cokernel.  Returns the rows and dim C^0.
+    """
     q = x.quiver
     var_offset = []
     total = 0
@@ -230,17 +236,15 @@ def _intertwiner_rows(x: Representation, y: Representation) -> tuple[list[dict[i
                     if v:
                         key = var(s, k, c)
                         row[key] = row.get(key, Fraction(0)) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                rows.append({k: v for k, v in row.items() if v})
     return rows, total
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    """dim Hom(x, y), from the rank of the intertwiner system."""
+    """dim Hom(x, y), from the rank of the coboundary."""
     if x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
-    rows, total = _intertwiner_rows(x, y)
+    rows, total = _coboundary(x, y)
     if total == 0:
         return 0
     return total - linalg.rank_of_sparse_rows(rows)
@@ -251,7 +255,7 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
     if x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
     q = x.quiver
-    rows, total = _intertwiner_rows(x, y)
+    rows, total = _coboundary(x, y)
     if total == 0:
         return HomSpace(x, y, ())
     kernel = linalg.kernel_basis_of_rows(rows, total)
@@ -441,47 +445,27 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
         if m.dims[k] and linalg.rank(cover[v]) != m.dims[k]:
             raise ArithmeticError("projective cover failed to be surjective")
     kernel, incl = kernel_representation(p0, [cover[v] for v in q.vertices])
-    # kernel is projective: read off its cover, which must be an isomorphism
-    slots1, kcover = projective_cover_data(kernel)
+    # the kernel is projective, so its cover is an isomorphism: one P1 slot
+    # at w per top lift e_j of the kernel at w, whose generator iota sends
+    # to column j of incl[w], read in the path basis of P0 at w
+    slots1: list[int] = []
+    iota_paths: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]] = {}
+    for w in q.vertices:
+        for lift in _top_lift_indices(kernel, w):
+            j = len(slots1)
+            slots1.append(w)
+            gen_image = [row[lift] for row in incl[w].entries]
+            pos = 0
+            for i, v in enumerate(slots0):
+                paths = table[(v, w)]
+                coeffs = tuple((p, val) for p, val in zip(paths, gen_image[pos:]) if val)
+                pos += len(paths)
+                if coeffs:
+                    iota_paths[(j, i)] = coeffs
     proj_dims = q.context.proj_dims
     if sum(sum(proj_dims[q.index(w)]) for w in slots1) != kernel.total_dim:
         raise ArithmeticError("kernel of cover is not projective; algebra not hereditary?")
-    # iota: P1 -> P0 as concrete matrices: incl . kcover
-    iota_mats = {v: incl[v].mul(kcover[v]) for v in q.vertices}
-    # decompose iota into path coefficients: look at each generator slot of P1
-    offsets0: list[int] = []  # start of each slot0's path block at a given vertex
-    iota_paths: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]] = {}
-    for j, w in enumerate(slots1):
-        # column of the generator e_w of slot j inside P1 at vertex w
-        col = _slot_generator_column(q, table, slots1, j)
-        vec = iota_mats[w]
-        gen_image = tuple(vec.entries[r][col] for r in range(vec.rows))
-        # read coefficients in the path basis of P0 at w
-        pos = 0
-        for i, v in enumerate(slots0):
-            paths = table[(v, w)]
-            coeffs = []
-            for p in paths:
-                val = gen_image[pos]
-                pos += 1
-                if val != 0:
-                    coeffs.append((p, val))
-            if coeffs:
-                iota_paths[(j, i)] = tuple(coeffs)
     return ProjPresentation(m, tuple(slots0), tuple(slots1), iota_paths)
-
-
-def _slot_generator_column(q: Quiver, table, slots: Sequence[int], slot_index: int) -> int:
-    """Column index of the slot's trivial path inside (+) P at the slot vertex."""
-    w = slots[slot_index]
-    col = 0
-    for i, v in enumerate(slots):
-        paths = table[(v, w)]
-        if i == slot_index:
-            col += paths.index(())
-            return col
-        col += len(paths)
-    raise AssertionError("slot not found")
 
 
 def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMatrix:
@@ -557,39 +541,6 @@ def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
 # extensions
 # ---------------------------------------------------------------------------
 
-def _cocycle_data(top: Representation, sub: Representation):
-    """Coboundary matrix columns for Ext^1(top, sub) and the C^1 layout."""
-    q = top.quiver
-    # C^0 = (+)_v Hom(top_v, sub_v); C^1 = (+)_a Hom(top_{s(a)}, sub_{t(a)})
-    c1_layout = []  # (arrow index, rows = sub dims at t, cols = top dims at s)
-    c1_total = 0
-    for ai, a in enumerate(q.arrows):
-        r = sub.dim_at(a.tgt)
-        c = top.dim_at(a.src)
-        c1_layout.append((ai, r, c, c1_total))
-        c1_total += r * c
-    columns: list[list[Fraction]] = []
-    for k, v in enumerate(q.vertices):
-        for r in range(sub.dims[k]):
-            for c in range(top.dims[k]):
-                # h = elementary matrix at vertex v; image d(h)_a = sub_a h_s - h_t top_a
-                col = [Fraction(0)] * c1_total
-                for ai, rr, cc, off in c1_layout:
-                    a = q.arrows[ai]
-                    if a.src == v:
-                        suba = sub.maps[ai]
-                        for r2 in range(rr):
-                            if suba.entries[r2][r]:
-                                col[off + r2 * cc + c] += suba.entries[r2][r]
-                    if a.tgt == v:
-                        topa = top.maps[ai]
-                        for c2 in range(cc):
-                            if topa.entries[c][c2]:
-                                col[off + r * cc + c2] -= topa.entries[c][c2]
-                columns.append(col)
-    return columns, c1_layout, c1_total
-
-
 def nonsplit_extension(top: Representation, sub: Representation) -> Representation:
     """Middle term of a non-split extension 0 -> sub -> E -> top -> 0.
 
@@ -597,36 +548,26 @@ def nonsplit_extension(top: Representation, sub: Representation) -> Representati
     used.  Raises ValueError when Ext^1(top, sub) = 0.
     """
     q = top.quiver
-    columns, c1_layout, c1_total = _cocycle_data(top, sub)
+    rows, total = _coboundary(top, sub)
+    columns = [[row.get(j, 0) for row in rows] for j in range(total)]
     # e_j lies in the coboundary span iff j is a pivot column of its RREF
     # whose row is e_j itself (each RREF row leads with its 1)
-    rref_rows = {row.index(1): row for row in linalg.span_basis(columns, c1_total)}
-    chosen = next((j for j in range(c1_total)
+    rref_rows = {row.index(1): row for row in linalg.span_basis(columns, len(rows))}
+    chosen = next((j for j in range(len(rows))
                    if j not in rref_rows or sum(map(bool, rref_rows[j])) > 1), None)
     if chosen is None:
         raise ValueError("Ext^1(top, sub) = 0; no non-split extension exists")
-    zeta: dict[int, tuple[int, int]] = {}
-    for ai, rr, cc, off in c1_layout:
-        if off <= chosen < off + rr * cc:
-            local = chosen - off
-            zeta[ai] = (local // cc, local % cc)
-            break
-    dims = tuple(s + t for s, t in zip(sub.dims, top.dims))
-    maps: dict[str, list[list[Fraction]]] = {}
+    # the cocycle's one entry, at (row r of sub_t, column c of top_s) of its
+    # arrow, joins top_s to sub_t inside the direct sum
+    split = direct_sum([sub, top])
+    maps = list(split.maps)
     for ai, a in enumerate(q.arrows):
-        s, t = q.index(a.src), q.index(a.tgt)
-        rows_n = dims[t]
-        cols_n = dims[s]
-        block = [[Fraction(0)] * cols_n for _ in range(rows_n)]
-        suba, topa = sub.maps[ai], top.maps[ai]
-        for r in range(suba.rows):
-            for c in range(suba.cols):
-                block[r][c] = suba.entries[r][c]
-        for r in range(topa.rows):
-            for c in range(topa.cols):
-                block[sub.dims[t] + r][sub.dims[s] + c] = topa.entries[r][c]
-        if ai in zeta:
-            zr, zc = zeta[ai]
-            block[zr][sub.dims[s] + zc] = Fraction(1)
-        maps[a.label] = block
-    return make_rep(q, dims, maps)
+        size = sub.dim_at(a.tgt) * top.dim_at(a.src)
+        if chosen < size:
+            r, c = divmod(chosen, top.dim_at(a.src))
+            entries = [list(row) for row in maps[ai].entries]
+            entries[r][sub.dim_at(a.src) + c] = Fraction(1)
+            maps[ai] = RationalMatrix.from_rows(entries)
+            break
+        chosen -= size
+    return Representation(q, split.dims, tuple(maps))

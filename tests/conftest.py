@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,9 @@ def kron3():
 @pytest.fixture(scope="session")
 def apq23():
     return canonical_apq(2, 3)
+
+
+def wild_sample() -> Quiver:
+    """The wild quiver of ``samples/wild_double_path.quiver.json``."""
+    sample = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
+    return Quiver.from_json(json.loads(sample.read_text()))

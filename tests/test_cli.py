@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,25 @@ def test_reports_byte_identical(files):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--json", "kron", "list", "--m", "2", "--bound", "40"], 0),
+    (["kron", "list", "--m", "2", "--bound", "40"], 0),
+    (["--json", "ss", "check", "missing.json"], 2),
+], ids=["json", "human", "json-error"])
+def test_closed_stdout_pipe_keeps_the_exit_code(args, code):
+    """A reader that has gone before the report is printed (``| head``)
+    costs no traceback and leaves the verdict's exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "stratsys"] + args, cwd=REPO_ROOT / "src",
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--jobs"])

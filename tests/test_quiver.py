@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import wild_sample
 from stratsys.quiver import (Quiver, canonical_apq,
                              classify_type, coxeter_transform, defect,
                              euler_form, injective_dim_vector, kronecker,
@@ -57,8 +58,13 @@ def test_coxeter_kronecker_values():
 
 
 def test_coxeter_defining_property_all_quivers():
-    for q in (kronecker(2), kronecker(3), canonical_apq(2, 3), canonical_apq(1, 2)):
+    star = Quiver.make([0, 1, 2, 3], [(v, 0, f"a{v}") for v in (1, 2, 3)])
+    for q in (kronecker(2), kronecker(3), canonical_apq(2, 3), canonical_apq(1, 2),
+              wild_sample(), star):
         phi = coxeter_transform(q)
+        identity = tuple(tuple(int(i == j) for j in range(q.n)) for i in range(q.n))
+        assert tuple(tuple(sum(phi.matrix[i][k] * phi.inverse[k][j] for k in range(q.n))
+                           for j in range(q.n)) for i in range(q.n)) == identity
         for v in q.vertices:
             p = projective_dim_vector(q, v)
             i = injective_dim_vector(q, v)

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from conftest import random_representation
+from conftest import random_representation, wild_sample
 from stratsys.io_json import rep_to_json
 from stratsys.linalg import format_rational, rank
-from stratsys.quiver import euler_form, kronecker
+from stratsys.quiver import canonical_apq, euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
                            hom_space, injective, is_brick, is_exceptional,
@@ -218,6 +219,33 @@ def test_nonsplit_extensions_are_pinned(apq23, rng):
             payload = json.dumps(rep_to_json(e), sort_keys=True)
             digests.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
     assert digests == NONSPLIT_DIGESTS
+
+
+# sha256 of the JSON list of hom_space(x, y) bases, each basis element as its
+# per-vertex matrices of "p/q" strings, over twelve seeded pairs per quiver
+HOM_SPACE_DIGESTS = {
+    "apq23": "10861acb047918d5e4478d5235633169439680a7a1d238ce53b5ddf0dc4fd90d",
+    "kron2": "51cd71eadd86527be42d8d0dcbe7c5066213b8b06a3fc3d1ac6a03bfdd7a8ee5",
+    "wild-sample": "7fa73fb2643a53f42abe2587ad5bdd71b83c88657b8b80645a0cf759fdd5cce4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_SPACE_DIGESTS))
+def test_hom_space_bases_are_pinned(name):
+    q = {"apq23": lambda: canonical_apq(2, 3), "kron2": lambda: kronecker(2),
+         "wild-sample": wild_sample}[name]()
+    rng = random.Random(10)
+    rows = []
+    for _ in range(12):
+        x = random_representation(q, rng)
+        y = random_representation(q, rng)
+        space = hom_space(x, y)
+        assert space.dim == hom_dim(x, y)
+        assert all(is_morphism(x, y, f) for f in space.basis)
+        rows.append([[[[format_rational(v) for v in row] for row in mat.entries] for mat in f]
+                     for f in space.basis])
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == HOM_SPACE_DIGESTS[name]
 
 
 # sha256 of the JSON list of [dims, slots0, slots1, iota] of minimal_presentation
