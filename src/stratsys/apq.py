@@ -189,9 +189,6 @@ class ApqAlgebra:
         idx = (point.index - 1 - steps) % rank + 1
         return TubePoint(point.tube, idx, point.level)
 
-    def mouth_cycle(self, label: TubeLabel) -> list[Representation]:
-        return [self.simple_regular(label, i) for i in range(1, self.tube_rank(label) + 1)]
-
     # -- points higher up the ray --------------------------------------------
 
     @functools.cache

@@ -39,7 +39,8 @@ class RationalMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "RationalMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                     for row in rows)
         if data:
             ncols = len(data[0])
         elif cols is not None:

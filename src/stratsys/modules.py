@@ -20,10 +20,10 @@ materialize.
 
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
-orbit modules (``orbit_reps``) and one (dim Hom, dim Hom - <a, b>) entry per
-pedigreed pair (``hom_ext``), so ``pair_hom``, ``pair_ext`` and
-``pair_hom_ext`` answer a pair once.  Explicit representations are never
-memoized.
+orbit modules (``orbit_reps``) and one (dim Hom, dim Ext^1) entry per
+pedigreed pair (``hom_ext``).  One lookup in ``pair_hom_ext`` answers a pair;
+``pair_hom`` and ``pair_ext`` are its two halves.  Explicit representations
+are never memoized.
 """
 
 from __future__ import annotations
@@ -227,53 +227,40 @@ def ref_tau(ref: ModuleRef, steps: int = 1) -> Optional[ModuleRef]:
 # the dimension engine
 # ---------------------------------------------------------------------------
 
-def _same_quiver(a: ModuleRef, b: ModuleRef) -> Quiver:
+def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
+    """(dim Hom(a, b), dim Ext^1(a, b)), the Hom dimension reduced
+    symbolically where pedigrees allow and the Ext dimension by the Euler
+    identity dim Ext^1 = dim Hom - <dim a, dim b>.  The one reader and writer
+    of ``hom_ext``: a pedigreed pair is answered once and its checked entry
+    stays in the quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
-    return q
-
-
-def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
-    """dim Hom(a, b), reduced symbolically where pedigrees allow.  A
-    pedigreed pair is answered once: its entry (dim Hom, dim Hom - <dim a,
-    dim b>) stays in the quiver's context."""
-    q = _same_quiver(a, b)
-    if a.kind == PLAIN or b.kind == PLAIN:
-        return _pair_hom(a, b)
-    ctx = q.context
-    key = (ref_key(a), ref_key(b))
-    entry = ctx.hom_ext.get(key)
-    if entry is None:
-        ctx.misses["hom_ext"] += 1
-        hom = _pair_hom(a, b)
-        entry = ctx.hom_ext[key] = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
-    else:
-        ctx.hits["hom_ext"] += 1
-    return entry[0]
-
-
-def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
-    """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
-    identity dim Ext^1 = dim Hom - <dim a, dim b>; a pedigreed pair that was
-    answered before reads both from its context entry."""
-    q = _same_quiver(a, b)
-    entry = None
+    key = None
     if a.kind != PLAIN and b.kind != PLAIN:
         ctx = q.context
-        entry = ctx.hom_ext.get((ref_key(a), ref_key(b)))
+        key = (ref_key(a), ref_key(b))
+        entry = ctx.hom_ext.get(key)
         if entry is not None:
             ctx.hits["hom_ext"] += 1
-    if entry is None:
-        hom = pair_hom(a, b)
-        entry = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
+            return entry
+        ctx.misses["hom_ext"] += 1
+    hom = _pair_hom(a, b)
+    entry = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
     if entry[1] < 0:
         raise ArithmeticError("negative Ext dimension out of the engine")
+    if key is not None:
+        ctx.hom_ext[key] = entry
     return entry
 
 
+def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
+    """dim Hom(a, b), the first half of ``pair_hom_ext``."""
+    return pair_hom_ext(a, b)[0]
+
+
 def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
-    """dim Ext^1(a, b) by the Euler identity on top of the Hom dimension."""
+    """dim Ext^1(a, b), the second half of ``pair_hom_ext``."""
     return pair_hom_ext(a, b)[1]
 
 

@@ -149,9 +149,10 @@ class QuiverContext:
     the path table.  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
-    materialized orbit modules), ``hom_ext`` (``modules``: one raw
-    (dim Hom, dim Hom - <a,b>) entry per pedigreed pair) and ``pools``
-    (``systems``: the candidate list per exponent bound).  ``hits`` and
+    materialized orbit modules), ``hom_ext`` (``modules``: one checked
+    (dim Hom, dim Ext^1) entry per pedigreed pair), ``pools`` (``systems``:
+    the candidate list per exponent bound), and ``projectives`` and
+    ``injectives`` (``reps``: P_v and I_v per vertex).  ``hits`` and
     ``misses`` count the lookups in ``hom_ext``, ``orbit_reps`` and ``pools``.
 
     Thread guarantees: one context per value (creation is locked), memo
@@ -178,6 +179,8 @@ class QuiverContext:
         self.orbit_reps: dict[tuple[str, int, int], Any] = {}
         self.hom_ext: dict[tuple, tuple[int, int]] = {}
         self.pools: dict[Any, tuple] = {}
+        self.projectives: dict[int, Any] = {}
+        self.injectives: dict[int, Any] = {}
         self.hits = dict.fromkeys(self.COUNTED, 0)
         self.misses = dict.fromkeys(self.COUNTED, 0)
 
@@ -335,16 +338,6 @@ def _path_count_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(count(u, w) for w in q.vertices) for u in q.vertices)
 
 
-def projective_dim_vector(q: Quiver, i: int) -> DimVector:
-    """dim P_i: entry at v counts directed paths from i to v."""
-    return q.context.proj_dims[q.index(i)]
-
-
-def injective_dim_vector(q: Quiver, i: int) -> DimVector:
-    """dim I_i: entry at v counts directed paths from v to i."""
-    return q.context.inj_dims[q.index(i)]
-
-
 @dataclass(frozen=True)
 class CoxeterTransform:
     """Integer linear map with Phi(dim P_i) = -dim I_i for every vertex i."""
@@ -358,13 +351,6 @@ class CoxeterTransform:
 
     def apply_inverse(self, x: Sequence[int]) -> DimVector:
         return tuple(sum(row[j] * int(x[j]) for j in range(len(x))) for row in self.inverse)
-
-    def power(self, x: Sequence[int], k: int) -> DimVector:
-        v = tuple(int(t) for t in x)
-        step = self.apply if k >= 0 else self.apply_inverse
-        for _ in range(abs(k)):
-            v = step(v)
-        return v
 
     def ending_orbit(self, x: Sequence[int], steps: int, inverse: bool,
                      budget: Optional[int] = None) -> Optional[tuple[DimVector, ...]]:

@@ -103,7 +103,11 @@ def simple(q: Quiver, i: int) -> Representation:
 
 
 def projective(q: Quiver, i: int) -> Representation:
-    """P_i: basis at v = paths from i to v; arrows append themselves."""
+    """P_i: basis at v = paths from i to v; arrows append themselves.  Built
+    once per quiver and kept in its context."""
+    rep = q.context.projectives.get(i)
+    if rep is not None:
+        return rep
     if i not in q.vertices:
         raise KeyError(f"unknown vertex {i}")
     table = q.context.paths
@@ -118,11 +122,16 @@ def projective(q: Quiver, i: int) -> Representation:
         for c, p in enumerate(src_paths):
             mat[index[p + (a.label,)]][c] = Fraction(1)
         maps[a.label] = mat
-    return make_rep(q, dims, maps)
+    rep = q.context.projectives[i] = make_rep(q, dims, maps)
+    return rep
 
 
 def injective(q: Quiver, i: int) -> Representation:
-    """I_i: basis at v = dual basis of paths from v to i."""
+    """I_i: basis at v = dual basis of paths from v to i.  Built once per
+    quiver and kept in its context."""
+    rep = q.context.injectives.get(i)
+    if rep is not None:
+        return rep
     if i not in q.vertices:
         raise KeyError(f"unknown vertex {i}")
     table = q.context.paths
@@ -138,7 +147,8 @@ def injective(q: Quiver, i: int) -> Representation:
         for r, p in enumerate(tgt_paths):
             mat[r][index[(a.label,) + p]] = Fraction(1)
         maps[a.label] = mat
-    return make_rep(q, dims, maps)
+    rep = q.context.injectives[i] = make_rep(q, dims, maps)
+    return rep
 
 
 def direct_sum(parts: Sequence[Representation]) -> Representation:

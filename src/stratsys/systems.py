@@ -161,22 +161,30 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     order and grown while shorter than ``length``, so a caller takes the first
     hit of full length, all of them, or the longest length reached.
 
-    Both facts a step needs come from ``hom_ext(a, b)`` = (dim Hom, dim Ext^1):
-    ``b`` may follow ``a`` iff hom_ext(b, a) == (0, 0), and ``i`` is
-    exceptional iff hom_ext(i, i) == (1, 0).  The new pairs are tried before
-    exceptionality, which is the costly fact for large explicit modules.
-    When more than one insertion is searched, ``hom_ext`` is memoized per search.
+    Both facts a step needs come from ``hom_ext(a, b)`` = (dim Hom, dim Ext^1),
+    memoized per search: ``b`` may follow ``a`` iff hom_ext(b, a) == (0, 0),
+    and ``i`` is exceptional iff hom_ext(i, i) == (1, 0).  The new pairs are
+    tried before exceptionality, which is the costly fact for large explicit
+    modules.
+
+    An appending search (no ``slots``) grows each member set once: whether
+    ``i`` may follow depends on the set before it, not on its order, so a
+    reordering of a grown set reaches no new set, length or earlier first hit.
+    Its tuples come in lexicographic order, so the first full-length hit is
+    the least valid tuple, and every accepted tuple is still yielded (at
+    length 2, every valid ordering).  An insertion search grows them all.
     """
     picks = range(len(items)) if picks is None else picks
+    grown: Optional[set[frozenset[int]]] = set() if slots is None else None
     slots = slots or (lambda size, last: (size,))
 
+    @functools.cache
     def hom_ext(a: int, b: int) -> tuple[int, int]:
         return pair_hom_ext(items[a], items[b])
 
-    if length - len(start) > 1:
-        hom_ext = functools.cache(hom_ext)
-
-    def grow(seq: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
+    def grow(seq: tuple[int, ...], last: int, recurse) -> Iterator[tuple[int, ...]]:
+        if grown is not None:
+            grown.add(frozenset(seq))
         for pos in slots(len(seq), last):
             for i in picks:
                 if report is not None:
@@ -186,10 +194,13 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
                         and hom_ext(i, i) == (1, 0)):
                     child = seq[:pos] + (i,) + seq[pos:]
                     yield child
-                    if len(child) < length:
-                        yield from grow(child, pos)
+                    if len(child) < length and (grown is None
+                                                or frozenset(child) not in grown):
+                        yield from recurse(child, pos, recurse)
 
-    return grow(tuple(start), 0)
+    # grow gets itself as ``recurse``: a closure over its own name would be a
+    # reference cycle that keeps the memo alive until the cyclic collector runs
+    return grow(tuple(start), 0, grow)
 
 
 def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None

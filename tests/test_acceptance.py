@@ -126,7 +126,8 @@ def test_criterion_4_tau_consistency():
     modules = _materialized_criterion_1_2_modules()
     alg = apq_algebra(2, 3)
     for label in (TUBE_INFTY, TUBE_ZERO):
-        modules.extend(alg.mouth_cycle(label))
+        modules.extend(alg.simple_regular(label, i)
+                       for i in range(1, alg.tube_rank(label) + 1))
     for lam in (1, 2, Fraction(1, 2), -1):
         modules.append(alg.simple_regular(tube_lambda(lam), 1))
     checked = 0

@@ -168,15 +168,13 @@ def test_minimal_presentation_euler(kron2, apq23, rng):
         for _ in range(6):
             m = random_representation(q, rng)
             pres = minimal_presentation(m)
-            from stratsys.quiver import projective_dim_vector
-
             total0 = [0] * q.n
             for v in pres.slots0:
-                for k, d in enumerate(projective_dim_vector(q, v)):
+                for k, d in enumerate(q.context.proj_dims[q.index(v)]):
                     total0[k] += d
             total1 = [0] * q.n
             for v in pres.slots1:
-                for k, d in enumerate(projective_dim_vector(q, v)):
+                for k, d in enumerate(q.context.proj_dims[q.index(v)]):
                     total1[k] += d
             assert tuple(a - b for a, b in zip(total0, total1)) == m.dims
 

@@ -5,6 +5,7 @@ import pytest
 from stratsys.classifier import enumerate_css_kronecker, kronecker_orbit_pool
 from stratsys.modules import pair_hom, ref_plain, ref_preinj, ref_preproj
 from stratsys.quiver import canonical_apq, kronecker
+from stratsys.report import CheckReport
 from stratsys.reps import make_rep
 from stratsys.systems import (StratSystem, _exceptional_sequences, check_css, check_ss,
                               extend_to_complete, is_filtration_finite)
@@ -150,11 +151,53 @@ def test_search_kernel_matches_brute_force(build_pool, n):
     seqs = list(_exceptional_sequences(pool, n))
     expected = _brute_force_sequences(pool, n)
     assert len(seqs) == len(set(seqs))  # each sequence is reached once
-    assert set(seqs) == expected
+    assert set(seqs) <= expected  # every yielded sequence is a system
+    assert {frozenset(s) for s in seqs} == {frozenset(s) for s in expected}
     longest = max(map(len, expected), default=0)
     assert max(map(len, seqs), default=0) == longest
-    assert ({s for s in seqs if len(s) == n}
-            == {s for s in expected if len(s) == n})
+    full = [s for s in expected if len(s) == n]
+    assert next((s for s in seqs if len(s) == n), None) == min(full, default=None)
+    if n == 2:
+        assert set(seqs) == expected  # every ordering of every pair
+
+
+def test_search_kernel_grows_each_member_set_once():
+    # deterministic gate: the ordering search yielded 11,359 sequences here
+    q = canonical_apq(3, 4)
+    seqs = list(_exceptional_sequences(regular_exceptional_pool(q, 14), q.n))
+    assert len({frozenset(s) for s in seqs}) == 1647
+    assert len(seqs) == 3401
+    assert max(map(len, seqs)) == 5
+
+
+def test_an_insertion_search_grows_every_ordering():
+    # where a step inserts, the order decides what fits, so every accepted
+    # ordering is grown; the counts are those of the ordering search
+    pool = regular_exceptional_pool(canonical_apq(2, 3), 10)
+    report = CheckReport("insertion")
+    seqs = list(_exceptional_sequences(pool, 5, slots=lambda size, last: range(size + 1),
+                                       report=report))
+    assert set(seqs) == _brute_force_sequences(pool, 5)
+    assert (len(seqs), report.checked) == (398, 12088)
+
+
+def test_a_dropped_search_frees_its_memo_without_the_cyclic_collector():
+    import gc
+    import weakref
+
+    class Pool(list):  # a list that a weak reference can watch
+        pass
+
+    pool = Pool(regular_exceptional_pool(canonical_apq(2, 3), 10))
+    alive = weakref.ref(pool)
+    gc.disable()
+    try:
+        search = _exceptional_sequences(pool, 5)
+        next(search)
+        del pool, search
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_search_callers_match_brute_force():
