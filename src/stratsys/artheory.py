@@ -64,17 +64,29 @@ def tau_inv(m: Representation) -> Representation:
 
 
 def tau_power(m: Representation, k: int) -> Representation:
-    """tau^k for k >= 0, tau^{-k} via tau_inv for k < 0; stops at zero."""
+    """tau^k for k >= 0, tau^{-k} via tau_inv for k < 0; stops at zero.
+
+    Before each step, raises ValueError when the entries of Phi(dim X)
+    (Phi^-1 for tau_inv) sum to more than ``DIM_BUDGET``: dim tau X is
+    Phi(dim X) plus dim I_i for each projective summand P_i of X (dually for
+    tau_inv), so that sum is a lower bound on the next translate's size.
+    """
     step = tau if k >= 0 else tau_inv
+    phi = m.quiver.context.coxeter
+    predict = phi.apply if k >= 0 else phi.apply_inverse
     out = m
-    for _ in range(abs(k)):
+    for i in range(abs(k)):
         if out.is_zero():
             return out
+        bound = sum(predict(out.dims))
+        if bound > DIM_BUDGET:
+            raise ValueError(f"translate {i + 1} of {abs(k)} has total dimension at least "
+                             f"{bound}, beyond the budget {DIM_BUDGET}")
         out = step(out)
     return out
 
 
-DIM_BUDGET = 4096  # largest total dimension of a module a certifying walk translates
+DIM_BUDGET = 4096  # largest total dimension of a module a walk translates to, or from
 
 
 def ar_position(m: Representation, cap: int = 64) -> ArPosition:

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals, on one elimination engine.
 
-``RationalMatrix`` holds arbitrary-precision ``fractions.Fraction`` entries
-(plain ``int`` entries are accepted and treated as rationals).  Every rank,
+``RationalMatrix`` stores integer numerators ``nums`` over one positive
+common denominator ``den``, in lowest terms, so that its products,
+transposes and eliminations run on Python integers and two matrices with
+equal values are equal and hash equally.  ``entries`` is a read-only view of
+the values as ``fractions.Fraction``, for output and tests.  Every rank,
 kernel, span, solve and inverse goes through ``_eliminate``: sparse,
 fraction-free integer elimination with gcd reduction.  The rank functions use
 its forward pass alone; the others add its back-substitution pass and read
-the reduced row echelon form (RREF), the only place fractions are formed.
-Pivoting is deterministic (first nonzero entry in column order) and the RREF
-of a row space is unique, so kernel bases and particular solutions are
-reproducible.  No floating point is used anywhere.
+the reduced row echelon form (RREF) over one denominator.  Pivoting is
+deterministic (first nonzero entry in column order) and the RREF of a row
+space is unique, so kernel bases and particular solutions are reproducible.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -16,110 +19,122 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from numbers import Rational
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense rational matrix: entry (i, j) is nums[i][j] / den,
+    with den > 0 and gcd(den, *nums) == 1 (an integer matrix has den 1)."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if self.rows < 0 or self.cols < 0 or self.den < 1:
+            raise ValueError("matrix dimensions must be nonnegative and den positive")
+        if len(self.nums) != self.rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
+        for row in self.nums:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "RationalMatrix":
-        data = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-                     for row in rows)
-        if data:
-            ncols = len(data[0])
-        elif cols is not None:
-            ncols = cols
-        else:
-            ncols = 0
-        return RationalMatrix(len(data), ncols, data)
+        """The matrix with the given ``int`` or ``Fraction`` rows; ``cols``
+        is the width when there are no rows."""
+        data = [tuple(row) for row in rows]
+        den = lcm(*(x.denominator for row in data for x in row))
+        nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        ncols = len(nums[0]) if nums else cols or 0
+        return RationalMatrix(len(nums), ncols, nums, den)
+
+    @staticmethod
+    def from_nums(nums: Sequence[Sequence[int]], den: int, cols: int) -> "RationalMatrix":
+        """nums / den for integer rows of length ``cols`` and den > 0, reduced
+        to lowest terms."""
+        g = gcd(den, *chain.from_iterable(nums)) if den != 1 else 1
+        if g == 1:
+            return RationalMatrix(len(nums), cols, tuple(map(tuple, nums)), den)
+        return RationalMatrix(len(nums), cols, tuple(tuple(x // g for x in row) for row in nums),
+                              den // g)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return RationalMatrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return RationalMatrix(rows, cols, ((0,) * cols,) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one, z = Fraction(1), Fraction(0)
-        return RationalMatrix(n, n, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
+        return RationalMatrix.from_nums([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s, a read-only view for output."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                                    for j in range(self.cols)))
+        nums = tuple(zip(*self.nums)) if self.rows else ((),) * self.cols
+        return RationalMatrix(self.cols, self.rows, nums, self.den)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = Fraction(0)
-        out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            acc = [zero] * other.cols
-            for k in range(self.cols):
-                v = row_i[k]
-                if v:
-                    other_row = other.entries[k]
-                    for j in range(other.cols):
-                        w = other_row[j]
-                        if w:
-                            acc[j] += v * w
-            out.append(tuple(acc))
-        return RationalMatrix(self.rows, other.cols, tuple(out))
+        if not (self.cols and other.cols):
+            return RationalMatrix.zero(self.rows, other.cols)
+        nums = []
+        for row in self.nums:
+            acc = (0,) * other.cols
+            for v, other_row in zip(row, other.nums):
+                if v:  # a sum of the rows of other, skipping zeros
+                    acc = tuple(map(add, acc, map(v.__mul__, other_row)))
+            nums.append(acc)
+        return RationalMatrix.from_nums(nums, self.den * other.den, other.cols)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         v = [Fraction(x) for x in vec]
-        return tuple(sum((row[k] * v[k] for k in range(self.cols)), Fraction(0))
-                     for row in self.entries)
+        return tuple(sum(map(mul, row, v), Fraction(0)) / self.den for row in self.nums)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.nums))
 
 
 # ---------------------------------------------------------------------------
 # the elimination engine
 # ---------------------------------------------------------------------------
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_INT = {int}
+_VALUE = itemgetter(1)
 
 
-def _eliminate(rows: Iterable[dict], reduced: bool = False) -> dict[int, dict[int, int]]:
+def _eliminate(rows: Iterable[Iterable[tuple[int, Rational]]],
+               reduced: bool = False) -> dict[int, dict[int, int]]:
     """Fraction-free sparse row reduction; returns {pivot column: pivot row}.
 
-    ``rows`` are sparse ``{column: rational}`` (``int`` or ``Fraction``, zeros
-    allowed).  Each row is scaled to integers by the lcm of its denominators,
-    then reduced against the pivot rows in increasing column order, and it
-    becomes the pivot row, divided by the gcd of its entries, for its leading
-    column.  The forward pass alone gives the rank.  With ``reduced``, a
-    back-substitution pass clears each pivot column from the other pivot rows,
-    so pivot row ``c`` divided by its entry at ``c`` is the RREF row with
-    pivot ``c``.
+    Each row is given by its (column, rational) pairs, zeros allowed.  An
+    integer row is taken as it is; a row with ``Fraction`` entries is first
+    scaled to integers by the lcm of its denominators.  Each row is reduced
+    against the pivot rows in increasing column order, and it becomes the
+    pivot row, divided by the gcd of its entries, for its leading column, so
+    a positive multiple of a row gives the same pivot rows.  The forward pass
+    alone gives the rank.  With ``reduced``, a back-substitution pass clears
+    each pivot column from the other pivot rows, so pivot row ``c`` divided
+    by its entry at ``c`` is the RREF row with pivot ``c``.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        mult = 1
-        for v in row.values():
-            if v.denominator != 1:
-                mult = lcm(mult, v.denominator)
-        current = {j: v.numerator * (mult // v.denominator) for j, v in row.items() if v}
+        current = dict(filter(_VALUE, row))
+        if not _INT.issuperset(map(type, current.values())):
+            mult = lcm(*(v.denominator for v in current.values()))
+            current = {j: v.numerator * (mult // v.denominator) for j, v in current.items()}
         while current:
             c = min(current)
             pivot = pivots.get(c)
@@ -156,25 +171,69 @@ def _cancel(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int
     return merged
 
 
-def _rref_entries(row: dict[int, int], c: int, columns: Iterable[int]) -> tuple[Fraction, ...]:
-    """Entries at ``columns`` of the RREF row read from pivot row ``c``."""
-    p = row[c]
-    return tuple(Fraction(row[j], p) if j in row else _ZERO for j in columns)
+def _augmented(left: RationalMatrix, right: RationalMatrix) -> Iterable[Iterable]:
+    """The rows of [left | right] as (column, integer) pairs, each row a
+    positive multiple of the rational row."""
+    den = lcm(left.den, right.den)
+    scale_l, scale_r, n = den // left.den, den // right.den, left.cols
+    return (chain(enumerate(map(scale_l.__mul__, a)), enumerate(map(scale_r.__mul__, b), n))
+            for a, b in zip(left.nums, right.nums))
+
+
+def _rref_right(pivots: dict[int, dict[int, int]], n: int, width: int) -> RationalMatrix:
+    """Rows 0..n-1 of an RREF whose pivot columns are all below n, at the
+    ``width`` columns after the first n, over one denominator; row c is zero
+    when c is not a pivot column."""
+    den = lcm(*(row[c] for c, row in pivots.items()))
+    nums = [[0] * width for _ in range(n)]
+    for c, row in pivots.items():
+        scale = den // row[c]
+        for j, v in row.items():
+            if j >= n:
+                nums[c][j - n] = v * scale
+    return RationalMatrix.from_nums(nums, den, width)
 
 
 def rank(matrix: RationalMatrix) -> int:
     """Rank over the rationals."""
-    return len(_eliminate(dict(enumerate(row)) for row in matrix.entries))
+    return len(_eliminate(map(enumerate, matrix.nums)))
 
 
 def rank_of_rows(raw_rows: Sequence[Sequence], ncols: int) -> int:
     """Rank of a matrix given as dense rows of length ``ncols``."""
-    return len(_eliminate(dict(enumerate(row)) for row in raw_rows))
+    return len(_eliminate(map(enumerate, raw_rows)))
 
 
 def rank_of_sparse_rows(sparse_rows: Sequence[dict[int, Fraction]]) -> int:
     """Rank of a matrix given as sparse rows {column: rational value}."""
-    return len(_eliminate(sparse_rows))
+    return len(_eliminate(row.items() for row in sparse_rows))
+
+
+def pivot_columns(raw_rows: Iterable[Sequence]) -> set[int]:
+    """The leading columns of a row echelon form of the given dense rows."""
+    return set(_eliminate(map(enumerate, raw_rows)))
+
+
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> RationalMatrix:
+    """The kernel basis of an RREF, one column per free column with a 1 in
+    the free position, as an ncols x (ncols - rank) matrix."""
+    free = [f for f in range(ncols) if f not in pivots]
+    position = {f: i for i, f in enumerate(free)}
+    den = lcm(*(row[c] for c, row in pivots.items()))
+    nums = [[0] * len(free) for _ in range(ncols)]
+    for i, f in enumerate(free):
+        nums[f][i] = den
+    for c, row in pivots.items():
+        scale = den // row[c]
+        for j, v in row.items():
+            if j != c:
+                nums[c][position[j]] = -v * scale
+    return RationalMatrix.from_nums(nums, den, len(free))
+
+
+def kernel_matrix(matrix: RationalMatrix) -> RationalMatrix:
+    """The ``kernel_basis`` vectors as the columns of one matrix."""
+    return _kernel(_eliminate(map(enumerate, matrix.nums), reduced=True), matrix.cols)
 
 
 def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -183,30 +242,21 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     The basis comes from the reduced row echelon form: one vector per free
     column, with a 1 in the free position.  Basis size is cols - rank.
     """
-    return kernel_basis_of_rows([dict(enumerate(row)) for row in matrix.entries], matrix.cols)
+    return list(kernel_matrix(matrix).transpose().entries)
 
 
 def kernel_basis_of_rows(sparse_rows: Sequence[dict[int, Fraction]],
                          ncols: int) -> list[tuple[Fraction, ...]]:
     """``kernel_basis`` of the matrix with sparse rows {column: rational value}."""
-    pivots = _eliminate(sparse_rows, reduced=True)
-    free = [f for f in range(ncols) if f not in pivots]
-    position = {f: i for i, f in enumerate(free)}
-    basis = [[_ZERO] * ncols for _ in free]
-    for i, f in enumerate(free):
-        basis[i][f] = _ONE
-    for c, row in pivots.items():
-        p = row[c]
-        for j, v in row.items():
-            if j != c:
-                basis[position[j]][c] = Fraction(-v, p)
-    return [tuple(v) for v in basis]
+    return list(_kernel(_eliminate((row.items() for row in sparse_rows), reduced=True),
+                        ncols).transpose().entries)
 
 
 def span_basis(vectors: Sequence[Sequence], length: int) -> list[tuple[Fraction, ...]]:
     """Deterministic (RREF) basis of the span of the given vectors."""
-    pivots = _eliminate((dict(enumerate(v)) for v in vectors), reduced=True)
-    return [_rref_entries(row, c, range(length)) for c, row in sorted(pivots.items())]
+    pivots = _eliminate(map(enumerate, vectors), reduced=True)
+    return [tuple(Fraction(row.get(j, 0), row[c]) for j in range(length))
+            for c, row in sorted(pivots.items())]
 
 
 def solve(matrix: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
@@ -220,14 +270,10 @@ def solve(matrix: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatri
     if rhs.rows != matrix.rows:
         raise ValueError("right-hand side row count mismatch")
     n = matrix.cols
-    pivots = _eliminate((dict(enumerate(row + b)) for row, b in zip(matrix.entries, rhs.entries)),
-                        reduced=True)
+    pivots = _eliminate(_augmented(matrix, rhs), reduced=True)
     if any(c >= n for c in pivots):
         return None
-    zero_row = (_ZERO,) * rhs.cols
-    return RationalMatrix(n, rhs.cols, tuple(
-        _rref_entries(pivots[c], c, range(n, n + rhs.cols)) if c in pivots else zero_row
-        for c in range(n)))
+    return _rref_right(pivots, n, rhs.cols)
 
 
 def invert(matrix: RationalMatrix) -> RationalMatrix:
@@ -235,12 +281,10 @@ def invert(matrix: RationalMatrix) -> RationalMatrix:
     n = matrix.rows
     if n != matrix.cols:
         raise ValueError("only square matrices can be inverted")
-    pivots = _eliminate(({**dict(enumerate(row)), n + i: 1}
-                         for i, row in enumerate(matrix.entries)), reduced=True)
+    pivots = _eliminate(_augmented(matrix, RationalMatrix.identity(n)), reduced=True)
     if set(pivots) != set(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix(n, n, tuple(_rref_entries(pivots[i], i, range(n, 2 * n))
-                                      for i in range(n)))
+    return _rref_right(pivots, n, n)
 
 
 def format_rational(x: Fraction) -> str:

@@ -8,12 +8,18 @@ kernel is Hom(x, y) and whose cokernel is Ext^1(x, y); ``nonsplit_extension``
 picks its cocycle from that cokernel.  Ext^1 dimensions come in two
 independent flavours, an Euler-form route and a projective-presentation
 route, which must always agree.
+
+The constructions work on the integer numerators of the matrices over their
+one denominator (``RationalMatrix.nums`` and ``den``).  The only
+``Fraction``s they form are the path coefficients of a presentation and the
+Hom-space basis that ``hom_space`` hands out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -63,14 +69,14 @@ class Representation:
         """Composite matrix along a path starting at ``start``."""
         q = self.quiver
         current = start
-        mat = RationalMatrix.identity(self.dim_at(start))
+        mat = None
         for label in path:
             a = q.arrow_by_label(label)
             if a.src != current:
                 raise ValueError("path does not start where expected")
-            mat = self.map(label).mul(mat)
+            mat = self.map(label) if mat is None else self.map(label).mul(mat)
             current = a.tgt
-        return mat
+        return RationalMatrix.identity(self.dim_at(start)) if mat is None else mat
 
 
 def make_rep(q: Quiver, dims: Sequence[int], maps: dict[str, Sequence[Sequence]]) -> Representation:
@@ -113,14 +119,14 @@ def projective(q: Quiver, i: int) -> Representation:
     table = q.context.paths
     basis = {v: table[(i, v)] for v in q.vertices}
     dims = tuple(len(basis[v]) for v in q.vertices)
-    maps: dict[str, list[list[Fraction]]] = {}
+    maps: dict[str, list[list[int]]] = {}
     for a in q.arrows:
         src_paths = basis[a.src]
         tgt_paths = basis[a.tgt]
         index = {p: k for k, p in enumerate(tgt_paths)}
-        mat = [[Fraction(0)] * len(src_paths) for _ in range(len(tgt_paths))]
+        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
         for c, p in enumerate(src_paths):
-            mat[index[p + (a.label,)]][c] = Fraction(1)
+            mat[index[p + (a.label,)]][c] = 1
         maps[a.label] = mat
     rep = q.context.projectives[i] = make_rep(q, dims, maps)
     return rep
@@ -137,15 +143,15 @@ def injective(q: Quiver, i: int) -> Representation:
     table = q.context.paths
     basis = {v: table[(v, i)] for v in q.vertices}
     dims = tuple(len(basis[v]) for v in q.vertices)
-    maps: dict[str, list[list[Fraction]]] = {}
+    maps: dict[str, list[list[int]]] = {}
     for a in q.arrows:
         src_paths = basis[a.src]  # paths s ~> i
         tgt_paths = basis[a.tgt]  # paths t ~> i
         index = {p: k for k, p in enumerate(src_paths)}
         # dual of precomposition-with-a: entry[pi][pi'] = 1 iff pi' = a . pi
-        mat = [[Fraction(0)] * len(src_paths) for _ in range(len(tgt_paths))]
+        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
         for r, p in enumerate(tgt_paths):
-            mat[r][index[(a.label,) + p]] = Fraction(1)
+            mat[r][index[(a.label,) + p]] = 1
         maps[a.label] = mat
     rep = q.context.injectives[i] = make_rep(q, dims, maps)
     return rep
@@ -158,28 +164,28 @@ def direct_sum(parts: Sequence[Representation]) -> Representation:
     if any(p.quiver != q for p in parts):
         raise ValueError("summands live over different quivers")
     dims = tuple(sum(p.dims[k] for p in parts) for k in range(q.n))
-    maps: dict[str, list[list[Fraction]]] = {}
+    maps = []
     for ai, a in enumerate(q.arrows):
-        rows_n = dims[q.index(a.tgt)]
         cols_n = dims[q.index(a.src)]
-        block = [[Fraction(0)] * cols_n for _ in range(rows_n)]
-        r0 = c0 = 0
+        # each block scaled to the lcm of the denominators; the result is in
+        # lowest terms because each block is
+        den = lcm(*(p.maps[ai].den for p in parts))
+        rows: list[tuple[int, ...]] = []
+        c0 = 0
         for p in parts:
             m = p.maps[ai]
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    block[r0 + r][c0 + c] = m.entries[r][c]
-            r0 += m.rows
+            scale = den // m.den
+            left, right = (0,) * c0, (0,) * (cols_n - c0 - m.cols)
+            rows.extend(left + tuple(x * scale for x in row) + right for row in m.nums)
             c0 += m.cols
-        maps[a.label] = block
-    return make_rep(q, dims, maps)
+        maps.append(RationalMatrix(len(rows), cols_n, tuple(rows), den))
+    return Representation(q, dims, tuple(maps))
 
 
 def dual_representation(m: Representation) -> Representation:
-    """Standard duality: a representation of the opposite quiver."""
-    qop = m.quiver.opposite()
-    mats = {a.label: m.map(a.label).transpose().entries for a in m.quiver.arrows}
-    return make_rep(qop, m.dims, {label: rows for label, rows in mats.items()})
+    """Standard duality: a representation of the opposite quiver, whose
+    arrows keep their order and labels."""
+    return Representation(m.quiver.opposite(), m.dims, tuple(mat.transpose() for mat in m.maps))
 
 
 def supp(m: Representation) -> set[int]:
@@ -209,14 +215,16 @@ class HomSpace:
         return len(self.basis)
 
 
-def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, Fraction]], int]:
-    """The coboundary C^0 -> C^1 of the standard resolution, as sparse rows.
+def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, int]], int]:
+    """The coboundary C^0 -> C^1 of the standard resolution, as sparse
+    integer rows.
 
     C^0 = (+)_v Hom(x_v, y_v) with variables the entries of f_v, ordered by
     (vertex position, row, col); C^1 = (+)_a Hom(x_s, y_t), ordered by
     (arrow, row, col).  Row i, kept even when empty, is coordinate i of C^1
-    in f |-> (f_t x_a - y_a f_s)_a, so Hom(x, y) is the kernel and
-    Ext^1(x, y) the cokernel.  Returns the rows and dim C^0.
+    in f |-> (f_t x_a - y_a f_s)_a, times the positive integer den(x_a)
+    den(y_a), so Hom(x, y) is the kernel and Ext^1(x, y) the cokernel.
+    Returns the rows and dim C^0.
     """
     q = x.quiver
     var_offset = []
@@ -228,24 +236,24 @@ def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, Fr
     def var(k: int, r: int, c: int) -> int:
         return var_offset[k] + r * x.dims[k] + c
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for ai, a in enumerate(q.arrows):
         s, t = q.index(a.src), q.index(a.tgt)
-        xa = x.maps[ai]
-        ya = y.maps[ai]
+        xa, ya = x.maps[ai].nums, y.maps[ai].nums
+        xd, yd = x.maps[ai].den, y.maps[ai].den
         for r in range(y.dims[t]):
             for c in range(x.dims[s]):
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for k in range(x.dims[t]):
-                    v = xa.entries[k][c]
+                    v = xa[k][c]
                     if v:
                         key = var(t, r, k)
-                        row[key] = row.get(key, Fraction(0)) + v
+                        row[key] = row.get(key, 0) + v * yd
                 for k in range(y.dims[s]):
-                    v = ya.entries[r][k]
+                    v = ya[r][k]
                     if v:
                         key = var(s, k, c)
-                        row[key] = row.get(key, Fraction(0)) - v
+                        row[key] = row.get(key, 0) - v * xd
                 rows.append({k: v for k, v in row.items() if v})
     return rows, total
 
@@ -275,8 +283,8 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
         pos = 0
         for k in range(q.n):
             r_n, c_n = y.dims[k], x.dims[k]
-            entries = tuple(tuple(vec[pos + r * c_n + c] for c in range(c_n)) for r in range(r_n))
-            mats.append(RationalMatrix(r_n, c_n, entries))
+            mats.append(RationalMatrix.from_rows(
+                [vec[pos + r * c_n: pos + (r + 1) * c_n] for r in range(r_n)], cols=c_n))
             pos += r_n * c_n
         basis.append(tuple(mats))
     return HomSpace(x, y, tuple(basis))
@@ -286,9 +294,7 @@ def is_morphism(x: Representation, y: Representation, mats: Sequence[RationalMat
     q = x.quiver
     for ai, a in enumerate(q.arrows):
         s, t = q.index(a.src), q.index(a.tgt)
-        left = mats[t].mul(x.maps[ai])
-        right = y.maps[ai].mul(mats[s])
-        if left.entries != right.entries:
+        if mats[t].mul(x.maps[ai]) != y.maps[ai].mul(mats[s]):
             return False
     return True
 
@@ -334,26 +340,18 @@ def brick_iso(x: Representation, y: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subrepresentations spanned by explicit vectors
+# subrepresentations given by inclusion matrices
 # ---------------------------------------------------------------------------
 
-def sub_representation(m: Representation,
-                       vectors: dict[int, list[tuple[Fraction, ...]]]
+def sub_representation(m: Representation, incl: dict[int, RationalMatrix]
                        ) -> tuple[Representation, dict[int, RationalMatrix]]:
-    """Representation on given per-vertex subspaces (must be map-closed).
+    """Representation on given per-vertex subspaces (must be map-closed),
+    each given by an inclusion matrix whose columns are its basis vectors.
 
-    Returns the subrepresentation and, per vertex, the inclusion matrix whose
-    columns are the chosen basis vectors.
+    Returns the subrepresentation and the inclusion matrices.
     """
     q = m.quiver
-    incl: dict[int, RationalMatrix] = {}
-    dims = []
-    for k, v in enumerate(q.vertices):
-        basis = vectors.get(v, [])
-        cols = len(basis)
-        entries = tuple(tuple(Fraction(basis[c][r]) for c in range(cols)) for r in range(m.dims[k]))
-        incl[v] = RationalMatrix(m.dims[k], cols, entries)
-        dims.append(cols)
+    dims = [incl[v].cols for v in q.vertices]
     maps = []
     for a, mat in zip(q.arrows, m.maps):
         # coordinates of the image columns in the target sub-basis
@@ -370,10 +368,8 @@ def kernel_representation(x: Representation, mats: Sequence[RationalMatrix]
     """Kernel of a morphism out of x, given by its matrix at each vertex, as a
     representation plus inclusions."""
     q = x.quiver
-    vectors: dict[int, list[tuple[Fraction, ...]]] = {}
-    for k, v in enumerate(q.vertices):
-        vectors[v] = linalg.kernel_basis(mats[k])
-    return sub_representation(x, vectors)
+    return sub_representation(x, {v: linalg.kernel_matrix(mats[k])
+                                  for k, v in enumerate(q.vertices)})
 
 
 # ---------------------------------------------------------------------------
@@ -396,28 +392,15 @@ class ProjPresentation:
     iota: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]]
 
 
-def _radical_vectors(m: Representation, vertex: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the radical at a vertex: span of all incoming arrow images."""
-    q = m.quiver
-    k = q.index(vertex)
-    cols: list[tuple[Fraction, ...]] = []
-    for ai, a in enumerate(q.arrows):
-        if a.tgt != vertex:
-            continue
-        mat = m.maps[ai]
-        for c in range(mat.cols):
-            cols.append(tuple(mat.entries[r][c] for r in range(mat.rows)))
-    if not cols:
-        return []
-    return linalg.span_basis(cols, m.dims[k])
-
-
 def _top_lift_indices(m: Representation, vertex: int) -> list[int]:
-    """Standard-vector indices at the vertex whose vectors lift a basis of the top."""
-    k = m.quiver.index(vertex)
-    # each RREF row of the radical basis leads with its 1
-    pivot_cols = {vec.index(1) for vec in _radical_vectors(m, vertex)}
-    return [j for j in range(m.dims[k]) if j not in pivot_cols]
+    """Standard-vector indices at the vertex whose vectors lift a basis of the
+    top: those that are not pivot columns of an echelon form of the radical,
+    the span of the columns of the incoming arrow maps."""
+    q = m.quiver
+    radical = (col for a, mat in zip(q.arrows, m.maps) if a.tgt == vertex
+               for col in zip(*mat.nums))
+    pivot_cols = linalg.pivot_columns(radical)
+    return [j for j in range(m.dims[q.index(vertex)]) if j not in pivot_cols]
 
 
 def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int, RationalMatrix]]:
@@ -433,13 +416,15 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
     cover: dict[int, RationalMatrix] = {}
     for w in q.vertices:
         kw = q.index(w)
-        columns = []  # (path matrix entries, column index), one per slot and path
+        columns = []  # (path matrix, column index), one per slot and path
         for v in q.vertices:
             if lifts[v]:
-                mats = [m.map_along(path, v).entries for path in table[(v, w)]]
+                mats = [m.map_along(path, v) for path in table[(v, w)]]
                 columns.extend((mat, j) for j in lifts[v] for mat in mats)
-        entries = tuple(tuple(mat[r][j] for mat, j in columns) for r in range(m.dims[kw]))
-        cover[w] = RationalMatrix(m.dims[kw], len(columns), entries)
+        den = lcm(*(mat.den for mat, _ in columns))
+        nums = [tuple(mat.nums[r][j] * (den // mat.den) for mat, j in columns)
+                for r in range(m.dims[kw])]
+        cover[w] = RationalMatrix.from_nums(nums, den, len(columns))
     return tuple(v for v in q.vertices for _ in lifts[v]), cover
 
 
@@ -461,14 +446,16 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
     slots1: list[int] = []
     iota_paths: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]] = {}
     for w in q.vertices:
+        den, columns = incl[w].den, incl[w].transpose().nums
         for lift in _top_lift_indices(kernel, w):
             j = len(slots1)
             slots1.append(w)
-            gen_image = [row[lift] for row in incl[w].entries]
+            gen_image = columns[lift]
             pos = 0
             for i, v in enumerate(slots0):
                 paths = table[(v, w)]
-                coeffs = tuple((p, val) for p, val in zip(paths, gen_image[pos:]) if val)
+                coeffs = tuple((p, Fraction(val, den))
+                               for p, val in zip(paths, gen_image[pos:pos + len(paths)]) if val)
                 pos += len(paths)
                 if coeffs:
                     iota_paths[(j, i)] = coeffs
@@ -484,7 +471,8 @@ def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMa
     Hom(P_v, y) is identified with y at v, slot by slot, so the rows are
     indexed by (slot of P1, basis of y there) and the columns by (slot of P0,
     basis of y there); the block of slots (j, i) sums the path coefficients
-    of the inclusion, each path acting through y's maps.
+    of the inclusion, each path acting through y's maps.  The terms are
+    summed in integers over the lcm of their denominators.
     """
     slots0, slots1 = pres.slots0, pres.slots1
     col_off = []
@@ -497,28 +485,19 @@ def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMa
     for w in slots1:
         row_off.append(total_rows)
         total_rows += y.dim_at(w)
-    rows = [[Fraction(0)] * total_cols for _ in range(total_rows)]
-    for (j, i), terms in pres.iota.items():
-        v = slots0[i]
-        block = None
-        for path, coeff in terms:
-            mat = y.map_along(path, v)
-            if block is None:
-                block = [[coeff * x for x in row] for row in mat.entries]
-            else:
-                for r in range(mat.rows):
-                    row = block[r]
-                    for c in range(mat.cols):
-                        row[c] += coeff * mat.entries[r][c]
-        if block is None:
-            continue
-        for r in range(len(block)):
+    terms = [(j, i, coeff, y.map_along(path, slots0[i]))
+             for (j, i), paths in pres.iota.items() for path, coeff in paths]
+    den = lcm(*(coeff.denominator * mat.den for _, _, coeff, mat in terms))
+    rows = [[0] * total_cols for _ in range(total_rows)]
+    for j, i, coeff, mat in terms:
+        scale = coeff.numerator * (den // (coeff.denominator * mat.den))
+        c0 = col_off[i]
+        for r, src in enumerate(mat.nums):
             out = rows[row_off[j] + r]
-            src = block[r]
-            for c in range(len(src)):
-                if src[c]:
-                    out[col_off[i] + c] = src[c]
-    return RationalMatrix(total_rows, total_cols, tuple(tuple(row) for row in rows))
+            for c, x in enumerate(src):
+                if x:
+                    out[c0 + c] += scale * x
+    return RationalMatrix.from_nums(rows, den, total_cols)
 
 
 def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple[int, int]:
@@ -526,7 +505,7 @@ def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple
     Hom(-, y) to 0 -> P1 -> P0 -> M -> 0 leaves the kernel and cokernel of
     ``presentation_matrix``."""
     mat = presentation_matrix(pres, y)
-    rk = linalg.rank_of_rows(mat.entries, mat.cols) if mat.cols else 0
+    rk = linalg.rank_of_rows(mat.nums, mat.cols) if mat.cols else 0
     return mat.cols - rk, mat.rows - rk
 
 
@@ -561,7 +540,8 @@ def nonsplit_extension(top: Representation, sub: Representation) -> Representati
     rows, total = _coboundary(top, sub)
     columns = [[row.get(j, 0) for row in rows] for j in range(total)]
     # e_j lies in the coboundary span iff j is a pivot column of its RREF
-    # whose row is e_j itself (each RREF row leads with its 1)
+    # whose row is e_j itself (each RREF row leads with its 1); scaling the
+    # rows of the coboundary by positive integers keeps that answer
     rref_rows = {row.index(1): row for row in linalg.span_basis(columns, len(rows))}
     chosen = next((j for j in range(len(rows))
                    if j not in rref_rows or sum(map(bool, rref_rows[j])) > 1), None)
@@ -575,9 +555,10 @@ def nonsplit_extension(top: Representation, sub: Representation) -> Representati
         size = sub.dim_at(a.tgt) * top.dim_at(a.src)
         if chosen < size:
             r, c = divmod(chosen, top.dim_at(a.src))
-            entries = [list(row) for row in maps[ai].entries]
-            entries[r][sub.dim_at(a.src) + c] = Fraction(1)
-            maps[ai] = RationalMatrix.from_rows(entries)
+            mat = maps[ai]
+            nums = [list(row) for row in mat.nums]
+            nums[r][sub.dim_at(a.src) + c] = mat.den
+            maps[ai] = RationalMatrix.from_nums(nums, mat.den, mat.cols)
             break
         chosen -= size
     return Representation(q, split.dims, tuple(maps))

@@ -356,6 +356,52 @@ def test_rep_and_ar_commands(rep_files, capsys):
     assert code == 0 and "sincere: true" in out
 
 
+def _p1_file(tmp_path, m: int) -> str:
+    from stratsys.io_json import rep_to_json
+    from stratsys.quiver import kronecker
+    from stratsys.reps import projective
+
+    path = tmp_path / f"P1-K{m}.json"
+    path.write_text(json.dumps(rep_to_json(projective(kronecker(m), 1))), encoding="utf-8")
+    return str(path)
+
+
+def test_tau_power_within_the_budget(tmp_path, capsys):
+    code, out = run_cli(["--json", "ar", "tauinv", _p1_file(tmp_path, 3), "--k", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["data"]["result"]["dims"] == [377, 144]
+
+
+def _refused(argv, capsys, json_flag) -> str:
+    """The error message of a run that must exit 2 with one error line."""
+    code = main(json_flag + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    if json_flag:
+        payload = json.loads(captured.out)
+        assert payload["verdict"] == "error"
+        return payload["error"]
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    return captured.err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_tau_power_beyond_the_budget_exits_2(tmp_path, capsys, json_flag):
+    # tau^-1 P_1 over K_8 is (63, 8), and Phi^-1 of it is (3905, 496)
+    argv = ["ar", "tauinv", _p1_file(tmp_path, 8), "--k", "2"]
+    assert _refused(argv, capsys, json_flag) == (
+        "translate 2 of 2 has total dimension at least 4401, beyond the budget 4096")
+
+
+def test_tau_power_builds_every_translate_within_the_budget(tmp_path, capsys):
+    """tau^-4 P_1 over K_3 is (2584, 987), 3571 in all, so it is built; the
+    bound refuses the next one, Phi^-1 (2584, 987) = (17711, 6765)."""
+    argv = ["ar", "tauinv", _p1_file(tmp_path, 3), "--k", "5"]
+    assert _refused(argv, capsys, ["--json"]) == (
+        "translate 5 of 5 has total dimension at least 24476, beyond the budget 4096")
+
+
 def test_ar_pos_wild_regular_is_regular_or_unknown(tmp_path, capsys):
     from stratsys.io_json import rep_to_json
     from stratsys.quiver import kronecker

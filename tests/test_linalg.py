@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 import pytest
 
 from stratsys.linalg import (RationalMatrix, format_rational, invert,
-                             kernel_basis, kernel_basis_of_rows, parse_rational,
-                             rank, rank_of_rows, rank_of_sparse_rows, solve,
-                             span_basis)
+                             kernel_basis, kernel_basis_of_rows, kernel_matrix,
+                             parse_rational, rank, rank_of_rows,
+                             rank_of_sparse_rows, solve, span_basis)
 
 
 def mat(rows):
@@ -201,3 +202,125 @@ def test_every_entry_point_handles_empty_shapes(rows, cols):
     else:
         with pytest.raises(ValueError):
             invert(m)
+
+
+# A plain-Fraction reference for the integer storage: matrices as lists of rows.
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan elimination over Fractions: {pivot column: RREF row}."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    for c in range(ncols):
+        r0 = len(pivot_cols)
+        k = next((i for i in range(r0, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r0], rows[k] = rows[k], rows[r0]
+        rows[r0] = [x / rows[r0][c] for x in rows[r0]]
+        for i in range(len(rows)):
+            if i != r0 and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r0])]
+        pivot_cols.append(c)
+    return {c: rows[i] for i, c in enumerate(pivot_cols)}
+
+
+def _ref_kernel(rows, ncols):
+    pivots = _ref_rref(rows, ncols)
+    basis = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, row in pivots.items():
+            vec[c] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _ref_solve(rows, rhs, n):
+    """The RREF solution of M X = B with free variables 0, or None."""
+    pivots = _ref_rref([list(a) + list(b) for a, b in zip(rows, rhs)], n + len(rhs[0]))
+    if any(c >= n for c in pivots):
+        return None
+    width = len(rhs[0])
+    return tuple(tuple(pivots[c][n:]) if c in pivots else (Fraction(0),) * width
+                 for c in range(n))
+
+
+def _assert_canonical(m):
+    assert m.den > 0 and gcd(m.den, *(x for row in m.nums for x in row)) == 1
+    assert all(type(x) is int for row in m.nums for x in row)
+
+
+def _draw_rows(data, rows, cols):
+    return data.draw(st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_storage_matches_a_fraction_reference(data):
+    r, k, c = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a_rows, b_rows = _draw_rows(data, r, k), _draw_rows(data, k, c)
+    rhs_rows = _draw_rows(data, r, c)
+    a = RationalMatrix.from_rows(a_rows, cols=k)
+    b = RationalMatrix.from_rows(b_rows, cols=c)
+    rhs = RationalMatrix.from_rows(rhs_rows, cols=c)
+    product = a.mul(b)
+    solution = solve(a, rhs)
+    for m in (a, b, rhs, product, a.transpose(), kernel_matrix(a), solution):
+        if m is not None:
+            _assert_canonical(m)
+    assert a.entries == tuple(map(tuple, a_rows))
+    assert product.entries == tuple(
+        tuple(sum((x * b_rows[j][col] for j, x in enumerate(row)), Fraction(0))
+              for col in range(c)) for row in a_rows)
+    assert a.transpose().entries == tuple(tuple(row[j] for row in a_rows) for j in range(k))
+    assert rank(a) == len(_ref_rref(a_rows, k))
+    assert kernel_basis(a) == _ref_kernel(a_rows, k)
+    assert kernel_matrix(a).transpose().entries == tuple(_ref_kernel(a_rows, k))
+    want = _ref_solve(a_rows, rhs_rows, k) if r else ((Fraction(0),) * c,) * k
+    assert (solution is None) == (want is None)
+    if solution is not None:
+        assert solution.entries == want
+
+
+@given(small_matrices(square=True))
+@settings(max_examples=80, deadline=None)
+def test_invert_matches_a_fraction_reference(m):
+    n = m.rows
+    rows = [list(row) for row in m.entries]
+    if rank(m) == n:
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        inv = invert(m)
+        _assert_canonical(inv)
+        assert inv.entries == (_ref_solve(rows, identity, n) if n else ())
+
+
+@given(small_matrices())
+@settings(max_examples=60, deadline=None)
+def test_equal_values_make_equal_matrices_with_equal_hashes(m):
+    # Representation equality and the per-quiver memo keys rest on this
+    again = RationalMatrix.from_rows(m.entries, cols=m.cols)
+    assert again == m and hash(again) == hash(m)
+    n = m.cols
+    half = RationalMatrix.from_rows([[Fraction(int(i == j), 2) for j in range(n)]
+                                     for i in range(n)], cols=n)
+    two = RationalMatrix.from_rows([[2 * int(i == j) for j in range(n)] for i in range(n)], cols=n)
+    back = m.mul(half).mul(two)
+    assert back == m and hash(back) == hash(m)
+
+
+def test_a_product_back_to_integers_equals_the_identity():
+    prod = mat([[Fraction(1, 2)]]).mul(mat([[2]]))
+    assert prod == RationalMatrix.identity(1) and hash(prod) == hash(RationalMatrix.identity(1))
+    assert (prod.nums, prod.den) == (((1,),), 1)
+
+
+@given(st.lists(st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3),
+                min_size=0, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_integer_inputs_keep_denominator_one(rows):
+    m = RationalMatrix.from_rows(rows, cols=3)
+    assert m.den == 1 and m.nums == tuple(map(tuple, rows))
+    assert m.transpose().den == 1 and m.transpose().mul(m).den == 1

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_representation, wild_sample
 from stratsys.io_json import rep_to_json
-from stratsys.linalg import format_rational, rank
+from stratsys.linalg import RationalMatrix, format_rational, rank
 from stratsys.quiver import canonical_apq, euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
@@ -104,10 +104,13 @@ def test_hom_space_basis_satisfies_intertwiner(kron2, apq23, rng):
 
 def test_sub_representation_rejects_a_subspace_not_closed(kron2):
     p2 = projective(kron2, 2)  # dims (2, 1): the arrows send e_2 to e_a1 and e_a2
-    whole, _ = sub_representation(p2, {1: [(1, 0), (0, 1)], 2: [(1,)]})
+    # each inclusion matrix holds its subspace's basis vectors as columns
+    whole, _ = sub_representation(p2, {1: RationalMatrix.identity(2),
+                                       2: RationalMatrix.identity(1)})
     assert whole == p2
     with pytest.raises(ValueError, match="not closed"):
-        sub_representation(p2, {1: [(1, 0)], 2: [(1,)]})
+        sub_representation(p2, {1: RationalMatrix.from_rows([[1], [0]]),
+                                2: RationalMatrix.identity(1)})
 
 
 def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
