@@ -297,6 +297,18 @@ PINNED_REPORTS = {
                           "b961c22482984e600fdb6a8e81701d9e0a17c58c3f812e2337cfdadaa30f2601"),
     "apq-families-p3q4": ("--json apq families --p 3 --q 4", 0,
                           "44c5b3dd623f23440052656c3fd89931e6fcac306087c45e922c011e2c410bc6"),
+    "apq-ysearch-post-p2q3": ("--json apq ysearch-post --p 2 --q 3", 0,
+                              "1b5ff3e52b6daa18e8ffff0fad1a8e70a387f9031a18380183ee94397beb9e8a"),
+    "apq-ysearch-pre-p1q2": ("--json apq ysearch-pre --p 1 --q 2", 0,
+                             "aee71aaf3d15160576954aa906b062c70aaf113b7411ae1bec2b441d32ce3d39"),
+    "apq-ysearch-pre-p3q4": ("--json apq ysearch-pre --p 3 --q 4", 0,
+                             "870513a35cf5b82744ac74c4c0dfa7408ccea7916033879b04373dc987fd0abe"),
+    "apq-sincerity-p2q3": ("--json apq sincerity --p 2 --q 3", 0,
+                           "f2557f655e7553fe338ad643e4bfa85165c676e4fa215fd04f243f90c518597e"),
+    "apq-sincerity-p3q4": ("--json apq sincerity --p 3 --q 4", 0,
+                           "a3c9d3a364e72d337f07c7dc7317773826f16ecf485cf5e143f738fec9134752"),
+    "kron-list-m3": ("--json kron list --m 3 --bound 5", 0,
+                     "19d8bfd892fa3fca32fb712c649ffd886e21b1a186fce467656d6221917f78a3"),
 }
 
 
