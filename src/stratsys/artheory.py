@@ -22,9 +22,8 @@ from typing import Optional
 from .quiver import classify_type, defect
 from .report import CheckReport
 from .reps import (Representation, direct_sum, dual_representation, ext1_dim,
-                   hom_dim, injective, kernel_representation,
-                   minimal_presentation, presentation_matrix, projective,
-                   zero_rep)
+                   hom_dim, injective, minimal_presentation, presentation_matrix,
+                   projective, sub_representation, zero_rep)
 
 
 class CapExceededError(RuntimeError):
@@ -52,7 +51,7 @@ def tau(m: Representation) -> Representation:
     # nu = D Hom(-, A), so nu(iota) at x is the transpose of Hom(iota, P_x);
     # P_x at v and I_v at x share the basis of paths x ~> v
     mats = [presentation_matrix(pres, projective(q, x)).transpose() for x in q.vertices]
-    out, _incl = kernel_representation(direct_sum([injective(q, w) for w in pres.slots1]), mats)
+    out, _incl = sub_representation(direct_sum([injective(q, w) for w in pres.slots1]), mats)
     return out
 
 

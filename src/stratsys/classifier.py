@@ -15,14 +15,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .apq import apq_algebra
-from .modules import (ModuleRef, ref_dims, ref_plain, ref_preinj,
-                      ref_preproj, ref_total_dim, same_module)
+from .modules import ModuleRef, ref_dims, ref_plain, ref_preinj, ref_preproj, same_module
 from .quiver import Quiver, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
-from .systems import (StratSystem, _exceptional_sequences, check_css, check_ss,
-                      extend_to_complete)
-from .tubes import LAMBDA_SAMPLE, f_members, g_members
+from .systems import (StratSystem, _exceptional_sequences, build_candidates, check_css,
+                      check_ss, extend_to_complete)
+from .tubes import LAMBDA_SAMPLE, fg_system
 
 
 @dataclass
@@ -55,21 +54,16 @@ def kronecker_css_list(m: int, exponent_bound: int) -> list[FamilyInstance]:
     quiver, instantiated for listed indices up to the bound."""
     _require_generalized_kronecker(m)
     q = kronecker(m)
-    out: list[FamilyInstance] = []
-    out.append(FamilyInstance(1, {}, StratSystem(q, (ref_preinj(q, 2, 0),
-                                                     ref_preproj(q, 1, 0)))))
-    for i in range(exponent_bound + 1):
-        out.append(FamilyInstance(2, {"i": i}, StratSystem(
-            q, (ref_preproj(q, 1, i), ref_preproj(q, 2, i)))))
-    for i in range(exponent_bound + 1):
-        out.append(FamilyInstance(3, {"i": i}, StratSystem(
-            q, (ref_preproj(q, 2, i), ref_preproj(q, 1, i + 1)))))
-    for i in range(exponent_bound + 1):
-        out.append(FamilyInstance(4, {"i": i}, StratSystem(
-            q, (ref_preinj(q, 1, i), ref_preinj(q, 2, i)))))
-    for i in range(1, exponent_bound + 1):
-        out.append(FamilyInstance(5, {"i": i}, StratSystem(
-            q, (ref_preinj(q, 2, i + 1), ref_preinj(q, 1, i)))))
+    out = [FamilyInstance(1, {}, StratSystem(q, (ref_preinj(q, 2, 0), ref_preproj(q, 1, 0))))]
+    # family, first index i, then each member as (orbit, vertex, power - i)
+    pairs = ((2, 0, (ref_preproj, 1, 0), (ref_preproj, 2, 0)),
+             (3, 0, (ref_preproj, 2, 0), (ref_preproj, 1, 1)),
+             (4, 0, (ref_preinj, 1, 0), (ref_preinj, 2, 0)),
+             (5, 1, (ref_preinj, 2, 1), (ref_preinj, 1, 0)))
+    for fid, start, (ref_a, va, sa), (ref_b, vb, sb) in pairs:
+        for i in range(start, exponent_bound + 1):
+            out.append(FamilyInstance(fid, {"i": i}, StratSystem(
+                q, (ref_a(q, va, i + sa), ref_b(q, vb, i + sb)))))
     for inst in out:
         inst.report = check_css(inst.system)
     return out
@@ -88,29 +82,12 @@ def family5_index_zero(m: int) -> FamilyInstance:
 
 
 def kronecker_orbit_pool(m: int, dim_cap: int) -> list[ModuleRef]:
-    """All tau-orbit modules of projectives and injectives whose dimension
-    vectors stay entrywise within the cap; an orbit that dies (m = 1) ends
-    at its zero module."""
-    q = kronecker(m)
-    pool: list[ModuleRef] = []
-    for v in q.vertices:
-        for kind in ("P", "I"):
-            k = 0
-            while True:
-                ref = (ref_preproj(q, v, k) if kind == "P" else ref_preinj(q, v, k))
-                dims = ref_dims(ref)
-                if not any(dims) or any(d > dim_cap for d in dims):
-                    break
-                pool.append(ref)
-                k += 1
-    seen = set()
-    unique = []
-    for ref in sorted(pool, key=lambda r: (ref_total_dim(r), r.power, r.kind, r.vertex)):
-        d = ref_dims(ref)
-        if d not in seen:
-            seen.add(d)
-            unique.append(ref)
-    return unique
+    """The exceptional tau-orbit modules of projectives and injectives whose
+    dimension vectors stay entrywise within the cap, from the completion
+    candidates up to power ``dim_cap``: for m >= 2 every tau step grows an
+    entry, so no higher power qualifies."""
+    return [ref for ref in build_candidates(kronecker(m), dim_cap)
+            if all(d <= dim_cap for d in ref_dims(ref))]
 
 
 def enumerate_css_kronecker(m: int, dim_cap: int) -> tuple[list[StratSystem], CheckReport]:
@@ -201,11 +178,6 @@ def kronecker_regular_selfext_check(m: int) -> CheckReport:
 # (F, G, Y) searches over the canonical cycle quivers
 # ---------------------------------------------------------------------------
 
-def _fg_with(p: int, q: int, y: ModuleRef) -> StratSystem:
-    alg = apq_algebra(p, q)
-    return StratSystem(alg.quiver, tuple(f_members(p, q) + g_members(p, q) + [y]))
-
-
 def expected_y_postprojective(p: int, q: int, t: int) -> set[int]:
     """Vertices l with (F, G, tau^{-t} P_l) stratifying, per the catalogued list."""
     if t == 0:
@@ -218,28 +190,6 @@ def expected_y_postprojective(p: int, q: int, t: int) -> set[int]:
     if r1 == 0 and r2 != 0:
         return {p + q - r2 - 1}
     return set()
-
-
-def y_search_postprojective(p: int, q: int, exponent_bound: int
-                            ) -> tuple[list[tuple[int, int]], CheckReport]:
-    """Structural search for postprojective Y with (F, G, Y) stratifying;
-    compared against the catalogued case analysis."""
-    alg = apq_algebra(p, q)
-    report = CheckReport(f"y-search-postprojective p={p} q={q}")
-    found: list[tuple[int, int]] = []
-    for t in range(exponent_bound + 1):
-        hits = set()
-        for l in alg.quiver.vertices:
-            system = _fg_with(p, q, ref_preproj(alg.quiver, l, t))
-            report.checked += 1
-            if check_ss(system).passed:
-                hits.add(l)
-                found.append((t, l))
-        expected = expected_y_postprojective(p, q, t)
-        if hits != expected:
-            report.add("postprojective-y", subject=(t,),
-                       value=(sorted(hits), sorted(expected)))
-    return found, report
 
 
 def expected_y_preinjective(p: int, q: int, t: int) -> set[int]:
@@ -267,26 +217,30 @@ def expected_y_preinjective(p: int, q: int, t: int) -> set[int]:
     return set()
 
 
-def y_search_preinjective(p: int, q: int, exponent_bound: int
-                          ) -> tuple[list[tuple[int, int]], CheckReport]:
-    alg = apq_algebra(p, q)
-    report = CheckReport(f"y-search-preinjective p={p} q={q}")
-    if p == 1:
+def y_search(p: int, q: int, exponent_bound: int, side: str
+             ) -> tuple[list[tuple[int, int]], CheckReport]:
+    """Structural search for Y with (F, G, Y) stratifying, compared against
+    the catalogued case analysis: Y = tau^{-t} P_l on the "postprojective"
+    side, Y = tau^t I_l on the "preinjective" side."""
+    fg = fg_system(p, q)
+    orbit_ref, expected_y = {"postprojective": (ref_preproj, expected_y_postprojective),
+                             "preinjective": (ref_preinj, expected_y_preinjective)}[side]
+    report = CheckReport(f"y-search-{side} p={p} q={q}")
+    if side == "preinjective" and p == 1:
         report.flag("catalogued t=0 case assumes p >= 2; at p=1 the degenerate "
                     "member (G, I_1) is genuine and expected")
     found: list[tuple[int, int]] = []
     for t in range(exponent_bound + 1):
         hits = set()
-        for j in alg.quiver.vertices:
-            system = _fg_with(p, q, ref_preinj(alg.quiver, j, t))
+        for l in fg.quiver.vertices:
+            system = StratSystem(fg.quiver, fg.modules + (orbit_ref(fg.quiver, l, t),))
             report.checked += 1
             if check_ss(system).passed:
-                hits.add(j)
-                found.append((t, j))
-        expected = expected_y_preinjective(p, q, t)
+                hits.add(l)
+                found.append((t, l))
+        expected = expected_y(p, q, t)
         if hits != expected:
-            report.add("preinjective-y", subject=(t,),
-                       value=(sorted(hits), sorted(expected)))
+            report.add(f"{side}-y", subject=(t,), value=(sorted(hits), sorted(expected)))
     return found, report
 
 
@@ -296,10 +250,6 @@ def y_search_preinjective(p: int, q: int, exponent_bound: int
 
 @dataclass
 class SincerityProfile:
-    p: int
-    q: int
-    k_max: int
-    rows: list[dict]
     minimal_preproj: dict[int, Optional[int]]
     minimal_preinj: dict[int, Optional[int]]
     report: CheckReport
@@ -341,63 +291,44 @@ def sincerity_profile(p: int, q: int, k_max: int) -> SincerityProfile:
     overlapping catalogued ranges for the long arm are compared and any
     disagreement is flagged rather than failed.
     """
-    alg = apq_algebra(p, q)
-    quiv = alg.quiver
+    quiv = apq_algebra(p, q).quiver
     n = p + q
     report = CheckReport(f"sincerity p={p} q={q} k<={k_max}")
-    rows: list[dict] = []
-    minimal_pp: dict[int, Optional[int]] = {}
-    minimal_pi: dict[int, Optional[int]] = {}
+    minimal: dict[str, dict[int, Optional[int]]] = {"P": {}, "I": {}}
     supports: dict[tuple[str, int, int], set[int]] = {}
-    for side in ("P", "I"):
+    for side, orbit_ref in (("P", ref_preproj), ("I", ref_preinj)):
         for i in quiv.vertices:
-            minimal = None
-            sincere_from = None
+            first = None
             for k in range(k_max + 1):
-                ref = (ref_preproj(quiv, i, k) if side == "P" else ref_preinj(quiv, i, k))
-                support = {v for v, d in zip(quiv.vertices, ref_dims(ref)) if d}
+                dims = ref_dims(orbit_ref(quiv, i, k))
+                support = {v for v, d in zip(quiv.vertices, dims) if d}
                 supports[(side, i, k)] = support
                 sincere = len(support) == n
-                rows.append({"side": side, "i": i, "k": k,
-                             "sincere": sincere, "supp": sorted(support)})
-                if sincere and minimal is None:
-                    minimal = k
-                    sincere_from = k
-                if not sincere and minimal is not None:
+                if sincere and first is None:
+                    first = k
+                if not sincere and first is not None:
                     report.add("sincerity-monotone", subject=(side, i, k),
                                note="sincerity lost after first sincere exponent")
-            if side == "P":
-                minimal_pp[i] = minimal
-            else:
-                minimal_pi[i] = minimal
-    # strict claims: source projective / sink injective / short-arm vertices
+            minimal[side][i] = first
+    # strict claims: source projective / sink injective / short-arm vertices;
+    # the long-arm claims overlap, so a miss there is only flagged
+    catalogued = {"P": ("preproj", _catalogued_minimal_preproj),
+                  "I": ("preinj", _catalogued_minimal_preinj)}
     for i in quiv.vertices:
-        listed = _catalogued_minimal_preproj(p, q, i)
-        strict = (i == p + q - 1) or (0 <= i <= p - 1)
-        report.checked += 1
-        if strict:
-            if minimal_pp[i] != listed[0]:
-                report.add("minimal-sincere preproj", subject=(i,),
-                           value=(minimal_pp[i], listed[0]))
-        else:
-            if minimal_pp[i] not in listed:
-                report.flag(f"preproj minimal exponent at vertex {i}: computed "
-                            f"{minimal_pp[i]}, catalogued {listed}")
-        listed_i = _catalogued_minimal_preinj(p, q, i)
-        strict_i = (i == 0) or (1 <= i <= p - 1)
-        report.checked += 1
-        if strict_i:
-            if minimal_pi[i] != listed_i[0]:
-                report.add("minimal-sincere preinj", subject=(i,),
-                           value=(minimal_pi[i], listed_i[0]))
-        else:
-            if minimal_pi[i] not in listed_i:
-                report.flag(f"preinj minimal exponent at vertex {i}: computed "
-                            f"{minimal_pi[i]}, catalogued {listed_i}")
+        for side in ("P", "I"):
+            name, claims = catalogued[side]
+            listed, got = claims(p, q, i), minimal[side][i]
+            report.checked += 1
+            if i <= p - 1 or (side == "P" and i == n - 1):
+                if got != listed[0]:
+                    report.add(f"minimal-sincere {name}", subject=(i,), value=(got, listed[0]))
+            elif got not in listed:
+                report.flag(f"{name} minimal exponent at vertex {i}: computed "
+                            f"{got}, catalogued {listed}")
     # uniform minimal exponent (both sides claim p)
-    for side, minimal in (("P", minimal_pp), ("I", minimal_pi)):
-        if all(v is not None for v in minimal.values()):
-            uniform = max(minimal.values())
+    for side, side_minimal in minimal.items():
+        if all(v is not None for v in side_minimal.values()):
+            uniform = max(side_minimal.values())
             report.checked += 1
             if uniform != p:
                 report.add("uniform-minimal", subject=(side,), value=(uniform, p))
@@ -416,7 +347,7 @@ def sincerity_profile(p: int, q: int, k_max: int) -> SincerityProfile:
             if got != want:
                 report.flag(f"preinj support tau^{k} I_{i}: computed "
                             f"{sorted(got)}, catalogued {sorted(want)}")
-    return SincerityProfile(p, q, k_max, rows, minimal_pp, minimal_pi, report)
+    return SincerityProfile(minimal["P"], minimal["I"], report)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +361,12 @@ def apq_families(p: int, q: int, t_bound: int) -> list[FamilyInstance]:
     confirm (family by family) that the listed first member is the unique
     completion of the remaining (F, G, Y) system.
     """
-    alg = apq_algebra(p, q)
-    quiv = alg.quiver
+    fg = fg_system(p, q)
+    quiv = fg.quiver
     n = p + q
-    fg = f_members(p, q) + g_members(p, q)
 
     def mk(fid: int, params: dict, x: ModuleRef, y: ModuleRef) -> FamilyInstance:
-        system = StratSystem(quiv, tuple([x] + fg + [y]))
+        system = StratSystem(quiv, (x, *fg.modules, y))
         inst = FamilyInstance(fid, params, system, listed_x=x)
         inst.report = check_css(inst.system)
         return inst

@@ -195,12 +195,9 @@ def cmd_apq(args, report: Report) -> None:
                          "flags": inst.flags})
         rows.sort(key=lambda r: (r["family"], sorted(r["params"].items())))
         report.data["instances"] = rows
-    elif args.action == "ysearch-post":
-        found, check = classifier.y_search_postprojective(p, q, tbound)
-        report.add(check)
-        report.data["found"] = [list(x) for x in found]
-    elif args.action == "ysearch-pre":
-        found, check = classifier.y_search_preinjective(p, q, tbound)
+    elif args.action in ("ysearch-post", "ysearch-pre"):
+        side = "postprojective" if args.action == "ysearch-post" else "preinjective"
+        found, check = classifier.y_search(p, q, tbound, side)
         report.add(check)
         report.data["found"] = [list(x) for x in found]
     elif args.action == "sincerity":

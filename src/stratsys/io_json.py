@@ -13,10 +13,12 @@ standard modules symbolically so nobody hand-writes matrices:
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import gcd
 from typing import Any
 
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq, tube_lambda
-from .linalg import format_rational, parse_rational
+from .linalg import RationalMatrix, format_rational, parse_rational
 from .modules import (ModuleRef, PREINJ, PREPROJ, TUBE, ref_plain,
                       ref_preinj, ref_preproj, ref_tube)
 from .quiver import Quiver, canonical_apq, kronecker, validate
@@ -80,11 +82,16 @@ def rep_to_json(rep: Representation, inline_quiver: bool = True) -> dict:
     out: dict[str, Any] = {"dims": list(rep.dims)}
     if inline_quiver:
         out["quiver"] = rep.quiver.to_json()
-    out["maps"] = {
-        a.label: [[format_rational(x) for x in row] for row in rep.map(a.label).entries]
-        for a in rep.quiver.arrows
-    }
+    out["maps"] = {a.label: _rational_strings(mat) for a, mat in zip(rep.quiver.arrows, rep.maps)}
     return out
+
+
+def _rational_strings(mat: RationalMatrix) -> list[list[str]]:
+    """``format_rational`` of each entry, read from the integer numerators
+    with one gcd per entry."""
+    den = mat.den
+    return [[str(x // g) if g == den else f"{x // g}/{den // g}"
+             for x, g in zip(row, map(gcd, row, repeat(den)))] for row in mat.nums]
 
 
 def rep_from_json(data: Any, quiver: Quiver | None = None, where: str = "rep") -> Representation:

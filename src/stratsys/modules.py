@@ -205,16 +205,11 @@ def ref_tau(ref: ModuleRef, steps: int = 1) -> Optional[ModuleRef]:
     descriptor has no pedigree)."""
     if steps == 0:
         return ref
-    if ref.kind == PREPROJ:
-        power = ref.power - steps
+    if ref.kind in (PREPROJ, PREINJ):
+        power = ref.power - steps if ref.kind == PREPROJ else ref.power + steps
         if power < 0:
-            return None  # a projective died along the way
-        return ModuleRef(ref.quiver, PREPROJ, vertex=ref.vertex, power=power)
-    if ref.kind == PREINJ:
-        power = ref.power + steps
-        if power < 0:
-            return None
-        return ModuleRef(ref.quiver, PREINJ, vertex=ref.vertex, power=power)
+            return None  # a projective (an injective) died along the way
+        return ModuleRef(ref.quiver, ref.kind, vertex=ref.vertex, power=power)
     if ref.kind == TUBE:
         p, q = ref.apq
         alg = apq_algebra(p, q)

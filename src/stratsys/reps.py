@@ -340,36 +340,33 @@ def brick_iso(x: Representation, y: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subrepresentations given by inclusion matrices
+# kernels of morphisms
 # ---------------------------------------------------------------------------
 
-def sub_representation(m: Representation, incl: dict[int, RationalMatrix]
+def sub_representation(m: Representation, mats: Sequence[RationalMatrix]
                        ) -> tuple[Representation, dict[int, RationalMatrix]]:
-    """Representation on given per-vertex subspaces (must be map-closed),
-    each given by an inclusion matrix whose columns are its basis vectors.
+    """Kernel of a morphism out of m, given by its matrix at each vertex, as
+    a representation plus its inclusion matrices (columns = basis vectors).
 
-    Returns the subrepresentation and the inclusion matrices.
+    Each inclusion is ``linalg.kernel_matrix``: the basis vector of a free
+    column f has its last nonzero entry, 1, at f and 0 at the other free
+    columns.  So the coordinates of an image vector in the target's kernel
+    basis are its entries at the target's free columns, and one product
+    checks that the image lies in that kernel.
     """
     q = m.quiver
-    dims = [incl[v].cols for v in q.vertices]
+    incl = {v: linalg.kernel_matrix(mats[k]) for k, v in enumerate(q.vertices)}
+    free = {v: [max(r for r, x in enumerate(col) if x) for col in zip(*basis.nums)]
+            for v, basis in incl.items()}
     maps = []
     for a, mat in zip(q.arrows, m.maps):
-        # coordinates of the image columns in the target sub-basis
-        coords = linalg.solve(incl[a.tgt], mat.mul(incl[a.src]))
-        if coords is None:
-            raise ValueError("subspaces are not closed under the arrow maps")
+        image = mat.mul(incl[a.src])
+        coords = RationalMatrix.from_nums([image.nums[r] for r in free[a.tgt]], image.den,
+                                          image.cols)
+        if incl[a.tgt].mul(coords) != image:
+            raise ValueError("the kernels are not closed under the arrow maps")
         maps.append(coords)
-    sub = Representation(q, tuple(dims), tuple(maps))
-    return sub, incl
-
-
-def kernel_representation(x: Representation, mats: Sequence[RationalMatrix]
-                          ) -> tuple[Representation, dict[int, RationalMatrix]]:
-    """Kernel of a morphism out of x, given by its matrix at each vertex, as a
-    representation plus inclusions."""
-    q = x.quiver
-    return sub_representation(x, {v: linalg.kernel_matrix(mats[k])
-                                  for k, v in enumerate(q.vertices)})
+    return Representation(q, tuple(incl[v].cols for v in q.vertices), tuple(maps)), incl
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
     for k, v in enumerate(q.vertices):
         if m.dims[k] and linalg.rank(cover[v]) != m.dims[k]:
             raise ArithmeticError("projective cover failed to be surjective")
-    kernel, incl = kernel_representation(p0, [cover[v] for v in q.vertices])
+    kernel, incl = sub_representation(p0, [cover[v] for v in q.vertices])
     # the kernel is projective, so its cover is an isomorphism: one P1 slot
     # at w per top lift e_j of the kernel at w, whose generator iota sends
     # to column j of incl[w], read in the path basis of P0 at w

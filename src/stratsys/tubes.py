@@ -166,30 +166,19 @@ def mouth_ss(p: int, q: int, label: TubeLabel) -> StratSystem:
     return StratSystem(alg.quiver, refs)
 
 
-def tube_rigid_bound_check(p: int, q: int, label: TubeLabel,
-                           families=None) -> CheckReport:
+def tube_rigid_bound_check(p: int, q: int, label: TubeLabel) -> CheckReport:
     """Check the cone-length bound and the summand bound inside one tube.
 
-    Candidate families are either given explicitly (sequences of TubePoint)
-    or enumerated over all sets of pairwise distinct points with levels up
-    to rank + 1.  Whenever the cones are pairwise disjoint and the direct
-    sum has no first self-extensions, the summed regular lengths must stay
-    at most rank - size; and every Ext-orthogonal multiplicity-free family
-    has at most rank - 1 members.
+    The candidate families are all sets of up to rank distinct points with
+    levels up to rank + 1.  Whenever the cones are pairwise disjoint and the
+    direct sum has no first self-extensions, the summed regular lengths must
+    stay at most rank - size; and every Ext-orthogonal multiplicity-free
+    family has at most rank - 1 members.
     """
     alg = apq_algebra(p, q)
     rank = alg.tube_rank(label)
     report = CheckReport(f"tube-rigid-bounds p={p} q={q} tube={label.short()}")
-    if families is None:
-        points = [TubePoint(label, i, j)
-                  for i in range(1, rank + 1) for j in range(1, rank + 2)]
-        candidate_families = [family
-                              for size in range(1, rank + 1)
-                              for family in combinations(points, size)]
-    else:
-        candidate_families = [tuple(f) for f in families]
-        points = sorted({pt for family in candidate_families for pt in family},
-                        key=lambda pt: (pt.index, pt.level))
+    points = [TubePoint(label, i, j) for i in range(1, rank + 1) for j in range(1, rank + 2)]
     reps = {pt: alg.tube_point(pt) for pt in points}
     cones = {pt: alg.cone(pt) for pt in points}
     ext = {}
@@ -197,9 +186,8 @@ def tube_rigid_bound_check(p: int, q: int, label: TubeLabel,
         for b in points:
             ext[(a, b)] = ext1_dim(reps[a], reps[b])
     # cone-length bound over families with disjoint cones and no extensions
-    for family in candidate_families:
-        if len(set(family)) != len(family):
-            continue
+    for family in (members for size in range(1, rank + 1)
+                   for members in combinations(points, size)):
         pairwise_disjoint = all(cones[a].isdisjoint(cones[b])
                                 for a, b in combinations(family, 2))
         if not pairwise_disjoint:

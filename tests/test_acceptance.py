@@ -19,7 +19,7 @@ from stratsys.classifier import (apq_families, compare_kronecker_enumeration,
                                  kronecker_css_list, kronecker_orbit_pool,
                                  kronecker_regular_selfext_check,
                                  sincerity_profile, verify_family_uniqueness,
-                                 y_search_postprojective, y_search_preinjective)
+                                 y_search)
 from stratsys.modules import materialize, ref_dims
 from stratsys.quiver import (canonical_apq, coxeter_transform, euler_form,
                              kronecker)
@@ -205,9 +205,9 @@ def test_criterion_8_family_catalogue_2_3():
     assert len(instances) == 22
     for inst in instances:
         assert inst.report.passed, (inst.label(), inst.report.summary())
-    found_post, report_post = y_search_postprojective(2, 3, 12)
+    found_post, report_post = y_search(2, 3, 12, "postprojective")
     assert report_post.passed, report_post.summary()
-    found_pre, report_pre = y_search_preinjective(2, 3, 12)
+    found_pre, report_pre = y_search(2, 3, 12, "preinjective")
     assert report_pre.passed, report_pre.summary()
     assert (0, 0) in found_post and (3, 1) in found_post
     assert (3, 2) in found_pre and (5, 0) in found_pre

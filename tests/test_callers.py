@@ -17,13 +17,13 @@ PROPERTIES = {"property", "cached_property"}
 # Public names with no caller in src/, each with the reason it stays.
 KEPT = {
     "linalg.invert": "benchmark/tracer.py spans it as dense elimination",
+    "linalg.solve": "benchmark/tracer.py spans it",
     "artheory.auslander_check": "benchmark/child.py checks each oracle pair with it",
     "tubes.max_regular_ss_size": "benchmark/child.py runs it over the criterion-7 grid",
     "reps.is_morphism": "test oracle: every Hom basis element is a morphism",
     "reps.is_exceptional": "test oracle: End and Ext^1 of an explicit module",
     "reps.hom_dim_via_presentation": "test oracle: the presentation route to dim Hom",
     "io_json.system_to_json": "test oracle: the JSON round trip of a system",
-    "tubes.fg_system": "test oracle: the paper's (F, G) system",
 }
 
 

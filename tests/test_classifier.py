@@ -8,7 +8,7 @@ from stratsys.classifier import (apq_families, compare_kronecker_enumeration,
                                  kronecker_regular_selfext_check,
                                  regular_css_search, sincerity_profile,
                                  verify_family_uniqueness,
-                                 y_search_postprojective, y_search_preinjective)
+                                 y_search)
 from stratsys.modules import ref_dims
 from stratsys.quiver import Quiver, kronecker
 from stratsys.systems import check_css
@@ -78,19 +78,19 @@ def test_y_pre_expected_cases():
 
 
 def test_y_search_small_bound():
-    found, report = y_search_postprojective(2, 3, 6)
+    found, report = y_search(2, 3, 6, "postprojective")
     assert report.passed, report.summary()
     assert (0, 0) in found and (0, 4) in found and (3, 1) in found
-    found, report = y_search_preinjective(2, 3, 6)
+    found, report = y_search(2, 3, 6, "preinjective")
     assert report.passed, report.summary()
     assert (3, 2) in found and (5, 0) in found and (5, 4) in found
     assert not any(t == 0 for t, _ in found)
 
 
 def test_y_search_p_equals_one():
-    _, report = y_search_postprojective(1, 2, 4)
+    _, report = y_search(1, 2, 4, "postprojective")
     assert report.passed, report.summary()
-    _, report = y_search_preinjective(1, 2, 4)
+    _, report = y_search(1, 2, 4, "preinjective")
     assert report.passed, report.summary()
 
 
@@ -153,9 +153,9 @@ def test_apq_families_equal_arms():
 
 
 def test_y_search_2_2_full_period():
-    found, report = y_search_postprojective(2, 2, 8)
+    found, report = y_search(2, 2, 8, "postprojective")
     assert report.passed, report.summary()
-    found, report = y_search_preinjective(2, 2, 8)
+    found, report = y_search(2, 2, 8, "preinjective")
     assert report.passed, report.summary()
 
 

@@ -11,7 +11,7 @@ from stratsys.quiver import canonical_apq, euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim, hom_dim_via_presentation,
                            hom_space, injective, is_brick, is_exceptional,
-                           is_morphism, is_sincere, kernel_representation,
+                           is_morphism, is_sincere,
                            make_rep, minimal_presentation, nonsplit_extension,
                            projective, simple, sub_representation, supp)
 
@@ -104,13 +104,13 @@ def test_hom_space_basis_satisfies_intertwiner(kron2, apq23, rng):
 
 def test_sub_representation_rejects_a_subspace_not_closed(kron2):
     p2 = projective(kron2, 2)  # dims (2, 1): the arrows send e_2 to e_a1 and e_a2
-    # each inclusion matrix holds its subspace's basis vectors as columns
-    whole, _ = sub_representation(p2, {1: RationalMatrix.identity(2),
-                                       2: RationalMatrix.identity(1)})
+    # zero maps at every vertex: the kernel is all of p2
+    whole, _ = sub_representation(p2, [RationalMatrix.zero(1, 2), RationalMatrix.zero(1, 1)])
     assert whole == p2
+    # no morphism: the kernels span(e_a1) at 1 and everything at 2 are not
+    # closed, because the arrow a2 sends e_2 to e_a2
     with pytest.raises(ValueError, match="not closed"):
-        sub_representation(p2, {1: RationalMatrix.from_rows([[1], [0]]),
-                                2: RationalMatrix.identity(1)})
+        sub_representation(p2, [RationalMatrix.from_rows([[0, 1]]), RationalMatrix.zero(1, 1)])
 
 
 def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
@@ -119,7 +119,7 @@ def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
         x = random_representation(apq23, rng)
         y = random_representation(apq23, rng)
         for mats in hom_space(x, y).basis:
-            sub, incl = kernel_representation(x, mats)
+            sub, incl = sub_representation(x, mats)
             for k, v in enumerate(apq23.vertices):
                 assert incl[v].cols == sub.dims[k] == x.dims[k] - rank(mats[k])
                 assert mats[k].mul(incl[v]).is_zero()
@@ -127,6 +127,22 @@ def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
                 assert incl[a.tgt].mul(sub_map) == x_map.mul(incl[a.src])
                 nonzero += not sub_map.is_zero()
     assert nonzero > 0
+
+
+def test_kernels_read_their_coordinates_without_solving(monkeypatch, kron3, apq23, rng):
+    from stratsys import linalg
+    from stratsys.artheory import auslander_check
+
+    def no_solve(*args):
+        raise AssertionError("linalg.solve called")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    for q in (kron3, apq23):
+        for _ in range(6):
+            x, y = random_representation(q, rng), random_representation(q, rng)
+            # tau(x), tau_inv(y) and the minimal presentations under them
+            assert auslander_check(x, y).passed
+            assert ext1_dim_direct(x, y) == ext1_dim(x, y)
 
 
 def test_yoneda_projective(kron2, apq23, rng):

@@ -131,18 +131,14 @@ def test_tube_point_realization():
 
 def test_tube_point_rigidity_bound_examples():
     # rank 3 tube: a single rigid point of level 2 meets the bound 3 - 1
-    report = tube_rigid_bound_check(2, 3, TUBE_ZERO,
-                                    families=[[TubePoint(TUBE_ZERO, 1, 2)]])
+    report = tube_rigid_bound_check(2, 3, TUBE_ZERO)
     assert report.passed and report.checked >= 1
-    assert tube_rigid_bound_check(2, 3, TUBE_ZERO).passed
     # rank 2 tube: the two mouths extend each other, never rigid together
     alg = apq_algebra(2, 3)
     e1 = alg.simple_regular(TUBE_INFTY, 1)
     e2 = alg.simple_regular(TUBE_INFTY, 2)
     assert ext1_dim(e1, e2) + ext1_dim(e2, e1) > 0
-    pair = [[TubePoint(TUBE_INFTY, 1, 1), TubePoint(TUBE_INFTY, 2, 1)]]
-    paired = tube_rigid_bound_check(2, 3, TUBE_INFTY, families=pair)
-    assert paired.passed  # the pair is excluded from the bound's hypothesis
+    # so the pair is excluded from the bound's hypothesis
     assert tube_rigid_bound_check(2, 3, TUBE_INFTY).passed
     # rank 1 tube: nothing rigid at all
     assert tube_rigid_bound_check(2, 3, tube_lambda(1)).passed
