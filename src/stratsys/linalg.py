@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -96,15 +96,6 @@ class RationalMatrix:
                     acc = tuple(map(add, acc, map(v.__mul__, other_row)))
             nums.append(acc)
         return RationalMatrix.from_nums(nums, self.den * other.den, other.cols)
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [Fraction(x) for x in vec]
-        return tuple(sum(map(mul, row, v), Fraction(0)) / self.den for row in self.nums)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.nums))
 
 
 # ---------------------------------------------------------------------------

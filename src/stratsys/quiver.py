@@ -151,15 +151,20 @@ class QuiverContext:
     vectors, each orbit a tuple replaced whole when it grows, and the
     materialized orbit modules), ``hom_ext`` (``modules``: one checked
     (dim Hom, dim Ext^1) entry per pedigreed pair), ``pools`` (``systems``:
-    the candidate list per exponent bound), and ``projectives`` and
-    ``injectives`` (``reps``: P_v and I_v per vertex).  ``hits`` and
-    ``misses`` count the lookups in ``hom_ext``, ``orbit_reps`` and ``pools``.
+    the candidate list per exponent bound), ``ref_ids`` and ``precedence``
+    (``systems``: a small integer per pedigreed ref key, and the search
+    kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
+    ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask), and
+    ``projectives`` and ``injectives`` (``reps``: P_v and I_v per vertex).
+    ``hits`` and ``misses`` count the lookups in ``hom_ext``, ``orbit_reps``
+    and ``pools``.
 
     Thread guarantees: one context per value (creation is locked), memo
     values are immutable and a function of their key, and a memo is only
     ever replaced whole, so a concurrent reader sees a complete value or a
-    miss.  Racing misses compute the same value twice; the counts are exact
-    in single-threaded runs only.
+    miss.  Ids are handed out under a lock (see ``intern``).  Racing misses
+    compute the same value twice; the counts are exact in single-threaded
+    runs only.
     """
 
     COUNTED = ("hom_ext", "orbit_reps", "pools")
@@ -168,6 +173,7 @@ class QuiverContext:
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
+        self._lock = threading.Lock()
         self.clear()
 
     def clear(self) -> None:
@@ -179,10 +185,23 @@ class QuiverContext:
         self.orbit_reps: dict[tuple[str, int, int], Any] = {}
         self.hom_ext: dict[tuple, tuple[int, int]] = {}
         self.pools: dict[Any, tuple] = {}
+        with self._lock:
+            self.ref_ids: dict[tuple, int] = {}
+            self.precedence: dict[Any, bool] = {}
         self.projectives: dict[int, Any] = {}
         self.injectives: dict[int, Any] = {}
         self.hits = dict.fromkeys(self.COUNTED, 0)
         self.misses = dict.fromkeys(self.COUNTED, 0)
+
+    def intern(self, keys: Sequence[tuple]) -> tuple[list[int], dict[Any, bool]]:
+        """The id of each ref key, and the ``precedence`` memo those ids index.
+
+        Under the lock each key gets exactly one id and no id two keys, and
+        the ids and the memo come from one generation (``clear`` replaces
+        both at once)."""
+        with self._lock:
+            ids = self.ref_ids
+            return [ids.setdefault(k, len(ids)) for k in keys], self.precedence
 
     @cached_property
     def proj_dims(self) -> tuple[DimVector, ...]:

@@ -10,15 +10,14 @@ member of a stratifying system over a hereditary algebra must satisfy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
-                      pair_hom, pair_hom_ext, ref_dims, ref_is_exceptional, ref_preinj,
-                      ref_preproj, ref_total_dim, ref_tube)
+                      pair_hom, pair_hom_ext, ref_dims, ref_is_exceptional, ref_key,
+                      ref_preinj, ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
-from .quiver import Quiver, classify_type
+from .quiver import Quiver, classify_type, euler_form
 from .report import CheckReport
 
 
@@ -161,11 +160,14 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     order and grown while shorter than ``length``, so a caller takes the first
     hit of full length, all of them, or the longest length reached.
 
-    Both facts a step needs come from ``hom_ext(a, b)`` = (dim Hom, dim Ext^1),
-    memoized per search: ``b`` may follow ``a`` iff hom_ext(b, a) == (0, 0),
-    and ``i`` is exceptional iff hom_ext(i, i) == (1, 0).  The new pairs are
-    tried before exceptionality, which is the costly fact for large explicit
-    modules.
+    A step needs two facts from (dim Hom, dim Ext^1) = ``pair_hom_ext``:
+    ``b`` may follow ``a`` iff pair_hom_ext(b, a) == (0, 0), and ``i`` is
+    exceptional iff pair_hom_ext(i, i) == (1, 0).  Since dim Hom - dim Ext^1
+    = <dim b, dim a>, a nonzero Euler form answers "no" without the engine.
+    Over pedigreed items the facts live in the quiver's ``precedence`` memo,
+    keyed by interned ids and shared by every search on the quiver; a search
+    with an explicit item keeps its own.  The new pairs are tried before
+    exceptionality, which is the costly fact for large explicit modules.
 
     An appending search (no ``slots``) grows each member set once: whether
     ``i`` may follow depends on the set before it, not on its order, so a
@@ -178,9 +180,29 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     grown: Optional[set[frozenset[int]]] = set() if slots is None else None
     slots = slots or (lambda size, last: (size,))
 
-    @functools.cache
-    def hom_ext(a: int, b: int) -> tuple[int, int]:
-        return pair_hom_ext(items[a], items[b])
+    ctx = items[0].quiver.context if items else None
+    # shared and screened facts hold over one quiver only
+    if any(r.quiver.context is not ctx for r in items):
+        raise ValueError("modules live over different quivers")
+    if items and all(r.kind != PLAIN for r in items):
+        ids, memo = ctx.intern([ref_key(r) for r in items])
+    else:  # explicit modules stay out of the context
+        ids, memo = range(len(items)), {}
+
+    def follows(b: int, a: int) -> bool:
+        key = (ids[b], ids[a])
+        fact = memo.get(key)
+        if fact is None:
+            x, y = items[b], items[a]
+            fact = memo[key] = (euler_form(x.quiver, ref_dims(x), ref_dims(y)) == 0
+                                and pair_hom_ext(x, y) == (0, 0))
+        return fact
+
+    def exceptional(i: int) -> bool:
+        fact = memo.get(ids[i])
+        if fact is None:
+            fact = memo[ids[i]] = pair_hom_ext(items[i], items[i]) == (1, 0)
+        return fact
 
     def grow(seq: tuple[int, ...], last: int, recurse) -> Iterator[tuple[int, ...]]:
         if grown is not None:
@@ -189,9 +211,9 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
             for i in picks:
                 if report is not None:
                     report.checked += 1
-                if (all(hom_ext(i, j) == (0, 0) for j in seq[:pos])
-                        and all(hom_ext(j, i) == (0, 0) for j in seq[pos:])
-                        and hom_ext(i, i) == (1, 0)):
+                if (all(follows(i, j) for j in seq[:pos])
+                        and all(follows(j, i) for j in seq[pos:])
+                        and exceptional(i)):
                     child = seq[:pos] + (i,) + seq[pos:]
                     yield child
                     if len(child) < length and (grown is None

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -87,3 +88,112 @@ def test_apq_families_builds_its_candidate_pool_once(capsys):
     # deterministic counter gate: one build for all 22 uniqueness searches
     assert ctx.misses["pools"] == 1
     assert ctx.hits["pools"] == 21
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls made through ``module.name``."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_uniqueness_searches_share_one_precedence_memo(monkeypatch, capsys):
+    from stratsys import systems
+    from stratsys.cli import main
+
+    ctx = canonical_apq(3, 4).context
+    ctx.clear()
+    calls = _counted(monkeypatch, systems, "pair_hom_ext")
+    assert main(["--json", "apq", "families", "--p", "3", "--q", "4"]) == 0
+    capsys.readouterr()
+    # deterministic counter gates, to be tightened only: with a memo per
+    # search the 30 searches made 32,100 kernel calls and 3,884 misses
+    assert calls[0] <= 1000
+    assert ctx.misses["hom_ext"] <= 1601
+
+
+def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):
+    from stratsys import modules
+    from stratsys.classifier import regular_css_search
+
+    from conftest import wild_sample
+
+    wild = wild_sample()
+    wild.context.clear()
+    calls = _counted(monkeypatch, modules, "hom_dim")
+    assert regular_css_search(wild, 6)[0] is None
+    assert calls[0] <= 40  # deterministic gate; 324 without the screen
+
+
+class _YieldingKey:
+    """A ref key whose hash gives up the interpreter lock, so that threads
+    interleave inside ``dict.setdefault``."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        time.sleep(0)
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return isinstance(other, _YieldingKey) and self.key == other.key
+
+
+def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
+    from stratsys import modules, systems
+    from stratsys.classifier import apq_families
+    from stratsys.systems import StratSystem, extend_to_complete
+
+    quiver = canonical_apq(2, 3)
+    ctx = quiver.context
+    instances = apq_families(2, 3, 12)
+    monkeypatch.setattr(systems, "ref_key", lambda ref: _YieldingKey(modules.ref_key(ref)))
+
+    def completions(first=0):
+        # the one-slot searches of ``apq families --p 2 --q 3``, from the
+        # ``first`` instance on and around, so that threads intern different
+        # keys at the same time
+        out = {}
+        for k in range(len(instances)):
+            inst = instances[(first + k) % len(instances)]
+            rest = StratSystem(quiver, inst.system.modules[1:])
+            found, report = extend_to_complete(rest, exponent_bound=16, positions=[0])
+            out[inst.label()] = (found, report.checked, report.flags)
+        return out
+
+    def facts():
+        key_of = {i: key.key for key, i in ctx.ref_ids.items()}
+        return {(key_of[k] if isinstance(k, int) else (key_of[k[0]], key_of[k[1]])): fact
+                for k, fact in ctx.precedence.items()}
+
+    ctx.clear()
+    try:
+        expected = completions()
+        expected_facts = facts()
+        ctx.clear()
+        got = []
+        barrier = threading.Barrier(4)
+
+        def run(first):
+            barrier.wait(timeout=10)
+            got.append(completions(first))
+
+        threads = [threading.Thread(target=run, args=(5 * t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert got == [expected] * 4
+        # one id per key and no id shared by two keys
+        assert sorted(ctx.ref_ids.values()) == list(range(len(ctx.ref_ids)))
+        assert facts() == expected_facts
+    finally:
+        ctx.clear()  # no yielding key outlives the test

@@ -122,10 +122,10 @@ def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
             sub, incl = sub_representation(x, mats)
             for k, v in enumerate(apq23.vertices):
                 assert incl[v].cols == sub.dims[k] == x.dims[k] - rank(mats[k])
-                assert mats[k].mul(incl[v]).is_zero()
+                assert not any(map(any, mats[k].mul(incl[v]).nums))
             for a, sub_map, x_map in zip(apq23.arrows, sub.maps, x.maps):
                 assert incl[a.tgt].mul(sub_map) == x_map.mul(incl[a.src])
-                nonzero += not sub_map.is_zero()
+                nonzero += any(map(any, sub_map.nums))
     assert nonzero > 0
 
 
