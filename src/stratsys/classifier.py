@@ -145,7 +145,7 @@ def compare_kronecker_enumeration(m: int, dim_cap: int) -> CheckReport:
     for key in sorted(expected - got):
         report.add("enumeration-missing", subject=key,
                    note="catalogued instance not found by the enumeration")
-    extra_member = tuple(ref_dims(r) for r in family5_index_zero(m).system.modules)
+    extra_member = tuple(ref_dims(r) for r in listed[-1].system.modules)
     if extra_member in got:
         report.flag("family 5 extends to i=0: (tau I_2, I_1) is a complete system")
     return report

@@ -190,8 +190,8 @@ def rank(matrix: RationalMatrix) -> int:
     return len(_eliminate(map(enumerate, matrix.nums)))
 
 
-def rank_of_rows(raw_rows: Sequence[Sequence], ncols: int) -> int:
-    """Rank of a matrix given as dense rows of length ``ncols``."""
+def rank_of_rows(raw_rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix given as dense rows."""
     return len(_eliminate(map(enumerate, raw_rows)))
 
 

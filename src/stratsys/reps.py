@@ -502,7 +502,7 @@ def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple
     Hom(-, y) to 0 -> P1 -> P0 -> M -> 0 leaves the kernel and cokernel of
     ``presentation_matrix``."""
     mat = presentation_matrix(pres, y)
-    rk = linalg.rank_of_rows(mat.nums, mat.cols) if mat.cols else 0
+    rk = linalg.rank_of_rows(mat.nums)
     return mat.cols - rk, mat.rows - rk
 
 

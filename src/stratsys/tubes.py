@@ -27,20 +27,11 @@ LAMBDA_SAMPLE = (1, 2, "1/2", -1)
 # the F and G systems
 # ---------------------------------------------------------------------------
 
-def f_members(p: int, q: int) -> list[ModuleRef]:
-    """F_i runs down the rank-p tube mouth: indices p-1, p-2, ..., 1."""
-    return [ref_tube(p, q, TUBE_INFTY, p - i) for i in range(1, p)]
-
-
-def g_members(p: int, q: int) -> list[ModuleRef]:
-    """G_i runs down the rank-q tube mouth: indices q-1, q-2, ..., 1."""
-    return [ref_tube(p, q, TUBE_ZERO, q - i) for i in range(1, q)]
-
-
 def fg_system(p: int, q: int) -> StratSystem:
-    """(F_1..F_{p-1}, G_1..G_{q-1}), a stratifying system of size p+q-2."""
-    alg = apq_algebra(p, q)
-    return StratSystem(alg.quiver, tuple(f_members(p, q) + g_members(p, q)))
+    """(F_1..F_{p-1}, G_1..G_{q-1}), a stratifying system of size p+q-2: the
+    mouth systems of the rank-p and the rank-q tube, one after the other."""
+    f, g = mouth_ss(p, q, TUBE_INFTY), mouth_ss(p, q, TUBE_ZERO)
+    return StratSystem(f.quiver, f.modules + g.modules)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +116,7 @@ def _family_orbit_supports(p: int, q: int, which: str, n_max: int) -> dict[int, 
     """Supports of tau^n of the whole family for all 0 < |n| <= n_max,
     computed by iterating the structural translate."""
     alg = apq_algebra(p, q)
-    members = f_members(p, q) if which == "F" else g_members(p, q)
+    members = mouth_ss(p, q, TUBE_INFTY if which == "F" else TUBE_ZERO).modules
     out: dict[int, set[int]] = {n: set() for n in range(-n_max, n_max + 1) if n}
     for ref in members:
         up = alg.simple_regular(ref.point.tube, ref.point.index)
@@ -166,14 +157,27 @@ def mouth_ss(p: int, q: int, label: TubeLabel) -> StratSystem:
     return StratSystem(alg.quiver, refs)
 
 
+def _ext_orthogonal_families(rigid: list[TubePoint], ext: dict) -> list[tuple[TubePoint, ...]]:
+    """Every nonempty Ext-orthogonal family of the rigid points, by size and
+    then in the order of ``combinations``.  A family of size k + 1 is one of
+    size k extended by a later point with no Ext^1 against any member in
+    either direction; orthogonality is pairwise, so no family is missed."""
+    free = [[not (ext[(a, b)] or ext[(b, a)]) for b in rigid] for a in rigid]
+    families, layer = [], [(j,) for j in range(len(rigid))]
+    while layer:
+        families += (tuple(rigid[i] for i in family) for family in layer)
+        layer = [family + (j,) for family in layer for j in range(family[-1] + 1, len(rigid))
+                 if all(free[i][j] for i in family)]
+    return families
+
+
 def tube_rigid_bound_check(p: int, q: int, label: TubeLabel) -> CheckReport:
     """Check the cone-length bound and the summand bound inside one tube.
 
-    The candidate families are all sets of up to rank distinct points with
-    levels up to rank + 1.  Whenever the cones are pairwise disjoint and the
-    direct sum has no first self-extensions, the summed regular lengths must
-    stay at most rank - size; and every Ext-orthogonal multiplicity-free
-    family has at most rank - 1 members.
+    Both bounds read only the Ext-orthogonal families of rigid points with
+    levels up to rank + 1.  Whenever such a family has at most rank members
+    and pairwise disjoint cones, the summed regular lengths must stay at
+    most rank - size; and every such family has at most rank - 1 members.
     """
     alg = apq_algebra(p, q)
     rank = alg.tube_rank(label)
@@ -181,18 +185,11 @@ def tube_rigid_bound_check(p: int, q: int, label: TubeLabel) -> CheckReport:
     points = [TubePoint(label, i, j) for i in range(1, rank + 1) for j in range(1, rank + 2)]
     reps = {pt: alg.tube_point(pt) for pt in points}
     cones = {pt: alg.cone(pt) for pt in points}
-    ext = {}
-    for a in points:
-        for b in points:
-            ext[(a, b)] = ext1_dim(reps[a], reps[b])
-    # cone-length bound over families with disjoint cones and no extensions
-    for family in (members for size in range(1, rank + 1)
-                   for members in combinations(points, size)):
-        pairwise_disjoint = all(cones[a].isdisjoint(cones[b])
-                                for a, b in combinations(family, 2))
-        if not pairwise_disjoint:
-            continue
-        if any(ext[(a, b)] for a in family for b in family):
+    ext = {(a, b): ext1_dim(reps[a], reps[b]) for a in points for b in points}
+    families = _ext_orthogonal_families([pt for pt in points if ext[(pt, pt)] == 0], ext)
+    for family in families:
+        if len(family) > rank or not all(cones[a].isdisjoint(cones[b])
+                                         for a, b in combinations(family, 2)):
             continue
         report.checked += 1
         total_length = sum(pt.level for pt in family)
@@ -200,17 +197,12 @@ def tube_rigid_bound_check(p: int, q: int, label: TubeLabel) -> CheckReport:
             report.add("cone-length bound", subject=tuple((pt.index, pt.level)
                                                           for pt in family),
                        value=(total_length, rank - len(family)))
-    # summand bound: Ext-orthogonal multiplicity-free families
-    rigid = [pt for pt in points if ext[(pt, pt)] == 0]
-    for size in range(1, len(rigid) + 1):
-        for family in combinations(rigid, size):
-            if any(ext[(a, b)] for a in family for b in family):
-                continue
-            report.checked += 1
-            if size > rank - 1:
-                report.add("summand bound", subject=tuple((pt.index, pt.level)
-                                                          for pt in family),
-                           value=(size, rank - 1))
+    for family in families:
+        report.checked += 1
+        if len(family) > rank - 1:
+            report.add("summand bound", subject=tuple((pt.index, pt.level)
+                                                      for pt in family),
+                       value=(len(family), rank - 1))
     if rank == 1:
         report.checked += 1  # only the empty family qualifies; nothing to violate
     return report

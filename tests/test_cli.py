@@ -291,8 +291,17 @@ PINNED_REPORTS = {
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,
                       "69ae07ef893a3c5a865efb33388c569d84331c50922c8aea997305626ed45f75"),
+    "ss-extend-any-insert": ("--json ss extend samples/fg_p2q3.ss.json --positions any "
+                             "--bound 4", 0,
+                             "50417ffeb0e74489d6eed6dedeba51203513decb72bfac68445f34ed6fe4a71e"),
+    "ss-filtfinite-kronecker": ("--json ss filtfinite samples/kronecker_simples.ss.json", 0,
+                                "aea9257a390e0f2462cab65a1bd0fb2ae57b6e39a8af804fe1a7aabc2612f5a3"),
     "apq-tubes-p3q4": ("--json apq tubes --p 3 --q 4", 0,
                        "212936e5b7192ef48c676f02349391e16555272318669d2c3109872074b308cd"),
+    "apq-tubes-p2q5": ("--json apq tubes --p 2 --q 5", 0,
+                       "d1f181171459eb13b966d12152675dd5ff6e25cacd4e56baedf07270af2cd03b"),
+    "apq-tubes-p5q5": ("--json apq tubes --p 5 --q 5", 0,
+                       "3827a2c793485717b3da0150ac991c0ef565a79a85365552d89e27507a85c2e6"),
     "apq-families-p2q3": ("--json apq families --p 2 --q 3", 0,
                           "b961c22482984e600fdb6a8e81701d9e0a17c58c3f812e2337cfdadaa30f2601"),
     "apq-families-p3q4": ("--json apq families --p 3 --q 4", 0,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,8 @@ from stratsys.modules import ref_dims
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import ext1_dim, hom_dim, is_brick
 from stratsys.systems import check_ss
-from stratsys.tubes import (fg_system, max_regular_ss_size, mouth_ss,
-                            support_formula, tube_rigid_bound_check,
+from stratsys.tubes import (_ext_orthogonal_families, fg_system, max_regular_ss_size,
+                            mouth_ss, support_formula, tube_rigid_bound_check,
                             verify_support_formula, verify_tau_cycles)
 
 GRID = [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
@@ -142,6 +143,27 @@ def test_tube_point_rigidity_bound_examples():
     assert tube_rigid_bound_check(2, 3, TUBE_INFTY).passed
     # rank 1 tube: nothing rigid at all
     assert tube_rigid_bound_check(2, 3, tube_lambda(1)).passed
+
+
+def test_orthogonal_families_match_the_filtered_subsets():
+    # rank 4: the grown families are the subsets the pairwise filter keeps,
+    # in the order of combinations
+    alg = apq_algebra(3, 4)
+    points = [TubePoint(TUBE_ZERO, i, j) for i in range(1, 5) for j in range(1, 6)]
+    ext = {(a, b): ext1_dim(alg.tube_point(a), alg.tube_point(b))
+           for a in points for b in points}
+    rigid = [pt for pt in points if ext[(pt, pt)] == 0]
+    filtered = [family for size in range(1, len(rigid) + 1)
+                for family in combinations(rigid, size)
+                if not any(ext[(a, b)] for a in family for b in family)]
+    assert _ext_orthogonal_families(rigid, ext) == filtered
+    assert max(map(len, filtered)) == 3
+
+
+def test_rank_six_tube_bounds():
+    # 42 points, 30 of them rigid: filtering all 2**30 subsets is out of reach
+    report = tube_rigid_bound_check(5, 6, TUBE_ZERO)
+    assert report.passed and report.checked == 1744
 
 
 def test_recognize_apq():
