@@ -181,14 +181,6 @@ class ApqAlgebra:
                 maps[a.label] = [[Fraction(1)]]
         return make_rep(quiv, dims, maps)
 
-    # -- tau action on the tube (index rotation) -----------------------------
-
-    def rotate_point(self, point: TubePoint, steps: int) -> TubePoint:
-        """tau^steps on tube coordinates: tau(E_i[j]) = E_{i-1}[j] (cyclically)."""
-        rank = self.tube_rank(point.tube)
-        idx = (point.index - 1 - steps) % rank + 1
-        return TubePoint(point.tube, idx, point.level)
-
     # -- points higher up the ray --------------------------------------------
 
     @functools.cache

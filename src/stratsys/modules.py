@@ -2,21 +2,20 @@
 
 Named modules (tau-orbits of projectives and injectives, tube points) are
 handled symbolically: their dimension vectors come from Coxeter powers, and
-Hom dimensions over the hereditary path algebra reduce by three identities
+dim Hom over the hereditary path algebra is decided in one step, with
+dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y> by the Euler identity.
 
-  * Hom(P_i, M) = dim M_i and Hom(M, I_j) = dim M_j         (Yoneda),
-  * Hom(X, Y) = Hom(tau X, tau Y) for X indecomposable and not projective,
-    Hom(X, Y) = Hom(tau^- X, tau^- Y) for Y indecomposable and not
-    injective                                                (tau shift),
-  * dim Hom(X, Y) = <dim X, dim Y> + dim Hom(Y, tau X)       (Auslander),
+  * A pair with a preprojective or preinjective side is directing: nonzero
+    Hom(X, Y) and Ext^1(X, Y) = D Hom(Y, tau X) would close a cycle
+    X -> Y -> tau X -> ... -> X.  So with e = <dim X, dim Y> the pair is
+    (max(e, 0), max(-e, 0)).
+  * Points of two different tubes are orthogonal: (0, 0).
 
-the last being the Euler identity dim Ext^1(X, Y) = dim Hom(X, Y) -
-<dim X, dim Y> with Ext^1(X, Y) = D Hom(Y, tau X).  Only tube-tube pairs and
-explicit representations are computed structurally, on materialized
-representations.  Each identity is cross-validated against that structure in
-the test suite.  Without this reduction the generalized Kronecker orbit
-checks would need matrices with ~10^5 rows, which no structural checker can
-materialize.
+Only pairs inside one tube and pairs with an explicit representation are
+computed structurally, on materialized representations.  Both rules are
+cross-validated against that structure in the test suite.  Without them the
+generalized Kronecker orbit checks would need matrices with ~10^5 rows,
+which no structural checker can materialize.
 
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
@@ -85,6 +84,9 @@ def ref_preinj(q: Quiver, vertex: int, power: int = 0) -> ModuleRef:
 
 def ref_tube(p: int, q: int, label: TubeLabel, index: int, level: int = 1) -> ModuleRef:
     alg = apq_algebra(p, q)
+    rank = alg.tube_rank(label)
+    if index > rank:
+        raise ValueError(f"mouth index {index} out of range for rank {rank}")
     return ModuleRef(alg.quiver, TUBE, apq=(p, q), point=TubePoint(label, index, level))
 
 
@@ -197,37 +199,17 @@ def materialize(ref: ModuleRef) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# tau on descriptors
-# ---------------------------------------------------------------------------
-
-def ref_tau(ref: ModuleRef, steps: int = 1) -> Optional[ModuleRef]:
-    """tau^steps on a pedigreed descriptor (None when it hits zero or the
-    descriptor has no pedigree)."""
-    if steps == 0:
-        return ref
-    if ref.kind in (PREPROJ, PREINJ):
-        power = ref.power - steps if ref.kind == PREPROJ else ref.power + steps
-        if power < 0:
-            return None  # a projective (an injective) died along the way
-        return ModuleRef(ref.quiver, ref.kind, vertex=ref.vertex, power=power)
-    if ref.kind == TUBE:
-        p, q = ref.apq
-        alg = apq_algebra(p, q)
-        return ModuleRef(ref.quiver, TUBE, apq=ref.apq,
-                         point=alg.rotate_point(ref.point, steps))
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the dimension engine
 # ---------------------------------------------------------------------------
 
 def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
-    """(dim Hom(a, b), dim Ext^1(a, b)), the Hom dimension reduced
-    symbolically where pedigrees allow and the Ext dimension by the Euler
-    identity dim Ext^1 = dim Hom - <dim a, dim b>.  The one reader and writer
-    of ``hom_ext``: a pedigreed pair is answered once and its checked entry
-    stays in the quiver's context."""
+    """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
+    identity dim Ext^1 = dim Hom - <dim a, dim b>.  Hom is decided in one
+    step: pairs inside one tube and explicit pairs are structural, two
+    different tubes are orthogonal, and every other pair has a directing
+    side, so its Hom and Ext^1 are not both nonzero.  The one reader and
+    writer of ``hom_ext``: a pedigreed pair is answered once and its checked
+    entry stays in the quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
@@ -240,8 +222,18 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
             ctx.hits["hom_ext"] += 1
             return entry
         ctx.misses["hom_ext"] += 1
-    hom = _pair_hom(a, b)
-    entry = (hom, hom - euler_form(q, ref_dims(a), ref_dims(b)))
+    dims_a = ref_dims(a)
+    dims_b = ref_dims(b)
+    euler = euler_form(q, dims_a, dims_b)
+    if not any(dims_a) or not any(dims_b):
+        hom = 0
+    elif a.kind == b.kind == TUBE:
+        hom = _structural_hom(a, b) if a.point.tube == b.point.tube else 0
+    elif PLAIN in (a.kind, b.kind):
+        hom = _structural_hom(a, b)
+    else:
+        hom = max(euler, 0)
+    entry = (hom, hom - euler)
     if entry[1] < 0:
         raise ArithmeticError("negative Ext dimension out of the engine")
     if key is not None:
@@ -261,45 +253,6 @@ def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
 
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
     return hom_dim(materialize(a), materialize(b))
-
-
-def _pair_hom(a: ModuleRef, b: ModuleRef) -> int:
-    """One reduction step for dim Hom(a, b); the recursion ends after at most
-    three steps, at a zero module, a Yoneda endpoint or a structural pair."""
-    q = a.quiver
-    dims_a = ref_dims(a)
-    dims_b = ref_dims(b)
-    if not any(dims_a) or not any(dims_b):
-        return 0
-    # Yoneda endpoints (sound for pedigreed refs: exceptional modules and
-    # tube points are determined by their dimension vectors)
-    ctx = q.context
-    if a.kind != PLAIN:
-        v = ctx.proj_vertex.get(tuple(dims_a))
-        if v is not None:
-            return int(dims_b[q.index(v)])
-    if b.kind != PLAIN:
-        v = ctx.inj_vertex.get(tuple(dims_b))
-        if v is not None:
-            return int(dims_a[q.index(v)])
-    if PLAIN in (a.kind, b.kind) or a.kind == b.kind == TUBE:
-        return _structural_hom(a, b)
-    if a.kind == PREPROJ or b.kind == PREINJ:
-        # tau shift: Hom(X, Y) = Hom(tau X, tau Y) for X indecomposable and
-        # not projective, dually Hom(X, Y) = Hom(tau^- X, tau^- Y) for Y
-        # indecomposable and not injective.  A nonzero tau^-k P_i is not
-        # projective for k > 0, so k shifts reach P_i (dually tau^k I_j
-        # reaches I_j).  If the other side dies on the way it passed a
-        # projective P, and Hom(X, P) = 0 for X indecomposable and not
-        # projective: the image is projective and would split off X (dually
-        # Hom(I, Y) = 0).
-        steps = a.power if a.kind == PREPROJ else -b.power
-        a, b = ref_tau(a, steps), ref_tau(b, steps)
-        return 0 if a is None or b is None else pair_hom(a, b)
-    # Auslander: a is tau^k I_j or a tube point, b is tau^-k P_i or a tube
-    # point, and dim Hom(a, b) = <dim a, dim b> + dim Ext^1(a, b) with
-    # Ext^1(a, b) = D Hom(b, tau a)
-    return euler_form(q, dims_a, dims_b) + pair_hom(b, ref_tau(a, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,10 @@ def test_uniqueness_searches_share_one_precedence_memo(monkeypatch, capsys):
     assert main(["--json", "apq", "families", "--p", "3", "--q", "4"]) == 0
     capsys.readouterr()
     # deterministic counter gates, to be tightened only: with a memo per
-    # search the 30 searches made 32,100 kernel calls and 3,884 misses
-    assert calls[0] <= 1000
-    assert ctx.misses["hom_ext"] <= 1601
+    # search the 30 searches made 32,100 kernel calls and 3,884 misses; the
+    # cross-tube zero route spares the misses of pairs from different tubes
+    assert calls[0] <= 702
+    assert ctx.misses["hom_ext"] <= 1259
 
 
 def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):

@@ -32,3 +32,15 @@ def test_the_gate_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTHON_FILES = sorted(path for folder in ("src", "tests", "benchmark")
+                      for path in (ROOT / folder).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_as_python_3_10(path):
+    """pyproject.toml claims ``requires-python >= 3.10``; no file may use
+    grammar that came later (``except*``, type parameter lists, ...)."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
