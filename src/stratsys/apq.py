@@ -92,12 +92,16 @@ def mouth_dim_vector(p: int, q: int, label: TubeLabel, index: int) -> DimVector:
 
 
 def tube_point_dim_vector(p: int, q: int, point: TubePoint) -> DimVector:
+    """The sum of the ``level`` mouth vectors from ``index`` on, cyclically:
+    each whole turn of the tube adds the sum of all ``rank`` of them."""
     rank = tube_rank(p, q, point.tube)
+    turns, rest = divmod(point.level, rank)
     total = [0] * (p + q)
-    for k in range(point.level):
+    for k in range(rank if turns else rest):
         idx = (point.index - 1 + k) % rank + 1
+        weight = turns + (k < rest)
         for j, d in enumerate(mouth_dim_vector(p, q, point.tube, idx)):
-            total[j] += d
+            total[j] += weight * d
     return tuple(total)
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .apq import apq_algebra
-from .modules import ModuleRef, ref_dims, ref_plain, ref_preinj, ref_preproj, same_module
+from .modules import (ModuleRef, NoExceptionalModuleError, ref_dims, ref_preinj,
+                      ref_preproj, ref_root, same_module)
 from .quiver import Quiver, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
@@ -493,9 +494,29 @@ def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
 SCREEN_STEPS = 24  # Coxeter iterates the regular screen looks at on each side
 
 
+def _screened_roots(q: Quiver, dim_cap: int) -> list[tuple[int, ...]]:
+    """The nonzero vectors with entries up to ``dim_cap`` and <d, d> = 1 whose
+    Coxeter orbit does not end within the screen, by total dimension."""
+    dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
+    phi = q.context.coxeter
+    # an orbit that ends within the screen is preprojective or preinjective;
+    # surviving the screen is regular-or-unknown
+    return [dims for dims in sorted(dims_list, key=lambda d: (sum(d), d))
+            if euler_form(q, dims, dims) == 1
+            and not any(phi.ending_orbit(dims, SCREEN_STEPS, inverse)
+                        for inverse in (False, True))]
+
+
 def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], CheckReport]:
     """Bounded constructive search for a complete stratifying system made of
     regular exceptional modules over a wild quiver with >= 3 vertices.
+
+    The pool holds one ``ROOT`` descriptor per screened vector, so a module is
+    built only when the search first asks about it.  A vector with no module
+    found is dropped and the search runs again; its facts replay from the
+    quiver's shared memos.  The first witness is the one an eager pool of the
+    found modules gives: a vector whose module a run never builds was refused
+    by the Euler form wherever it came up, so it changes no sequence.
 
     Failure within the cap is an honest "none found", not a disproof.
     """
@@ -504,23 +525,16 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
         raise ValueError("regular complete systems require a wild quiver")
     if q.n < 3:
         raise ValueError("need at least three vertices")
-    dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
-    phi = q.context.coxeter
-    pool: list[Representation] = []
-    for dims in sorted(dims_list, key=lambda d: (sum(d), d)):
-        if euler_form(q, dims, dims) != 1:
-            continue
-        # an orbit that ends within the screen is preprojective or preinjective;
-        # surviving the screen is regular-or-unknown
-        if any(phi.ending_orbit(dims, SCREEN_STEPS, inverse) for inverse in (False, True)):
-            continue
-        rep = exceptional_of_dims(q, dims)
-        report.checked += 1
-        if rep is not None:
-            pool.append(rep)
-    refs = [ref_plain(rep) for rep in pool]
-    witness = next((seq for seq in _exceptional_sequences(refs, q.n)
-                    if len(seq) == q.n), None)
+    screened = _screened_roots(q, dim_cap)
+    report.checked += len(screened)
+    refs = [ref_root(q, dims) for dims in screened]
+    while True:
+        try:
+            witness = next((seq for seq in _exceptional_sequences(refs, q.n)
+                            if len(seq) == q.n), None)
+            break
+        except NoExceptionalModuleError as missing:
+            refs = [r for r in refs if r.dims != missing.dims]
     if witness is None:
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report

@@ -11,16 +11,26 @@ dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y> by the Euler identity.
     (max(e, 0), max(-e, 0)).
   * Points of two different tubes are orthogonal: (0, 0).
 
-Only pairs inside one tube and pairs with an explicit representation are
-computed structurally, on materialized representations.  Both rules are
+Only pairs inside one tube and pairs with an explicit or a ``ROOT`` side
+are computed structurally, on materialized representations.  Both rules are
 cross-validated against that structure in the test suite.  Without them the
 generalized Kronecker orbit checks would need matrices with ~10^5 rows,
 which no structural checker can materialize.
 
+A ``ROOT`` descriptor is "the exceptional module on dimension vector d".
+Over a hereditary algebra an exceptional module is determined by its
+dimension vector up to isomorphism (Crawley-Boevey, "Exceptional sequences
+of representations of quivers", 1993; ``same_module`` relies on it too), so
+the vector alone is a pedigree: a search can key its facts on it, and the
+module is built (by ``classifier.exceptional_of_dims``) only the first time
+a structural question needs it.  When no module is found, ``materialize``
+raises ``NoExceptionalModuleError`` carrying the vector.
+
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
-orbit modules (``orbit_reps``) and one (dim Hom, dim Ext^1) entry per
-pedigreed pair (``hom_ext``).  One lookup in ``pair_hom_ext`` answers a pair;
+orbit modules (``orbit_reps``), the module found (or None) per ``ROOT``
+vector (``root_reps``) and one (dim Hom, dim Ext^1) entry per pedigreed
+pair (``hom_ext``).  One lookup in ``pair_hom_ext`` answers a pair;
 ``pair_hom`` and ``pair_ext`` are its two halves.  Explicit representations
 are never memoized.
 """
@@ -43,16 +53,25 @@ class TooLargeError(RuntimeError):
     """A structural computation would need an infeasibly large representation."""
 
 
+class NoExceptionalModuleError(RuntimeError):
+    """No exceptional module was found on a ``ROOT`` descriptor's vector."""
+
+    def __init__(self, dims: DimVector):
+        super().__init__(f"no exceptional module found on dimension vector {dims}")
+        self.dims = dims
+
+
 PREPROJ = "tauP"   # tau^{-power} P_vertex
 PREINJ = "tauI"    # tau^{power} I_vertex
 TUBE = "tube"      # point of an A~(p,q) tube
+ROOT = "root"      # the exceptional module on a dimension vector
 PLAIN = "plain"    # explicit representation, no pedigree
 
 
 @dataclass(frozen=True)
 class ModuleRef:
-    """A module given either symbolically (with a tau-orbit or tube pedigree)
-    or as an explicit representation."""
+    """A module given either symbolically (with a tau-orbit, tube or
+    dimension-vector pedigree) or as an explicit representation."""
 
     quiver: Quiver
     kind: str
@@ -61,6 +80,7 @@ class ModuleRef:
     apq: Optional[tuple[int, int]] = None
     point: Optional[TubePoint] = None
     rep_obj: Optional[Representation] = None
+    dims: Optional[DimVector] = None
 
     def describe(self) -> str:
         if self.kind == PREPROJ:
@@ -71,7 +91,7 @@ class ModuleRef:
             pt = self.point
             lvl = "" if pt.level == 1 else f"[{pt.level}]"
             return f"E^({pt.tube.short()})_{pt.index}{lvl}"
-        return f"rep{self.rep_obj.dims}"
+        return f"rep{self.dims if self.kind == ROOT else self.rep_obj.dims}"
 
 
 def ref_preproj(q: Quiver, vertex: int, power: int = 0) -> ModuleRef:
@@ -92,6 +112,11 @@ def ref_tube(p: int, q: int, label: TubeLabel, index: int, level: int = 1) -> Mo
 
 def ref_plain(rep: Representation) -> ModuleRef:
     return ModuleRef(rep.quiver, PLAIN, rep_obj=rep)
+
+
+def ref_root(q: Quiver, dims) -> ModuleRef:
+    """The exceptional module on ``dims``, built when first materialized."""
+    return ModuleRef(q, ROOT, dims=tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +159,8 @@ def ref_dims(ref: ModuleRef) -> DimVector:
         return _orbit_dims(ref.quiver, ref.kind, ref.vertex, ref.power)
     if ref.kind == TUBE:
         return apq_algebra(*ref.apq).tube_point_dims(ref.point)
+    if ref.kind == ROOT:
+        return ref.dims
     return ref.rep_obj.dims
 
 
@@ -145,6 +172,8 @@ def ref_key(ref: ModuleRef):
     """Key of a pedigreed descriptor inside its quiver's context."""
     if ref.kind == TUBE:
         return (TUBE, ref.point)
+    if ref.kind == ROOT:
+        return (ROOT, ref.dims)
     return (ref.kind, ref.vertex, ref.power)
 
 
@@ -170,6 +199,25 @@ def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
     return rep
 
 
+_UNSEARCHED = object()
+
+
+def _root_rep(q: Quiver, dims: DimVector) -> Representation:
+    """The exceptional module on ``dims``, searched for once per quiver; a
+    miss is memoized too, and raises on every ask."""
+    ctx = q.context
+    rep = ctx.root_reps.get(dims, _UNSEARCHED)
+    if rep is _UNSEARCHED:
+        from . import classifier  # the upper layer; a call through it is traced
+        rep = ctx.root_reps[dims] = classifier.exceptional_of_dims(q, dims)
+        if rep is not None:
+            # certified: <d, d> = 1 and dim End = 1 give dim Ext^1 = 0
+            ctx.hom_ext[((ROOT, dims), (ROOT, dims))] = (1, 0)
+    if rep is None:
+        raise NoExceptionalModuleError(dims)
+    return rep
+
+
 def materialize(ref: ModuleRef) -> Representation:
     """Explicit representation for the descriptor; exact but size-guarded.
 
@@ -180,7 +228,7 @@ def materialize(ref: ModuleRef) -> Representation:
     dims = ref_dims(ref)
     if not any(dims):
         return zero_rep(ref.quiver)
-    if ref.kind == TUBE:
+    if ref.kind in (TUBE, ROOT):
         total = sum(dims)
     else:
         total = sum(sum(_orbit_dims(ref.quiver, ref.kind, ref.vertex, k))
@@ -191,6 +239,8 @@ def materialize(ref: ModuleRef) -> Representation:
     if ref.kind == TUBE:
         p, q = ref.apq
         return apq_algebra(p, q).tube_point(ref.point)
+    if ref.kind == ROOT:
+        return _root_rep(ref.quiver, dims)
     # build the orbit upwards, so that each _orbit_rep call finds the member
     # before it memoized and the recursion stays one level deep
     for k in range(ref.power + 1):
@@ -205,11 +255,13 @@ def materialize(ref: ModuleRef) -> Representation:
 def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
     """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
     identity dim Ext^1 = dim Hom - <dim a, dim b>.  Hom is decided in one
-    step: pairs inside one tube and explicit pairs are structural, two
-    different tubes are orthogonal, and every other pair has a directing
-    side, so its Hom and Ext^1 are not both nonzero.  The one reader and
-    writer of ``hom_ext``: a pedigreed pair is answered once and its checked
-    entry stays in the quiver's context."""
+    step: pairs inside one tube and pairs with an explicit or a ``ROOT``
+    side are structural, two different tubes are orthogonal, and every
+    other pair has a directing side, so its Hom and Ext^1 are not both
+    nonzero.  The one reader of ``hom_ext``, and its one writer but for the
+    (1, 0) that ``materialize`` seeds for a ``ROOT`` module it finds: a
+    pedigreed pair is answered once and its checked entry stays in the
+    quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
@@ -229,7 +281,7 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
         hom = 0
     elif a.kind == b.kind == TUBE:
         hom = _structural_hom(a, b) if a.point.tube == b.point.tube else 0
-    elif PLAIN in (a.kind, b.kind):
+    elif a.kind in (PLAIN, ROOT) or b.kind in (PLAIN, ROOT):
         hom = _structural_hom(a, b)
     else:
         hom = max(euler, 0)
@@ -252,7 +304,10 @@ def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
 
 
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
-    return hom_dim(materialize(a), materialize(b))
+    x, y = materialize(a), materialize(b)
+    if a.kind == ROOT and a == b:
+        return 1  # found means exceptional, as the seeded hom_ext entry says
+    return hom_dim(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,10 @@ class QuiverContext:
     the path table.  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
-    materialized orbit modules), ``hom_ext`` (``modules``: one checked
-    (dim Hom, dim Ext^1) entry per pedigreed pair), ``pools`` (``systems``:
+    materialized orbit modules), ``root_reps`` (``modules``: the exceptional
+    module found per ``ROOT`` dimension vector, or None), ``hom_ext``
+    (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
+    with the (1, 0) of each ``ROOT`` module found), ``pools`` (``systems``:
     the candidate list per exponent bound), ``ref_ids`` and ``precedence``
     (``systems``: a small integer per pedigreed ref key, and the search
     kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
@@ -183,6 +185,7 @@ class QuiverContext:
             self.__dict__.pop(name, None)
         self.orbit_dims: dict[tuple[str, int], tuple[DimVector, ...]] = {}
         self.orbit_reps: dict[tuple[str, int, int], Any] = {}
+        self.root_reps: dict[DimVector, Any] = {}
         self.hom_ext: dict[tuple, tuple[int, int]] = {}
         self.pools: dict[Any, tuple] = {}
         with self._lock:

@@ -202,6 +202,101 @@ def test_regular_css_search_cap8_witness():
     assert witness.size == 3
 
 
+def _eager_search(q, cap):
+    """The witness dims and ``checked`` count of a pool that builds every
+    screened vector's module before it searches."""
+    from stratsys.classifier import _screened_roots
+    from stratsys.modules import ref_plain
+    from stratsys.systems import StratSystem, _exceptional_sequences
+
+    screened = _screened_roots(q, cap)
+    found = [exceptional_of_dims(q, dims) for dims in screened]
+    refs = [ref_plain(rep) for rep in found if rep is not None]
+    witness = next((s for s in _exceptional_sequences(refs, q.n) if len(s) == q.n), None)
+    if witness is None:
+        return None, len(screened)
+    system = StratSystem(q, tuple(refs[i] for i in witness))
+    return [ref_dims(m) for m in system.modules], len(screened) + check_css(system).checked
+
+
+@pytest.mark.parametrize("cap", [6, 8])
+def test_regular_css_search_finds_what_an_eager_pool_finds(cap):
+    WILD3.context.clear()
+    witness, report = regular_css_search(WILD3, cap)
+    dims = None if witness is None else [ref_dims(m) for m in witness.modules]
+    assert (dims, report.checked) == _eager_search(WILD3, cap)
+
+
+def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch):
+    from stratsys import classifier
+    from stratsys.modules import NoExceptionalModuleError, materialize, ref_root
+
+    runs = []
+    search = classifier._exceptional_sequences
+    monkeypatch.setattr(classifier, "_exceptional_sequences",
+                        lambda items, length: runs.append([r.dims for r in items])
+                        or search(items, length))
+    WILD3.context.clear()
+    witness, _ = regular_css_search(WILD3, 8)
+    assert [ref_dims(m) for m in witness.modules] == [(1, 2, 0), (4, 8, 1), (0, 1, 0)]
+    assert [len(items) for items in runs] == [39, 38]
+    assert set(runs[0]) - set(runs[1]) == {(1, 8, 4)}
+    # the miss is memoized, and it is not a plain lookup failure
+    assert WILD3.context.root_reps[(1, 8, 4)] is None
+    with pytest.raises(NoExceptionalModuleError) as caught:
+        materialize(ref_root(WILD3, [1, 8, 4]))
+    assert caught.value.dims == (1, 8, 4)
+    assert not isinstance(caught.value, LookupError)
+
+
+def test_a_root_descriptor_reads_as_its_vector():
+    from stratsys.modules import ROOT, materialize, pair_hom_ext, ref_key, ref_root
+    from stratsys.reps import hom_dim
+
+    WILD3.context.clear()
+    ref = ref_root(WILD3, [1, 2, 0])
+    assert ref_dims(ref) == (1, 2, 0)
+    assert ref_key(ref) == (ROOT, (1, 2, 0))
+    assert ref.describe() == "rep(1, 2, 0)"
+    rep = materialize(ref)
+    assert materialize(ref) is rep and rep.dims == (1, 2, 0)
+    assert WILD3.context.hom_ext[(ref_key(ref), ref_key(ref))] == (1, 0)
+    simple = ref_root(WILD3, (0, 1, 0))
+    assert pair_hom_ext(ref, simple) == (hom_dim(rep, materialize(simple)), 0) == (2, 0)
+
+
+def test_two_threads_search_the_wild_quiver_as_one_does():
+    import sys
+    import threading
+
+    def outcome():
+        witness, report = regular_css_search(WILD3, 8)
+        return witness.describe(), report.checked, report.passed, report.flags
+
+    WILD3.context.clear()
+    expected = outcome()
+    WILD3.context.clear()
+    got = []
+    barrier = threading.Barrier(2)
+
+    def run():
+        barrier.wait(timeout=10)
+        got.append(outcome())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * 2
+
+
 def test_exceptional_of_dims_unit_root():
     rep = exceptional_of_dims(WILD3, (2, 1, 0))
     assert rep is not None

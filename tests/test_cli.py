@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,21 @@ def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload,
     assert f"error: {path}{field}:" in captured.err
 
 
+def test_a_huge_tube_level_meets_the_cap_at_once(tmp_path, capsys):
+    # the dimension vector of a tube point is a closed form in its level, so
+    # the size guard refuses level 10^9 without summing 10^9 mouth vectors
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"quiver": {"apq": {"p": 2, "q": 3}},
+                                "modules": [{"E_inf": 1, "level": 10**9}]}), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["ss", "check", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "total dimension 2500000000, beyond the cap 4000" in captured.err
+    assert elapsed < 5
+
+
 def test_quiver_validate_keeps_reporting_cycles_as_failures(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(TWO_CYCLE), encoding="utf-8")
@@ -292,6 +308,10 @@ PINNED_REPORTS = {
                          "b328581a10108f6bc5bab9c098f59f0eaad1023c0b025093c9f0cbbfd2fd6986"),
     "wild-regcss-cap8": ("--json wild regcss samples/wild_double_path.quiver.json --cap 8", 0,
                          "bfd6874ddbd42f3fe20c28968cf39346ebb1a84aaffe699abcaf1e72e3c4db41"),
+    "wild-regcss-cap10": ("--json wild regcss samples/wild_double_path.quiver.json --cap 10", 0,
+                          "28372d81430738e6bdfebc6caca59242a526098375adbacb3c2ff6cb0536548e"),
+    "wild-regcss-cap12": ("--json wild regcss samples/wild_double_path.quiver.json --cap 12", 0,
+                          "9fb230a6cd384bde470dcde13850317b4f2795dc97ef5d82bb5d3fcd28f44b43"),
     "ss-extend-outer": ("--json ss extend samples/fg_p2q3.ss.json --positions outer --bound 4", 0,
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from stratsys.classifier import regular_css_search
 from stratsys.modules import pair_hom_ext
 from stratsys.quiver import Quiver, canonical_apq, euler_form, validate
 from stratsys.systems import build_candidates
@@ -121,7 +122,6 @@ def test_uniqueness_searches_share_one_precedence_memo(monkeypatch, capsys):
 
 def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):
     from stratsys import modules
-    from stratsys.classifier import regular_css_search
 
     from conftest import wild_sample
 
@@ -129,7 +129,22 @@ def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):
     wild.context.clear()
     calls = _counted(monkeypatch, modules, "hom_dim")
     assert regular_css_search(wild, 6)[0] is None
-    assert calls[0] <= 40  # deterministic gate; 324 without the screen
+    assert calls[0] <= 17  # deterministic gate; 324 without the screen
+
+
+def test_the_regular_search_builds_only_the_modules_it_asks_about(monkeypatch):
+    from stratsys import classifier, modules
+
+    from conftest import wild_sample
+
+    wild = wild_sample()
+    wild.context.clear()
+    built = _counted(monkeypatch, classifier, "exceptional_of_dims")
+    calls = _counted(monkeypatch, modules, "hom_dim")
+    assert regular_css_search(wild, 8)[0] is not None
+    # deterministic gates; an eager pool builds all 39 screened vectors
+    assert built[0] <= 7
+    assert calls[0] <= 6
 
 
 class _YieldingKey:

@@ -210,12 +210,12 @@ def test_search_callers_match_brute_force():
     assert [s.modules for s in found] == [tuple(pool[i] for i in s) for s in expected]
 
 
-def test_euler_screen_agrees_with_structure(monkeypatch):
+def test_euler_screen_agrees_with_structure():
     # the kernel answers "b may not follow a" when <dim b, dim a> != 0, by
     # dim Hom - dim Ext^1 = <dim b, dim a>; check that identity on structural
     # Hom and Ext^1, and that the kernel (screen and engine) accepts exactly
     # the pairs whose structural (hom, ext) is (0, 0)
-    from stratsys import classifier
+    from stratsys.classifier import _screened_roots, exceptional_of_dims
     from stratsys.modules import materialize, ref_total_dim
     from stratsys.quiver import euler_form
     from stratsys.reps import ext1_dim_direct, hom_dim
@@ -223,12 +223,10 @@ def test_euler_screen_agrees_with_structure(monkeypatch):
 
     from conftest import wild_sample
 
-    pools = []
-    search = classifier._exceptional_sequences
-    monkeypatch.setattr(classifier, "_exceptional_sequences",
-                        lambda items, length: pools.append(list(items)) or search(items, length))
-    classifier.regular_css_search(wild_sample(), 6)
-    pools.append([r for r in build_candidates(canonical_apq(2, 3), 8) if ref_total_dim(r) <= 12])
+    wild = wild_sample()
+    found = [exceptional_of_dims(wild, d) for d in _screened_roots(wild, 6)]
+    pools = [[ref_plain(rep) for rep in found if rep is not None],
+             [r for r in build_candidates(canonical_apq(2, 3), 8) if ref_total_dim(r) <= 12]]
     assert [len(pool) for pool in pools] == [18, 35]
     for pool in pools:
         reps = [materialize(r) for r in pool]
@@ -239,7 +237,7 @@ def test_euler_screen_agrees_with_structure(monkeypatch):
                 assert hom - ext == euler_form(x.quiver, x.dims, y.dims)
                 if (hom, ext) == (0, 0):
                     follows.add((a, b))
-        assert {s for s in search(pool, 2) if len(s) == 2} == follows
+        assert {s for s in _exceptional_sequences(pool, 2) if len(s) == 2} == follows
 
 
 def test_the_kernel_refuses_modules_over_two_quivers():

@@ -130,6 +130,21 @@ def test_tube_point_realization():
     assert ext1_dim(full, full) >= 1  # level = rank: self-extensions
 
 
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
+def test_tube_point_dims_close_the_sum_of_mouth_vectors(p, q):
+    # whole turns of the tube add the sum of all mouth vectors; compare with
+    # the running sum of ``level`` mouth vectors
+    for label in (TUBE_INFTY, TUBE_ZERO, tube_lambda(1)):
+        rank = apq_algebra(p, q).tube_rank(label)
+        for index in range(1, rank + 1):
+            running = [0] * (p + q)
+            for level in range(1, 3 * rank + 1):
+                mouth = mouth_dim_vector(p, q, label, (index - 2 + level) % rank + 1)
+                running = [x + y for x, y in zip(running, mouth)]
+                point = TubePoint(label, index, level)
+                assert tube_point_dim_vector(p, q, point) == tuple(running)
+
+
 def test_tube_point_rigidity_bound_examples():
     # rank 3 tube: a single rigid point of level 2 meets the bound 3 - 1
     report = tube_rigid_bound_check(2, 3, TUBE_ZERO)
