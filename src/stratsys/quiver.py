@@ -153,7 +153,10 @@ class QuiverContext:
     module found per ``ROOT`` dimension vector, or None), ``hom_ext``
     (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
     with the (1, 0) of each ``ROOT`` module found), ``pools`` (``systems``:
-    the candidate list per exponent bound), ``ref_ids`` and ``precedence``
+    the compiled candidate pool per exponent bound: its modules, their
+    interned ids with the ``precedence`` memo those ids index, and the
+    positions of the modules by primitive dimension vector), ``ref_ids``
+    and ``precedence``
     (``systems``: a small integer per pedigreed ref key, and the search
     kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
     ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask), and
@@ -164,7 +167,10 @@ class QuiverContext:
     Thread guarantees: one context per value (creation is locked), memo
     values are immutable and a function of their key, and a memo is only
     ever replaced whole, so a concurrent reader sees a complete value or a
-    miss.  Ids are handed out under a lock (see ``intern``).  Racing misses
+    miss.  Ids are handed out under a lock (see ``intern``); a search pairs
+    a pool's ids with the memo of their own generation only, so a pool
+    stored after a ``clear`` is interned again, never read against the new
+    memo.  Racing misses
     compute the same value twice; the counts are exact in single-threaded
     runs only.
     """

@@ -11,13 +11,16 @@ member of a stratifying system over a hereditary algebra must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
                       pair_hom, pair_hom_ext, ref_dims, ref_is_exceptional, ref_key,
                       ref_preinj, ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
-from .quiver import Quiver, classify_type, euler_form
+from .linalg import RationalMatrix, kernel_matrix
+from .quiver import DimVector, Quiver, _euler_matrix, classify_type, euler_form
 from .report import CheckReport
 
 
@@ -99,20 +102,75 @@ def is_filtration_finite(s: StratSystem) -> bool:
 # extension to a complete system
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Pool:
+    """Search items compiled once for the kernel, in pick order.
+
+    ``ids`` are the items' interned ids and ``memo`` the ``precedence`` memo
+    of the same ``clear()`` generation, both None when some item is explicit.
+    ``lines`` maps each primitive dimension vector to the positions of the
+    items on its ray, ascending, and ``form`` is the quiver's Euler matrix.
+    Nothing in a pool is changed after it is built."""
+
+    refs: tuple[ModuleRef, ...]
+    ids: Optional[tuple[int, ...]]
+    memo: Optional[dict]
+    lines: dict[DimVector, tuple[int, ...]]
+    form: tuple[tuple[int, ...], ...]
+
+
+def _ray(vec: Sequence[int]) -> Optional[DimVector]:
+    """The primitive vector with the first nonzero entry positive on the
+    line through ``vec``, or None for the zero vector."""
+    g = gcd(*vec)
+    if not g:
+        return None
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
+def _compile_pool(refs: Iterable[ModuleRef]) -> Pool:
+    """``refs`` compiled for the kernel (see ``Pool``)."""
+    refs = tuple(refs)
+    ctx = refs[0].quiver.context if refs else None
+    # shared and screened facts hold over one quiver only
+    if any(r.quiver.context is not ctx for r in refs):
+        raise ValueError("modules live over different quivers")
+    ids = memo = None
+    if refs and all(r.kind != PLAIN for r in refs):
+        ids, memo = ctx.intern([ref_key(r) for r in refs])
+        ids = tuple(ids)
+    lines: dict[DimVector, list[int]] = {}
+    for k, r in enumerate(refs):
+        ray = _ray(ref_dims(r))
+        if ray is not None:  # a zero module is never exceptional
+            lines.setdefault(ray, []).append(k)
+    form = tuple(map(tuple, _euler_matrix(refs[0].quiver))) if refs else ()
+    return Pool(refs, ids, memo, {ray: tuple(ks) for ray, ks in lines.items()}, form)
+
+
+def _candidate_pool(quiver: Quiver, exponent_bound: int) -> Pool:
+    """The compiled ``build_candidates`` pool, built once per bound in the
+    quiver's context."""
+    ctx = quiver.context
+    pool = ctx.pools.get(exponent_bound)
+    if pool is not None:
+        ctx.hits["pools"] += 1
+    else:
+        ctx.misses["pools"] += 1
+        pool = ctx.pools[exponent_bound] = _compile_pool(_build_candidates(quiver,
+                                                                           exponent_bound))
+    return pool
+
+
 def build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
     """Search space for completions: the exceptional tau-orbit modules of
     projectives and injectives up to the exponent bound, plus the
     simple-regular catalogue when the quiver is a canonical Euclidean cycle;
     one per dimension vector, in search order, built once per bound in the
     quiver's context."""
-    ctx = quiver.context
-    refs = ctx.pools.get(exponent_bound)
-    if refs is not None:
-        ctx.hits["pools"] += 1
-    else:
-        ctx.misses["pools"] += 1
-        refs = ctx.pools[exponent_bound] = tuple(_build_candidates(quiver, exponent_bound))
-    return list(refs)
+    return list(_candidate_pool(quiver, exponent_bound).refs)
 
 
 def _build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
@@ -143,22 +201,23 @@ def _build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
     return unique
 
 
-def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
-                           start: Sequence[int] = (),
-                           picks: Optional[Sequence[int]] = None,
+def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
+                           start: Sequence[ModuleRef] = (),
                            slots: Optional[Callable[[int, int], Iterable[int]]] = None,
                            report: Optional[CheckReport] = None
                            ) -> Iterator[tuple[int, ...]]:
-    """Depth-first search for ordered systems over ``items``, by index.
+    """Depth-first search for ordered systems over a pool, by index.
 
     The systems are the exceptional sequences of Crawley-Boevey ("Exceptional
-    sequences of representations of quivers", 1993).  Starting from ``start``
-    (taken to satisfy the axioms), each step inserts an index from ``picks``
-    (default: every item) at a position from ``slots(size, last_slot)``
-    (default: appended) and checks only the new pairs; each attempt counts one
-    check on ``report``.  Every accepted sequence is yielded in depth-first
-    order and grown while shorter than ``length``, so a caller takes the first
-    hit of full length, all of them, or the longest length reached.
+    sequences of representations of quivers", 1993).  The indices run over
+    ``start`` followed by the pool's modules.  Starting from ``start`` (taken
+    to satisfy the axioms), each step inserts a pool module at a position
+    from ``slots(size, last_slot)`` (default: appended) and checks only the
+    new pairs; each attempt counts one check on ``report``.  Every accepted
+    sequence is yielded in depth-first order and grown while shorter than
+    ``length``, so a caller takes the first hit of full length, all of them,
+    or the longest length reached.  A ``Pool`` from ``_compile_pool`` is used
+    as it is; a list is compiled for the one search.
 
     A step needs two facts from (dim Hom, dim Ext^1) = ``pair_hom_ext``:
     ``b`` may follow ``a`` iff pair_hom_ext(b, a) == (0, 0), and ``i`` is
@@ -169,6 +228,19 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     with an explicit item keeps its own.  The new pairs are tried before
     exceptionality, which is the costly fact for large explicit modules.
 
+    The last member, the n-th over n vertices, is placed on a line.  Into
+    slot ``pos`` of E_1, ..., E_{n-1} a pick x fits only if <x, dim E_j> = 0
+    before the slot and <dim E_j, x> = 0 after it: n - 1 linear equations.
+    The sequence has one completion at every slot, and the Gram matrix
+    <dim F_a, dim F_b> of the complete sequence F is unitriangular, so the
+    equations have rank n - 1 and their solutions are the multiples of the
+    completion's dimension vector.  Only the picks whose dimension vector
+    lies on that line are tried, in pick order; every other pick failed an
+    Euler screen before, so the hits, their order and the facts that decide
+    them are those of a scan of every pick, and ``report`` still counts one
+    check per pick up to where the caller stops.  A solution space that is
+    not a line raises ``ArithmeticError``.
+
     An appending search (no ``slots``) grows each member set once: whether
     ``i`` may follow depends on the set before it, not on its order, so a
     reordering of a grown set reaches no new set, length or earlier first hit.
@@ -176,16 +248,22 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
     the least valid tuple, and every accepted tuple is still yielded (at
     length 2, every valid ordering).  An insertion search grows them all.
     """
-    picks = range(len(items)) if picks is None else picks
+    pool = pool if isinstance(pool, Pool) else _compile_pool(pool)
+    start = tuple(start)
+    items = start + pool.refs
+    first, n = len(start), len(pool.form)
     grown: Optional[set[frozenset[int]]] = set() if slots is None else None
     slots = slots or (lambda size, last: (size,))
 
     ctx = items[0].quiver.context if items else None
-    # shared and screened facts hold over one quiver only
-    if any(r.quiver.context is not ctx for r in items):
+    if any(r.quiver.context is not ctx for r in (*start, *pool.refs[:1])):
         raise ValueError("modules live over different quivers")
-    if items and all(r.kind != PLAIN for r in items):
-        ids, memo = ctx.intern([ref_key(r) for r in items])
+    if pool.ids is not None and all(r.kind != PLAIN for r in start):
+        ids, memo = ctx.intern([ref_key(r) for r in start])
+        if memo is pool.memo:
+            ids = tuple(ids) + pool.ids
+        else:  # the pool is from before a clear(): intern all in this generation
+            ids, memo = ctx.intern([ref_key(r) for r in items])
     else:  # explicit modules stay out of the context
         ids, memo = range(len(items)), {}
 
@@ -204,13 +282,27 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
             fact = memo[ids[i]] = pair_hom_ext(items[i], items[i]) == (1, 0)
         return fact
 
+    def line(seq: tuple[int, ...], pos: int) -> Iterable[int]:
+        """The picks whose dimension vector solves the last slot's equations."""
+        dims = [ref_dims(items[j]) for j in seq]
+        form = pool.form  # <x, e> = x . (form e) and <e, x> = (e form) . x
+        rows = [[sum(map(mul, row, e)) for row in form] for e in dims[:pos]]
+        cols = tuple(zip(*form))
+        rows += [[sum(map(mul, col, e)) for col in cols] for e in dims[pos:]]
+        basis = kernel_matrix(RationalMatrix.from_nums(rows, 1, n))
+        if basis.cols != 1:
+            raise ArithmeticError(f"the last slot's solutions span {basis.cols} dimensions")
+        return map(first.__add__, pool.lines.get(_ray([row[0] for row in basis.nums]), ()))
+
     def grow(seq: tuple[int, ...], last: int, recurse) -> Iterator[tuple[int, ...]]:
         if grown is not None:
             grown.add(frozenset(seq))
         for pos in slots(len(seq), last):
-            for i in picks:
+            counted = first  # the picks before ``counted`` have their check
+            for i in line(seq, pos) if len(seq) == n - 1 else range(first, len(items)):
                 if report is not None:
-                    report.checked += 1
+                    report.checked += i + 1 - counted
+                counted = i + 1
                 if (all(follows(i, j) for j in seq[:pos])
                         and all(follows(j, i) for j in seq[pos:])
                         and exceptional(i)):
@@ -219,10 +311,12 @@ def _exceptional_sequences(items: Sequence[ModuleRef], length: int,
                     if len(child) < length and (grown is None
                                                 or frozenset(child) not in grown):
                         yield from recurse(child, pos, recurse)
+            if report is not None:
+                report.checked += len(items) - counted
 
     # grow gets itself as ``recurse``: a closure over its own name would be a
     # reference cycle that keeps the memo alive until the cyclic collector runs
-    return grow(tuple(start), 0, grow)
+    return grow(tuple(range(first)), 0, grow)
 
 
 def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
@@ -233,9 +327,10 @@ def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
     ``positions`` restricts insertion slots: a list of indices (single-slot
     searches), the string "outer" (prepend or append only), or None for
     anywhere.  Returns the first completion in deterministic candidate order
-    (or None) plus a report.  With exactly one slot open, every viable
-    candidate is collected: two non-isomorphic ones get flagged as an
-    inconsistency (one-slot completions are unique for hereditary algebras).
+    (or None) plus a report.  With one member missing, every viable
+    candidate is collected and grouped by its slot: the completion at a given
+    slot is unique for hereditary algebras, so two non-isomorphic ones in one
+    slot get flagged as an inconsistency (different slots may well differ).
     """
     report = CheckReport("extend-to-complete")
     base = check_ss(s)
@@ -250,7 +345,8 @@ def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
     if s.size == n:
         report.checked += 1
         return s, report
-    items = list(s.modules) + build_candidates(s.quiver, exponent_bound)
+    pool = _candidate_pool(s.quiver, exponent_bound)
+    items = s.modules + pool.refs
 
     def slot_list(size: int, last: int) -> Iterable[int]:
         if positions == "outer":
@@ -259,18 +355,19 @@ def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
             return [p for p in positions if 0 <= p <= size]
         return range(last, size + 1)
 
-    hits = (seq for seq in _exceptional_sequences(
-        items, n, start=range(s.size), picks=range(s.size, len(items)),
-        slots=slot_list, report=report) if len(seq) == n)
+    hits = (seq for seq in _exceptional_sequences(pool, n, start=s.modules,
+                                                  slots=slot_list, report=report)
+            if len(seq) == n)
     if n - s.size == 1:
         hits = list(hits)
-        distinct: dict = {}
+        by_slot: dict[int, dict] = {}
         for seq in hits:
-            cand = items[max(seq)]  # the inserted candidate has the largest index
-            distinct.setdefault(ref_dims(cand), cand)
-        if len(distinct) > 1:
-            report.flag("uniqueness violated: multiple one-slot completions "
-                        + ", ".join(c.describe() for c in distinct.values()))
+            i = max(seq)  # the inserted candidate has the largest index
+            by_slot.setdefault(seq.index(i), {}).setdefault(ref_dims(items[i]), items[i])
+        for pos, distinct in sorted(by_slot.items()):
+            if len(distinct) > 1:
+                report.flag(f"uniqueness violated: multiple completions in slot {pos}: "
+                            + ", ".join(c.describe() for c in distinct.values()))
     found = next(iter(hits), None)
     if found is None:
         report.add("no-completion", note="none found within bounds")

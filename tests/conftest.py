@@ -45,7 +45,25 @@ def apq23():
     return canonical_apq(2, 3)
 
 
+WILD_SAMPLE = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
+
+
 def wild_sample() -> Quiver:
     """The wild quiver of ``samples/wild_double_path.quiver.json``."""
-    sample = Path(__file__).resolve().parent.parent / "samples" / "wild_double_path.quiver.json"
-    return Quiver.from_json(json.loads(sample.read_text()))
+    return Quiver.from_json(json.loads(WILD_SAMPLE.read_text()))
+
+
+def one_short_systems(directory: Path) -> list[Path]:
+    """Two system files one member short of complete, where the completions
+    at the front and at the back differ: P_1 over the 3-Kronecker quiver,
+    and P_1, P_2 over the wild sample quiver."""
+    systems = {"kron3_p1": ({"kronecker": {"m": 3}}, [1]),
+               "wild_p1p2": (json.loads(WILD_SAMPLE.read_text()), [1, 2])}
+    paths = []
+    for name, (quiver, vertices) in systems.items():
+        path = directory / f"{name}.ss.json"
+        path.write_text(json.dumps({"quiver": quiver,
+                                    "modules": [{"tauP": {"i": i, "k": 0}} for i in vertices]}),
+                        encoding="utf-8")
+        paths.append(path)
+    return paths

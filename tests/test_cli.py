@@ -331,6 +331,8 @@ PINNED_REPORTS = {
                           "b961c22482984e600fdb6a8e81701d9e0a17c58c3f812e2337cfdadaa30f2601"),
     "apq-families-p3q4": ("--json apq families --p 3 --q 4", 0,
                           "44c5b3dd623f23440052656c3fd89931e6fcac306087c45e922c011e2c410bc6"),
+    "apq-families-p5q7": ("--json apq families --p 5 --q 7", 0,
+                          "9c7c4b73fa178c29563705b249a70fb29c38546c59b8a5fcf1f4839d66543b00"),
     "apq-ysearch-post-p2q3": ("--json apq ysearch-post --p 2 --q 3", 0,
                               "1b5ff3e52b6daa18e8ffff0fad1a8e70a387f9031a18380183ee94397beb9e8a"),
     "apq-ysearch-pre-p1q2": ("--json apq ysearch-pre --p 1 --q 2", 0,
@@ -362,6 +364,32 @@ def test_ss_extend_cli(files, capsys):
                          "--bound", "4"], capsys)
     assert code == 0
     assert "completion" in out
+
+
+@pytest.mark.parametrize("mode, completions, checks", [
+    ("front", ["(I_2, P_1)", "(I_3, P_1, P_2)"], [45, 70]),
+    ("back", ["(P_1, P_2)", "(P_1, P_2, P_3)"], [45, 70]),
+    ("outer", ["(I_2, P_1)", "(I_3, P_1, P_2)"], [81, 124]),
+    ("any", ["(I_2, P_1)", "(I_3, P_1, P_2)"], [81, 178]),
+])
+def test_ss_extend_one_short_is_unique_per_slot(tmp_path, capsys, mode, completions, checks):
+    # the front and back completions differ, and each is unique in its slot;
+    # comparing them across slots flagged a uniqueness violation
+    from conftest import one_short_systems
+
+    from stratsys.io_json import module_ref_from_json, system_from_json
+    from stratsys.systems import StratSystem
+
+    for path, completion, count in zip(one_short_systems(tmp_path), completions, checks):
+        code, out = run_cli(["--json", "ss", "extend", str(path), "--positions", mode], capsys)
+        data = json.loads(out)
+        assert code == 0
+        (report,) = data["details"]
+        assert (report["checked"], report["flags"]) == (count, [])
+        quiver = system_from_json(json.loads(path.read_text())).quiver
+        found = StratSystem(quiver, tuple(module_ref_from_json(m, quiver)
+                                          for m in data["data"]["completion"]))
+        assert found.describe() == completion
 
 
 def test_wild_regcss_cli_none_within_cap(files, capsys):

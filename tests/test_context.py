@@ -111,13 +111,17 @@ def test_uniqueness_searches_share_one_precedence_memo(monkeypatch, capsys):
     ctx = canonical_apq(3, 4).context
     ctx.clear()
     calls = _counted(monkeypatch, systems, "pair_hom_ext")
+    forms = _counted(monkeypatch, systems, "euler_form")
     assert main(["--json", "apq", "families", "--p", "3", "--q", "4"]) == 0
     capsys.readouterr()
     # deterministic counter gates, to be tightened only: with a memo per
-    # search the 30 searches made 32,100 kernel calls and 3,884 misses; the
-    # cross-tube zero route spares the misses of pairs from different tubes
-    assert calls[0] <= 702
-    assert ctx.misses["hom_ext"] <= 1259
+    # search the 30 searches made 32,100 kernel calls and 3,884 misses; a
+    # scan of the whole pool for the last member made 702 calls, 1,259
+    # misses and 2,084 Euler forms, where the Euler line tries only the
+    # picks on it
+    assert calls[0] <= 210
+    assert ctx.misses["hom_ext"] <= 767
+    assert forms[0] <= 180
 
 
 def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):
@@ -189,11 +193,7 @@ def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
         return {(key_of[k] if isinstance(k, int) else (key_of[k[0]], key_of[k[1]])): fact
                 for k, fact in ctx.precedence.items()}
 
-    ctx.clear()
-    try:
-        expected = completions()
-        expected_facts = facts()
-        ctx.clear()
+    def threaded():
         got = []
         barrier = threading.Barrier(4)
 
@@ -207,9 +207,28 @@ def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive()
-        assert got == [expected] * 4
+        return got
+
+    ctx.clear()
+    try:
+        expected = completions()
+        expected_facts = facts()
+        ctx.clear()
+        assert threaded() == [expected] * 4
         # one id per key and no id shared by two keys
         assert sorted(ctx.ref_ids.values()) == list(range(len(ctx.ref_ids)))
         assert facts() == expected_facts
+        # threads that share one compiled pool, and a pool compiled before a
+        # clear(): its ids must not index the new generation's memo
+        for stale in (False, True):
+            pool = ctx.pools[16]
+            ctx.clear()
+            if stale:
+                ctx.pools[16] = pool
+            else:
+                build_candidates(quiver, 16)
+            assert threaded() == [expected] * 4
+            assert sorted(ctx.ref_ids.values()) == list(range(len(ctx.ref_ids)))
+            assert facts() == expected_facts
     finally:
         ctx.clear()  # no yielding key outlives the test

@@ -89,6 +89,18 @@ def test_extend_single_slot_front_and_back(kron2):
     assert after is not None and after.describe() == "(P_1, P_2)"
 
 
+def test_two_completions_in_one_slot_are_flagged(monkeypatch, kron2):
+    # completions are unique per slot; a kernel that reports two different
+    # modules in front of P_1 (items 1 and 2 of P_1 + pool) must be flagged
+    from stratsys import systems
+
+    monkeypatch.setattr(systems, "_exceptional_sequences",
+                        lambda pool, length, **kwargs: iter([(1, 0), (2, 0)]))
+    _, report = extend_to_complete(StratSystem(kron2, (ref_preproj(kron2, 1, 0),)))
+    assert len(report.flags) == 1
+    assert report.flags[0].startswith("uniqueness violated: multiple completions in slot 0: ")
+
+
 def test_extend_fg_outer_finds_family_one():
     fg = fg_system(2, 3)
     completion, report = extend_to_complete(fg, exponent_bound=4,
@@ -185,10 +197,10 @@ def test_a_dropped_search_frees_its_memo_without_the_cyclic_collector():
     import gc
     import weakref
 
-    class Pool(list):  # a list that a weak reference can watch
-        pass
+    from stratsys.systems import _compile_pool
 
-    pool = Pool(regular_exceptional_pool(canonical_apq(2, 3), 10))
+    # the search's closures hold its compiled pool as they hold its memo
+    pool = _compile_pool(regular_exceptional_pool(canonical_apq(2, 3), 10))
     alive = weakref.ref(pool)
     gc.disable()
     try:
