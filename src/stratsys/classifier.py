@@ -16,12 +16,12 @@ from typing import Optional
 
 from .apq import apq_algebra
 from .modules import (ModuleRef, NoExceptionalModuleError, ref_dims, ref_preinj,
-                      ref_preproj, ref_root, same_module)
-from .quiver import Quiver, classify_type, euler_form, kronecker
+                      ref_preproj, ref_root)
+from .quiver import Quiver, _euler_matrix, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
 from .systems import (StratSystem, _exceptional_sequences, build_candidates, check_css,
-                      check_ss, extend_to_complete)
+                      check_ss, completion_ray)
 from .tubes import LAMBDA_SAMPLE, fg_system
 
 
@@ -431,24 +431,32 @@ def apq_families(p: int, q: int, t_bound: int) -> list[FamilyInstance]:
     return out
 
 
-def verify_family_uniqueness(p: int, q: int, inst: FamilyInstance,
-                             exponent_bound: int) -> CheckReport:
-    """Remove the listed first member and confirm it is the unique module
-    completing the remaining system at the front."""
-    report = CheckReport(f"uniqueness {inst.label()}")
-    rest = StratSystem(inst.system.quiver, inst.system.modules[1:])
-    completion, ext_report = extend_to_complete(rest, exponent_bound=exponent_bound,
-                                                positions=[0])
-    report.checked += 1
-    if completion is None:
-        report.add("completion-found", note="no completion within bounds")
+def verify_family_uniqueness(inst: FamilyInstance) -> CheckReport:
+    """Confirm that the listed first member X is the only module, among all,
+    completing the rest (F, G, Y) at the front.  An exceptional sequence of
+    n - 1 members has one completion in each slot (Crawley-Boevey 1993): a
+    front member x solves the n - 1 Euler equations <dim E, x> = 0, whose
+    solutions form a line (``completion_ray``), <x, x> = 1 leaves one positive
+    vector r on it, and r determines the exceptional module; so this passes
+    exactly when dim X = r.  If the rest fails its axioms it has no
+    completion; else a wrong X is reported with the module on the line, named
+    as ``ar_position`` reads a Coxeter orbit (within sum(r) steps), or r."""
+    report = CheckReport(f"uniqueness {inst.label()}", checked=1)
+    quiver, rest = inst.system.quiver, inst.system.modules[1:]
+    if not inst.report.passed and not check_ss(StratSystem(quiver, rest)).passed:
+        report.add("completion-found", note="the rest fails the stratifying axioms")
         return report
-    for f in ext_report.flags:
-        report.flag(f)
-    recovered = completion.modules[0]
+    ray = name = completion_ray(_euler_matrix(quiver), [ref_dims(m) for m in rest], 0)
     report.checked += 1
-    if not same_module(recovered, inst.listed_x):
-        report.add("recovered-x", value=(recovered.describe(), inst.listed_x.describe()))
+    if ray != ref_dims(inst.listed_x):
+        ctx = quiver.context
+        for make, vertex, inverse in ((ref_preproj, ctx.proj_vertex, False),
+                                      (ref_preinj, ctx.inj_vertex, True)):
+            orbit = ctx.coxeter.ending_orbit(ray, sum(ray), inverse)
+            if orbit is not None and orbit[-1] in vertex:
+                name = make(quiver, vertex[orbit[-1]], len(orbit) - 1).describe()
+                break
+        report.add("recovered-x", value=(name, inst.listed_x.describe()))
     return report
 
 

@@ -187,8 +187,7 @@ def cmd_apq(args, report: Report) -> None:
         rows = []
         for inst in classifier.apq_families(p, q, tbound):
             report.add(inst.report)
-            report.add(classifier.verify_family_uniqueness(
-                p, q, inst, exponent_bound=tbound + max(p, q) + 1))
+            report.add(classifier.verify_family_uniqueness(inst))
             rows.append({"family": inst.family_id, "params": inst.params,
                          "system": inst.system.describe(),
                          "verdict": inst.report.verdict,

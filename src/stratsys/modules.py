@@ -20,7 +20,7 @@ which no structural checker can materialize.
 A ``ROOT`` descriptor is "the exceptional module on dimension vector d".
 Over a hereditary algebra an exceptional module is determined by its
 dimension vector up to isomorphism (Crawley-Boevey, "Exceptional sequences
-of representations of quivers", 1993; ``same_module`` relies on it too), so
+of representations of quivers", 1993), so
 the vector alone is a pedigree: a search can key its facts on it, and the
 module is built (by ``classifier.exceptional_of_dims``) only the first time
 a structural question needs it.  When no module is found, ``materialize``
@@ -316,9 +316,3 @@ def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
 
 def ref_is_exceptional(ref: ModuleRef) -> bool:
     return pair_hom_ext(ref, ref) == (1, 0)
-
-
-def same_module(a: ModuleRef, b: ModuleRef) -> bool:
-    """Isomorphism test for exceptional descriptors: equal dimension vectors
-    determine exceptional modules over a hereditary algebra."""
-    return a.quiver == b.quiver and ref_dims(a) == ref_dims(b)

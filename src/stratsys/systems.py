@@ -16,7 +16,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
-                      pair_hom, pair_hom_ext, ref_dims, ref_is_exceptional, ref_key,
+                      pair_hom_ext, ref_dims, ref_is_exceptional, ref_key,
                       ref_preinj, ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .linalg import RationalMatrix, kernel_matrix
@@ -52,24 +52,19 @@ def check_ss(s: StratSystem) -> CheckReport:
         report.checked += 1
         if not any(ref_dims(m)):
             report.add("nonzero", subject=(i,), value=0)
-    for i, m in enumerate(mods, start=1):
+    selfs = [pair_hom_ext(m, m) for m in mods]
+    for i, (m, fact) in enumerate(zip(mods, selfs), start=1):
         report.checked += 1
-        if not ref_is_exceptional(m):
-            report.add("indecomposable-exceptional", subject=(i,),
-                       value=(pair_hom(m, m), pair_ext(m, m)),
-                       note=m.describe())
+        if fact != (1, 0):
+            report.add("indecomposable-exceptional", subject=(i,), value=fact, note=m.describe())
     for j in range(1, t + 1):
-        for i in range(1, t + 1):
-            if j > i:
-                report.checked += 1
-                h = pair_hom(mods[j - 1], mods[i - 1])
-                if h:
-                    report.add("hom-vanishing Hom(X_j,X_i)", subject=(j, i), value=h)
-            if j >= i:
-                report.checked += 1
-                e = pair_ext(mods[j - 1], mods[i - 1])
-                if e:
-                    report.add("ext-vanishing Ext1(X_j,X_i)", subject=(j, i), value=e)
+        for i in range(1, j + 1):
+            h, e = selfs[i - 1] if i == j else pair_hom_ext(mods[j - 1], mods[i - 1])
+            report.checked += 1 + (i < j)  # Hom(X_j, X_i) for i < j, Ext1 for i <= j
+            if i < j and h:
+                report.add("hom-vanishing Hom(X_j,X_i)", subject=(j, i), value=h)
+            if e:
+                report.add("ext-vanishing Ext1(X_j,X_i)", subject=(j, i), value=e)
     return report
 
 
@@ -128,6 +123,19 @@ def _ray(vec: Sequence[int]) -> Optional[DimVector]:
     if next(v for v in vec if v) < 0:
         g = -g
     return tuple(v // g for v in vec)
+
+
+def completion_ray(form: Sequence[Sequence[int]], dims: Sequence[DimVector],
+                   pos: int) -> DimVector:
+    """The ``_ray`` of the x with <x, e> = 0 for each e of ``dims`` before
+    slot ``pos`` and <e, x> = 0 for each e after it, ``form`` being the Euler
+    matrix; ``ArithmeticError`` when those solutions are not a line."""
+    rows = [[sum(map(mul, row, e)) for row in form] for e in dims[:pos]]  # x . (form e)
+    rows += [[sum(map(mul, col, e)) for col in zip(*form)] for e in dims[pos:]]  # (e form) . x
+    basis = kernel_matrix(RationalMatrix.from_nums(rows, 1, len(form)))
+    if basis.cols != 1:
+        raise ArithmeticError(f"the slot's solutions span {basis.cols} dimensions")
+    return _ray([row[0] for row in basis.nums])
 
 
 def _compile_pool(refs: Iterable[ModuleRef]) -> Pool:
@@ -234,12 +242,11 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
     The sequence has one completion at every slot, and the Gram matrix
     <dim F_a, dim F_b> of the complete sequence F is unitriangular, so the
     equations have rank n - 1 and their solutions are the multiples of the
-    completion's dimension vector.  Only the picks whose dimension vector
-    lies on that line are tried, in pick order; every other pick failed an
-    Euler screen before, so the hits, their order and the facts that decide
-    them are those of a scan of every pick, and ``report`` still counts one
-    check per pick up to where the caller stops.  A solution space that is
-    not a line raises ``ArithmeticError``.
+    completion's dimension vector (``completion_ray``).  Only the picks on
+    that line are tried, in pick order; every other pick failed an Euler
+    screen before, so the hits, their order and the facts that decide them
+    are those of a scan of every pick, and ``report`` still counts one check
+    per pick up to where the caller stops.
 
     An appending search (no ``slots``) grows each member set once: whether
     ``i`` may follow depends on the set before it, not on its order, so a
@@ -282,24 +289,16 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
             fact = memo[ids[i]] = pair_hom_ext(items[i], items[i]) == (1, 0)
         return fact
 
-    def line(seq: tuple[int, ...], pos: int) -> Iterable[int]:
-        """The picks whose dimension vector solves the last slot's equations."""
-        dims = [ref_dims(items[j]) for j in seq]
-        form = pool.form  # <x, e> = x . (form e) and <e, x> = (e form) . x
-        rows = [[sum(map(mul, row, e)) for row in form] for e in dims[:pos]]
-        cols = tuple(zip(*form))
-        rows += [[sum(map(mul, col, e)) for col in cols] for e in dims[pos:]]
-        basis = kernel_matrix(RationalMatrix.from_nums(rows, 1, n))
-        if basis.cols != 1:
-            raise ArithmeticError(f"the last slot's solutions span {basis.cols} dimensions")
-        return map(first.__add__, pool.lines.get(_ray([row[0] for row in basis.nums]), ()))
-
     def grow(seq: tuple[int, ...], last: int, recurse) -> Iterator[tuple[int, ...]]:
         if grown is not None:
             grown.add(frozenset(seq))
         for pos in slots(len(seq), last):
             counted = first  # the picks before ``counted`` have their check
-            for i in line(seq, pos) if len(seq) == n - 1 else range(first, len(items)):
+            picks = range(first, len(items))
+            if len(seq) == n - 1:  # the last member: only the picks on its line
+                ray = completion_ray(pool.form, [ref_dims(items[j]) for j in seq], pos)
+                picks = map(first.__add__, pool.lines.get(ray, ()))
+            for i in picks:
                 if report is not None:
                     report.checked += i + 1 - counted
                 counted = i + 1

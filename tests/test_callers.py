@@ -18,6 +18,7 @@ PROPERTIES = {"property", "cached_property"}
 KEPT = {
     "linalg.invert": "benchmark/tracer.py spans it as dense elimination",
     "linalg.solve": "benchmark/tracer.py spans it",
+    "modules.pair_hom": "benchmark/tracer.py spans it",
     "artheory.auslander_check": "benchmark/child.py checks each oracle pair with it",
     "tubes.max_regular_ss_size": "benchmark/child.py runs it over the criterion-7 grid",
     "reps.is_morphism": "test oracle: every Hom basis element is a morphism",

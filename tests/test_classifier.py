@@ -129,9 +129,9 @@ def test_apq_family_examples():
 def test_apq_family_uniqueness_spot_checks():
     instances = apq_families(2, 3, 6)
     for inst in instances[:6]:
-        report = verify_family_uniqueness(2, 3, inst, exponent_bound=10)
+        report = verify_family_uniqueness(inst)
         assert report.passed, report.summary()
-        assert not any("uniqueness violated" in f for f in report.flags)
+        assert report.checked == 2 and not report.flags
 
 
 def test_apq_families_1_2():

@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from stratsys.classifier import regular_css_search
+from stratsys.classifier import apq_families, regular_css_search
 from stratsys.modules import pair_hom_ext
 from stratsys.quiver import Quiver, canonical_apq, euler_form, validate
-from stratsys.systems import build_candidates
+from stratsys.systems import StratSystem, build_candidates, extend_to_complete
 
 
 def test_equal_quivers_share_one_context_and_hash():
@@ -79,18 +79,6 @@ def test_hom_ext_table_is_the_same_cold_and_warm(apq23):
     assert ctx.hits["hom_ext"] >= len(cold) ** 2 and ctx.hits["pools"] == 1
 
 
-def test_apq_families_builds_its_candidate_pool_once(capsys):
-    from stratsys.cli import main
-
-    ctx = canonical_apq(2, 3).context
-    ctx.clear()
-    assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
-    capsys.readouterr()
-    # deterministic counter gate: one build for all 22 uniqueness searches
-    assert ctx.misses["pools"] == 1
-    assert ctx.hits["pools"] == 21
-
-
 def _counted(monkeypatch, module, name):
     """Count the calls made through ``module.name``."""
     calls = [0]
@@ -104,21 +92,78 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def test_uniqueness_searches_share_one_precedence_memo(monkeypatch, capsys):
+def _kernel_calls(monkeypatch):
+    """Count the ``pair_hom_ext`` calls the search kernel makes: those
+    through ``systems`` that no ``check_ss`` call makes."""
     from stratsys import systems
+
+    calls, depth = [0], [0]
+    real_fact, real_check = systems.pair_hom_ext, systems.check_ss
+
+    def fact(*args):
+        calls[0] += not depth[0]
+        return real_fact(*args)
+
+    def check(*args):
+        depth[0] += 1
+        try:
+            return real_check(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(systems, "pair_hom_ext", fact)
+    monkeypatch.setattr(systems, "check_ss", check)
+    return calls
+
+
+def test_apq_families_builds_no_pool_and_runs_no_search(monkeypatch, capsys):
+    from stratsys.cli import main
+
+    ctx = canonical_apq(2, 3).context
+    ctx.clear()
+    calls = _kernel_calls(monkeypatch)
+    assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
+    capsys.readouterr()
+    # deterministic counter gates: uniqueness is read off the Euler line, so
+    # no completion pool is built and the search kernel never runs
+    assert ctx.misses["pools"] == ctx.hits["pools"] == 0
+    assert calls[0] == 0
+
+
+def test_apq_families_checks_each_family_once(monkeypatch, capsys):
+    from stratsys import classifier, systems
     from stratsys.cli import main
 
     ctx = canonical_apq(3, 4).context
     ctx.clear()
-    calls = _counted(monkeypatch, systems, "pair_hom_ext")
-    forms = _counted(monkeypatch, systems, "euler_form")
+    checks = _counted(monkeypatch, systems, "check_ss")
+    rechecks = _counted(monkeypatch, classifier, "check_ss")
     assert main(["--json", "apq", "families", "--p", "3", "--q", "4"]) == 0
     capsys.readouterr()
+    # deterministic counter gates, to be tightened only: with a one-slot
+    # search per family the 30 families made 90 check_ss calls and 767
+    # hom_ext misses
+    assert checks[0] + rechecks[0] <= 30
+    assert ctx.misses["hom_ext"] <= 405
+
+
+def test_uniqueness_searches_share_one_precedence_memo(monkeypatch):
+    from stratsys import systems
+
+    ctx = canonical_apq(3, 4).context
+    ctx.clear()
+    rests = [StratSystem(inst.system.quiver, inst.system.modules[1:])
+             for inst in apq_families(3, 4, 24)]
+    calls = _kernel_calls(monkeypatch)
+    forms = _counted(monkeypatch, systems, "euler_form")
+    for rest in rests:
+        assert extend_to_complete(rest, exponent_bound=29, positions=[0])[0] is not None
     # deterministic counter gates, to be tightened only: with a memo per
     # search the 30 searches made 32,100 kernel calls and 3,884 misses; a
     # scan of the whole pool for the last member made 702 calls, 1,259
     # misses and 2,084 Euler forms, where the Euler line tries only the
     # picks on it
+    assert len(rests) == 30
     assert calls[0] <= 210
     assert ctx.misses["hom_ext"] <= 767
     assert forms[0] <= 180

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from stratsys import classifier, systems
-from stratsys.classifier import apq_families, enumerate_css_kronecker, regular_css_search
+from stratsys.classifier import (FamilyInstance, apq_families, enumerate_css_kronecker,
+                                 regular_css_search, verify_family_uniqueness)
 from stratsys.cli import main
-from stratsys.modules import pair_hom_ext
-from stratsys.quiver import canonical_apq
-from stratsys.systems import Pool, StratSystem, extend_to_complete
+from stratsys.modules import pair_hom_ext, ref_dims
+from stratsys.quiver import _euler_matrix, canonical_apq
+from stratsys.systems import Pool, StratSystem, check_css, completion_ray, extend_to_complete
 
 from conftest import one_short_systems, wild_sample
 
@@ -90,8 +91,9 @@ def _line_and_scan(monkeypatch, search, quiver=None):
 def _one_slot_searches(p, q):
     quiver = canonical_apq(p, q)
     tbound = 2 * p * q  # coprime p, q: the CLI default, with its exponent bound
-    return quiver, [StratSystem(quiver, inst.system.modules[1:])
-                    for inst in apq_families(p, q, tbound)], tbound + max(p, q) + 1
+    instances = apq_families(p, q, tbound)
+    return quiver, instances, [StratSystem(quiver, inst.system.modules[1:])
+                               for inst in instances], tbound + max(p, q) + 1
 
 
 def _summary(found, report):
@@ -101,7 +103,7 @@ def _summary(found, report):
 
 @pytest.mark.parametrize("p, q, count", [(2, 3, 22), (3, 4, 30)])
 def test_apq_one_slot_searches_match_the_scan(monkeypatch, p, q, count):
-    quiver, rests, bound = _one_slot_searches(p, q)
+    quiver, _, rests, bound = _one_slot_searches(p, q)
     assert len(rests) == count
 
     def search():
@@ -112,6 +114,49 @@ def test_apq_one_slot_searches_match_the_scan(monkeypatch, p, q, count):
     assert line == scan
     assert all(found is not None and not flags for found, _, flags, _ in line[0])
     assert widths == [1] * count  # one line per search, at its one slot
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (5, 7)])
+def test_family_uniqueness_reads_the_one_slot_search_off_the_line(p, q):
+    quiver, instances, rests, bound = _one_slot_searches(p, q)
+    form = _euler_matrix(quiver)
+    for inst, rest in zip(instances, rests):
+        report = verify_family_uniqueness(inst)
+        assert report.passed and report.checked == 2, report.summary()
+        found, _ = extend_to_complete(rest, exponent_bound=bound, positions=[0])
+        line = completion_ray(form, [ref_dims(m) for m in rest.modules], 0)
+        assert line == ref_dims(found.modules[0]) == ref_dims(inst.listed_x), inst.label()
+
+
+def _with_first(inst, x, rest):
+    system = StratSystem(inst.system.quiver, (x, *rest))
+    return FamilyInstance(inst.family_id, inst.params, system, listed_x=x,
+                          report=check_css(system))
+
+
+def test_a_wrong_first_member_is_named_as_the_search_names_the_true_one():
+    _, instances, rests, bound = _one_slot_searches(3, 4)
+    for inst, rest in zip(instances, rests):
+        other = next(o.listed_x for o in instances
+                     if ref_dims(o.listed_x) != ref_dims(inst.listed_x))
+        report = verify_family_uniqueness(_with_first(inst, other, rest.modules))
+        found, _ = extend_to_complete(rest, exponent_bound=bound, positions=[0])
+        assert [v.axiom for v in report.violations] == ["recovered-x"], report.summary()
+        assert report.violations[0].value == (inst.listed_x.describe(), other.describe())
+        assert report.violations[0].value[0] == found.modules[0].describe()
+        assert report.checked == 2
+
+
+def test_a_rest_that_fails_its_axioms_has_no_completion():
+    _, instances, rests, bound = _one_slot_searches(2, 3)
+    for inst, rest in zip(instances, rests):
+        broken = rest.modules[:-1] + rest.modules[:1]  # a member twice: Hom(E, E) != 0
+        report = verify_family_uniqueness(_with_first(inst, inst.listed_x, broken))
+        assert [v.axiom for v in report.violations] == ["completion-found"]
+        assert report.checked == 1
+        old = extend_to_complete(StratSystem(rest.quiver, broken), exponent_bound=bound,
+                                 positions=[0])
+        assert old[0] is None
 
 
 @pytest.mark.parametrize("mode", ["front", "back", "outer", "any"])

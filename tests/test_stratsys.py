@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -31,6 +32,27 @@ def test_check_ss_reversed_fails_with_named_violation(kron2):
     assert violation.axiom.startswith("ext-vanishing")
     assert violation.subject == (2, 1)
     assert violation.value == 2
+
+
+def test_check_ss_asks_each_ordered_pair_once_and_reports_every_violation(
+        kron2, monkeypatch):
+    from stratsys import systems
+
+    calls = []
+    real = systems.pair_hom_ext
+    monkeypatch.setattr(systems, "pair_hom_ext", lambda a, b: calls.append(1) or real(a, b))
+    # a (1, 1) brick has End = k and Ext^1 = k, so it is no member
+    brick = ref_plain(make_rep(kron2, (1, 1), {a.label: [[Fraction(k + 1)]]
+                                               for k, a in enumerate(kron2.arrows)}))
+    report = check_ss(StratSystem(kron2, (brick, ref_preproj(kron2, 1, 0), brick)))
+    assert len(calls) == 6  # the three self-pairs and the three pairs j > i
+    assert report.checked == 15
+    hom, ext = "hom-vanishing Hom(X_j,X_i)", "ext-vanishing Ext1(X_j,X_i)"
+    assert [(v.axiom, v.subject, v.value, v.note) for v in report.violations] == [
+        ("indecomposable-exceptional", (1,), (1, 1), "rep(1, 1)"),
+        ("indecomposable-exceptional", (3,), (1, 1), "rep(1, 1)"),
+        (ext, (1, 1), 1, ""), (hom, (2, 1), 1, ""), (hom, (3, 1), 1, ""),
+        (ext, (3, 1), 1, ""), (ext, (3, 2), 1, ""), (ext, (3, 3), 1, "")]
 
 
 def test_check_ss_fg_with_p0():
