@@ -19,7 +19,7 @@ from .modules import (ModuleRef, NoExceptionalModuleError, ref_dims, ref_preinj,
                       ref_preproj, ref_root)
 from .quiver import Quiver, _euler_matrix, classify_type, euler_form, kronecker
 from .report import CheckReport
-from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep
+from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep, mutate, simple
 from .systems import (StratSystem, _exceptional_sequences, build_candidates, check_css,
                       check_ss, completion_ray)
 from .tubes import LAMBDA_SAMPLE, fg_system
@@ -485,12 +485,40 @@ def _generic_representation(q: Quiver, dims, stream) -> Representation:
     return make_rep(q, tuple(dims), maps)
 
 
+def _braid_module(q: Quiver, dims) -> Representation:
+    """The exceptional module on a vector the braid walk reached, built
+    along the walk's recipe (``reps.mutate``) from the modules of the pair it
+    came from, and certified by its dimension vector and dim End = 1.  Kept
+    in ``root_reps``, as ``materialize`` keeps what it finds."""
+    ctx = q.context
+    rep = ctx.root_reps.get(dims)
+    if rep is None:
+        recipe = ctx.walk.recipes[dims]
+        if recipe is None:
+            rep = simple(q, q.vertices[dims.index(1)])
+        else:
+            move, e, f = recipe
+            rep = mutate(_braid_module(q, e), _braid_module(q, f), move == "L")
+            # <d, d> = 1 and dim End = 1 give dim Ext^1 = 0
+            if rep.dims != dims or hom_dim(rep, rep) != 1:
+                raise ArithmeticError(f"the braid move built no exceptional module on {dims}")
+        ctx.root_reps[dims] = rep
+    return rep
+
+
 def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
-    """Deterministic generic search for the exceptional module on a unit-form
-    root; a structural witness certifies the answer (exceptional modules are
-    unique on their dimension vector)."""
+    """The exceptional module on a unit-form root, or None.
+
+    A vector that the quiver's braid walk reaches (``QuiverContext.walk``)
+    is built along the walk.  Any other is looked for among the generic
+    representations of ``GENERIC_STREAMS``, where a structural witness
+    certifies the answer (exceptional modules are unique on their dimension
+    vector); None there means that neither found a module."""
+    dims = tuple(dims)
     if euler_form(q, dims, dims) != 1:
         return None
+    if q.context.walk.reached(dims):
+        return _braid_module(q, dims)
     for stream in GENERIC_STREAMS:
         rep = _generic_representation(q, dims, stream)
         # <d, d> = 1 makes dim Ext^1(rep, rep) = dim End(rep) - 1
@@ -521,10 +549,11 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
 
     The pool holds one ``ROOT`` descriptor per screened vector, so a module is
     built only when the search first asks about it.  A vector with no module
-    found is dropped and the search runs again; its facts replay from the
-    quiver's shared memos.  The first witness is the one an eager pool of the
-    found modules gives: a vector whose module a run never builds was refused
-    by the Euler form wherever it came up, so it changes no sequence.
+    found is dropped, with a flag, and the search runs again; its facts
+    replay from the quiver's shared memos.  The first witness is the one an
+    eager pool of the found modules gives: a vector whose module a run never
+    builds was refused by the Euler form wherever it came up, so it changes
+    no sequence.
 
     Failure within the cap is an honest "none found", not a disproof.
     """
@@ -543,6 +572,8 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
             break
         except NoExceptionalModuleError as missing:
             refs = [r for r in refs if r.dims != missing.dims]
+            report.flag(f"dropped {missing.dims}: the braid walk did not reach it "
+                        "within its bounds and no generic module on it was found")
     if witness is None:
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report

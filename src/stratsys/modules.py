@@ -10,12 +10,17 @@ dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y> by the Euler identity.
     X -> Y -> tau X -> ... -> X.  So with e = <dim X, dim Y> the pair is
     (max(e, 0), max(-e, 0)).
   * Points of two different tubes are orthogonal: (0, 0).
+  * Two ``ROOT`` modules whose vectors sit in one complete exceptional
+    sequence that the quiver's braid walk reached (``BraidWalk.paired``)
+    form an exceptional pair in one order or the other, and Hom and Ext^1
+    of an exceptional pair are not both nonzero (Happel-Ringel): the
+    directing-pair formula again.
 
-Only pairs inside one tube and pairs with an explicit or a ``ROOT`` side
-are computed structurally, on materialized representations.  Both rules are
-cross-validated against that structure in the test suite.  Without them the
-generalized Kronecker orbit checks would need matrices with ~10^5 rows,
-which no structural checker can materialize.
+Only pairs inside one tube and the other pairs with an explicit or a
+``ROOT`` side are computed structurally, on materialized representations.
+The rules are cross-validated against that structure in the test suite.
+Without them the generalized Kronecker orbit checks would need matrices
+with ~10^5 rows, which no structural checker can materialize.
 
 A ``ROOT`` descriptor is "the exceptional module on dimension vector d".
 Over a hereditary algebra an exceptional module is determined by its
@@ -23,8 +28,13 @@ dimension vector up to isomorphism (Crawley-Boevey, "Exceptional sequences
 of representations of quivers", 1993), so
 the vector alone is a pedigree: a search can key its facts on it, and the
 module is built (by ``classifier.exceptional_of_dims``) only the first time
-a structural question needs it.  When no module is found, ``materialize``
-raises ``NoExceptionalModuleError`` carrying the vector.
+a structural question needs it.  A vector the braid walk reaches
+(``QuiverContext.walk``) is built along the walk by braid mutation
+(``reps.mutate``): a universal extension in the Ext^1 case, the kernel or
+cokernel of the canonical map in the Hom case, certified by its dimension
+vector and dim End = 1.  Any other vector falls back to a generic-matrix
+search.  When no module is found, ``materialize`` raises
+``NoExceptionalModuleError`` carrying the vector.
 
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
@@ -256,12 +266,13 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
     """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
     identity dim Ext^1 = dim Hom - <dim a, dim b>.  Hom is decided in one
     step: pairs inside one tube and pairs with an explicit or a ``ROOT``
-    side are structural, two different tubes are orthogonal, and every
-    other pair has a directing side, so its Hom and Ext^1 are not both
-    nonzero.  The one reader of ``hom_ext``, and its one writer but for the
-    (1, 0) that ``materialize`` seeds for a ``ROOT`` module it finds: a
-    pedigreed pair is answered once and its checked entry stays in the
-    quiver's context."""
+    side are structural, but for two ``ROOT`` members of one walked
+    exceptional sequence; two different tubes are orthogonal; and every
+    other pair has a directing side.  Where the pair is not structural, its
+    Hom and Ext^1 are not both nonzero.  The one reader of ``hom_ext``, and
+    its one writer but for the (1, 0) that ``materialize`` seeds for a
+    ``ROOT`` module it finds: a pedigreed pair is answered once and its
+    checked entry stays in the quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
@@ -281,6 +292,10 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
         hom = 0
     elif a.kind == b.kind == TUBE:
         hom = _structural_hom(a, b) if a.point.tube == b.point.tube else 0
+    elif a.kind == b.kind == ROOT and a != b and q.context.walk.paired(a.dims, b.dims):
+        # two members of one exceptional sequence: Hom and Ext^1 are not
+        # both nonzero (Happel-Ringel)
+        hom = max(euler, 0)
     elif a.kind in (PLAIN, ROOT) or b.kind in (PLAIN, ROOT):
         hom = _structural_hom(a, b)
     else:

@@ -7,12 +7,14 @@ the quiver's vertex list.
 
 Each quiver instance is compiled once on construction (hash, vertex index,
 arrow index pairs), and every per-quiver memo of the package lives in the one
-``QuiverContext`` shared by all equal quivers.
+``QuiverContext`` shared by all equal quivers, the braid walk over complete
+exceptional sequences (``BraidWalk``) among them.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,6 +26,9 @@ from .report import CheckReport
 
 DimVector = tuple[int, ...]
 Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
+
+WALK_ENTRY_BOUND = 40  # the largest entry of a dimension vector the braid walk visits
+WALK_STATES = 2000     # the complete exceptional sequences the braid walk visits per quiver
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,9 @@ class QuiverContext:
     the path table.  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
-    materialized orbit modules), ``root_reps`` (``modules``: the exceptional
-    module found per ``ROOT`` dimension vector, or None), ``hom_ext``
+    materialized orbit modules), ``root_reps`` (``modules`` and
+    ``classifier``: the exceptional module found per ``ROOT`` dimension
+    vector, or None, and each module built along the braid walk), ``hom_ext``
     (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
     with the (1, 0) of each ``ROOT`` module found), ``pools`` (``systems``:
     the compiled candidate pool per exponent bound: its modules, their
@@ -159,8 +165,9 @@ class QuiverContext:
     and ``precedence``
     (``systems``: a small integer per pedigreed ref key, and the search
     kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
-    ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask), and
-    ``projectives`` and ``injectives`` (``reps``: P_v and I_v per vertex).
+    ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask),
+    ``projectives`` and ``injectives`` (``reps``: P_v and I_v per vertex),
+    and ``walk``, the quiver's ``BraidWalk``, which guards itself.
     ``hits`` and ``misses`` count the lookups in ``hom_ext``, ``orbit_reps``
     and ``pools``.
 
@@ -199,6 +206,7 @@ class QuiverContext:
             self.precedence: dict[Any, bool] = {}
         self.projectives: dict[int, Any] = {}
         self.injectives: dict[int, Any] = {}
+        self.walk = BraidWalk(self.quiver)
         self.hits = dict.fromkeys(self.COUNTED, 0)
         self.misses = dict.fromkeys(self.COUNTED, 0)
 
@@ -259,6 +267,112 @@ class QuiverContext:
         return {key: tuple(sorted(val)) for key, val in table.items()}
 
 
+class BraidWalk:
+    """A lazy breadth-first walk of braid moves over the dimension vectors
+    of complete exceptional sequences.
+
+    It starts from the simples, ordered so that every arrow points forward:
+    Ext^1(S_s, S_t) is nonzero only for an arrow s -> t, so that order is an
+    exceptional sequence.  The braid group acts transitively on complete
+    exceptional sequences (Crawley-Boevey, "Exceptional sequences of
+    representations of quivers", 1993), and a move needs only the dimension
+    vectors: at an adjacent pair (e, f) with k = <e, f>, the left move gives
+    (+-(f - k e), e) and the right move (f, +-(e - k f)), the sign making the
+    vector positive (``reps.mutate`` builds the modules).
+
+    ``recipes`` maps each vector reached to the move that first gave it,
+    ("L" or "R", e, f) with (e, f) the pair it came from, or None for a
+    simple; ``pairs`` holds each two vectors, ascending, that sit in one
+    reached sequence.  Both only grow.  The walk visits the sequences whose
+    entries are at most ``WALK_ENTRY_BOUND``, at most ``WALK_STATES`` of them
+    per quiver, and goes only as far as a question needs; it runs under its
+    own lock.  Over a cyclic quiver it reaches nothing.
+    """
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.recipes: dict[DimVector, Optional[tuple[str, DimVector, DimVector]]] = {}
+        self.pairs: set[tuple[DimVector, DimVector]] = set()
+        self._lock = threading.Lock()
+        self._seen: Optional[set[tuple[DimVector, ...]]] = None  # None: not started
+        self._queue: deque[tuple[DimVector, ...]] = deque()
+
+    def reached(self, dims: DimVector) -> bool:
+        """Whether the walk reaches ``dims``, walking on until it does or
+        runs out of sequences."""
+        if max(dims, default=0) > WALK_ENTRY_BOUND:
+            return False
+        with self._lock:
+            return self._walk_until(lambda: dims in self.recipes)
+
+    def paired(self, u: DimVector, v: DimVector) -> bool:
+        """Whether ``u`` and ``v`` sit in one reached sequence, once the walk
+        has reached both (or run out of sequences)."""
+        if max(*u, *v) > WALK_ENTRY_BOUND:
+            return False
+        with self._lock:
+            self._walk_until(lambda: u in self.recipes and v in self.recipes)
+            return (min(u, v), max(u, v)) in self.pairs
+
+    def _walk_until(self, done) -> bool:
+        if self._seen is None:
+            self._seen = set()
+            order = _forward_order(self.quiver)
+            if order is not None:
+                start = tuple(self.quiver.unit_vector(v) for v in order)
+                self.recipes.update(dict.fromkeys(start))
+                self._visit(start)
+        while not done():
+            if not self._queue or len(self._seen) >= WALK_STATES:
+                return False
+            self._expand(self._queue.popleft())
+        return True
+
+    def _visit(self, state: tuple[DimVector, ...]) -> None:
+        self._seen.add(state)
+        self._queue.append(state)
+        members = sorted(state)
+        self.pairs.update((u, v) for i, u in enumerate(members) for v in members[i + 1:])
+
+    def _expand(self, state: tuple[DimVector, ...]) -> None:
+        q = self.quiver
+        for i in range(len(state) - 1):
+            e, f = state[i], state[i + 1]
+            k = euler_form(q, e, f)
+            for move in ("L", "R"):
+                a, b = (f, e) if move == "L" else (e, f)
+                new = tuple(x - k * y for x, y in zip(a, b))
+                if all(x <= 0 for x in new):
+                    new = tuple(-x for x in new)
+                elif any(x < 0 for x in new):
+                    raise ArithmeticError(f"a braid move at {(e, f)} left the positive cone")
+                if max(new) > WALK_ENTRY_BOUND:
+                    continue
+                nxt = state[:i] + ((new, e) if move == "L" else (f, new)) + state[i + 2:]
+                if nxt in self._seen:
+                    continue
+                if len(self._seen) >= WALK_STATES:
+                    return
+                self.recipes.setdefault(new, (move, e, f))
+                self._visit(nxt)
+
+
+def _forward_order(q: Quiver) -> Optional[list[int]]:
+    """The vertices with every arrow pointing forward, taking the first
+    vertex in vertex order that no remaining arrow enters; None when the
+    quiver has a cycle."""
+    remaining = list(q.vertices)
+    order = []
+    while remaining:
+        entered = {a.tgt for a in q.arrows if a.src in remaining}
+        source = next((v for v in remaining if v not in entered), None)
+        if source is None:
+            return None
+        order.append(source)
+        remaining.remove(source)
+    return order
+
+
 _CONTEXTS: dict[Quiver, QuiverContext] = {}
 _CONTEXTS_LOCK = threading.Lock()
 
@@ -290,7 +404,7 @@ def validate(q: Quiver) -> CheckReport:
         report.add("distinct-labels", value=dup)
         return report
     report.checked += 1
-    if _has_cycle(q):
+    if _forward_order(q) is None:
         report.add("acyclic")
         return report
     report.checked += 1
@@ -298,23 +412,6 @@ def validate(q: Quiver) -> CheckReport:
         report.add("connected")
         return report
     return report
-
-
-def _has_cycle(q: Quiver) -> bool:
-    remaining = set(q.vertices)
-    out_deg = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        out_deg[a.src] += 1
-    while remaining:
-        sinks = [v for v in remaining if out_deg[v] == 0]
-        if not sinks:
-            return True
-        for v in sinks:
-            remaining.discard(v)
-            for a in q.arrows:
-                if a.tgt == v and a.src in remaining:
-                    out_deg[a.src] -= 1
-    return False
 
 
 def _is_connected(q: Quiver) -> bool:

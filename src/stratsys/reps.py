@@ -5,7 +5,8 @@ matrix to each arrow (the matrix for an arrow s -> t has shape dims[t] x
 dims[s]).  One linear map carries Hom and Ext^1: the coboundary
 (+)_v Hom(x_v, y_v) -> (+)_a Hom(x_s, y_t) of the standard resolution, whose
 kernel is Hom(x, y) and whose cokernel is Ext^1(x, y); ``nonsplit_extension``
-picks its cocycle from that cokernel.  Ext^1 dimensions come in two
+picks its cocycle from that cokernel, and the universal extensions of
+``mutate`` a basis of it.  Ext^1 dimensions come in two
 independent flavours, an Euler-form route and a projective-presentation
 route, which must always agree.
 
@@ -527,13 +528,40 @@ def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
 # extensions
 # ---------------------------------------------------------------------------
 
+def _cochain_entry(top: Representation, sub: Representation, coord: int
+                   ) -> tuple[int, int, int]:
+    """(arrow position, row of sub_t, column of top_s) of coordinate
+    ``coord`` of C^1 = (+)_a Hom(top_s, sub_t), in ``_coboundary`` order."""
+    q = top.quiver
+    for ai, a in enumerate(q.arrows):
+        width = top.dim_at(a.src)
+        size = sub.dim_at(a.tgt) * width
+        if coord < size:
+            return (ai, *divmod(coord, width))
+        coord -= size
+    raise IndexError("coordinate beyond C^1")
+
+
+def _glued(parts: Sequence[Representation],
+           entries: Sequence[tuple[int, int, int]]) -> Representation:
+    """direct_sum(parts) with the entry 1 added at each (arrow position,
+    row, column) of ``entries``, in the coordinates of the sum."""
+    split = direct_sum(parts)
+    maps = list(split.maps)
+    for ai, r, c in entries:
+        mat = maps[ai]
+        nums = [list(row) for row in mat.nums]
+        nums[r][c] = mat.den
+        maps[ai] = RationalMatrix.from_nums(nums, mat.den, mat.cols)
+    return Representation(split.quiver, split.dims, tuple(maps))
+
+
 def nonsplit_extension(top: Representation, sub: Representation) -> Representation:
     """Middle term of a non-split extension 0 -> sub -> E -> top -> 0.
 
     Deterministic: the first standard cocycle outside the coboundary span is
     used.  Raises ValueError when Ext^1(top, sub) = 0.
     """
-    q = top.quiver
     rows, total = _coboundary(top, sub)
     columns = [[row.get(j, 0) for row in rows] for j in range(total)]
     # e_j lies in the coboundary span iff j is a pivot column of its RREF
@@ -546,16 +574,71 @@ def nonsplit_extension(top: Representation, sub: Representation) -> Representati
         raise ValueError("Ext^1(top, sub) = 0; no non-split extension exists")
     # the cocycle's one entry, at (row r of sub_t, column c of top_s) of its
     # arrow, joins top_s to sub_t inside the direct sum
-    split = direct_sum([sub, top])
-    maps = list(split.maps)
-    for ai, a in enumerate(q.arrows):
-        size = sub.dim_at(a.tgt) * top.dim_at(a.src)
-        if chosen < size:
-            r, c = divmod(chosen, top.dim_at(a.src))
-            mat = maps[ai]
-            nums = [list(row) for row in mat.nums]
-            nums[r][sub.dim_at(a.src) + c] = mat.den
-            maps[ai] = RationalMatrix.from_nums(nums, mat.den, mat.cols)
-            break
-        chosen -= size
-    return Representation(q, split.dims, tuple(maps))
+    ai, r, c = _cochain_entry(top, sub, chosen)
+    return _glued([sub, top], [(ai, r, sub.dim_at(top.quiver.arrows[ai].src) + c)])
+
+
+def _universal_extension(top: Representation, sub: Representation,
+                         left: bool) -> Representation:
+    """With e = dim Ext^1(top, sub): the middle term of the universal
+    extension 0 -> sub -> L -> top^e -> 0 (``left``) or
+    0 -> sub^e -> R -> top -> 0.  Its classes are the standard cocycles at
+    the coordinates of C^1 that are not pivots of the coboundary's image, a
+    basis of Ext^1(top, sub)."""
+    rows, total = _coboundary(top, sub)
+    pivots = linalg.pivot_columns([row.get(j, 0) for row in rows] for j in range(total))
+    basis = [j for j in range(len(rows)) if j not in pivots]
+    e, arrows = len(basis), top.quiver.arrows
+    entries = []
+    for k, coord in enumerate(basis):
+        ai, r, c = _cochain_entry(top, sub, coord)
+        s_sub, t_sub = sub.dim_at(arrows[ai].src), sub.dim_at(arrows[ai].tgt)
+        s_top = top.dim_at(arrows[ai].src)
+        if left:  # class k joins copy k of top to sub
+            entries.append((ai, r, s_sub + k * s_top + c))
+        else:  # class k joins top to copy k of sub
+            entries.append((ai, k * t_sub + r, e * s_sub + c))
+    parts = [sub] + [top] * e if left else [sub] * e + [top]
+    return _glued(parts, entries)
+
+
+def mutate(e: Representation, f: Representation, left: bool) -> Representation:
+    """The left mutation L_E F (``left``) or the right mutation R_F E of an
+    exceptional pair (E, F), one with Hom(F, E) = Ext^1(F, E) = 0.
+
+    At most one of Hom(E, F) and Ext^1(E, F) is nonzero (Happel-Ringel), so
+    k = <dim E, dim F> says which (Crawley-Boevey 1993; Ringel, "The braid
+    group action on the set of exceptional sequences of a hereditary artin
+    algebra", 1994):
+      * k < 0: the universal extension 0 -> F -> L -> E^-k -> 0, or
+        0 -> F^-k -> R -> E -> 0;
+      * k > 0: the canonical map E^k -> F, or E -> F^k, whose components
+        are a basis of Hom(E, F), is mono or epi, and the mutation is its
+        cokernel or its kernel; a cokernel is the dual of the kernel of the
+        dual map;
+      * k = 0: F, or E.
+    So dim L_E F = +-(dim F - k dim E) and dim R_F E = +-(dim E - k dim F).
+    The caller certifies the result (its dims and dim End = 1).
+    """
+    q = e.quiver
+    k = euler_form(q, e.dims, f.dims)
+    if k < 0:
+        return _universal_extension(e, f, left)
+    if k == 0:
+        return f if left else e
+    basis = hom_space(e, f).basis
+    if left:  # E^k -> F: the components side by side
+        source, target = direct_sum([e] * k), f
+        mats = [RationalMatrix.from_rows([sum((g[v].entries[r] for g in basis), ())
+                                          for r in range(f.dims[v])], cols=k * e.dims[v])
+                for v in range(q.n)]
+    else:  # E -> F^k: the components stacked
+        source, target = e, direct_sum([f] * k)
+        mats = [RationalMatrix.from_rows([row for g in basis for row in g[v].entries],
+                                         cols=e.dims[v])
+                for v in range(q.n)]
+    if all(t >= s for t, s in zip(target.dims, source.dims)):  # mono: the cokernel
+        kernel, _ = sub_representation(dual_representation(target),
+                                       [m.transpose() for m in mats])
+        return Representation(q, kernel.dims, tuple(m.transpose() for m in kernel.maps))
+    return sub_representation(source, mats)[0]

@@ -20,7 +20,7 @@ from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
                       ref_preinj, ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .linalg import RationalMatrix, kernel_matrix
-from .quiver import DimVector, Quiver, _euler_matrix, classify_type, euler_form
+from .quiver import DimVector, Quiver, _euler_matrix, classify_type
 from .report import CheckReport
 
 
@@ -230,11 +230,17 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
     A step needs two facts from (dim Hom, dim Ext^1) = ``pair_hom_ext``:
     ``b`` may follow ``a`` iff pair_hom_ext(b, a) == (0, 0), and ``i`` is
     exceptional iff pair_hom_ext(i, i) == (1, 0).  Since dim Hom - dim Ext^1
-    = <dim b, dim a>, a nonzero Euler form answers "no" without the engine.
-    Over pedigreed items the facts live in the quiver's ``precedence`` memo,
-    keyed by interned ids and shared by every search on the quiver; a search
-    with an explicit item keeps its own.  The new pairs are tried before
-    exceptionality, which is the costly fact for large explicit modules.
+    = <dim b, dim a>, a nonzero Euler form answers "no" without the engine:
+    each member j gets two bitmasks over the picks, built from ``pool.form``
+    when first needed, of the x with <x, dim j> = 0 and of those with
+    <dim j, x> = 0, and a slot tries only the picks in the AND of its
+    members' masks.  So the engine is asked about a subset of the pairs a
+    scan of every pick asks about, and ``report`` still counts one check
+    per pick.  Over pedigreed items the facts live in the quiver's
+    ``precedence`` memo, keyed by interned ids and shared by every search on
+    the quiver; a search with an explicit item keeps its own.  The new pairs
+    are tried before exceptionality, which is the costly fact for large
+    explicit modules.
 
     The last member, the n-th over n vertices, is placed on a line.  Into
     slot ``pos`` of E_1, ..., E_{n-1} a pick x fits only if <x, dim E_j> = 0
@@ -274,14 +280,43 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
     else:  # explicit modules stay out of the context
         ids, memo = range(len(items)), {}
 
-    def follows(b: int, a: int) -> bool:
+    def follows(b: int, a: int) -> bool:  # asked only where <dim b, dim a> = 0
         key = (ids[b], ids[a])
         fact = memo.get(key)
         if fact is None:
-            x, y = items[b], items[a]
-            fact = memo[key] = (euler_form(x.quiver, ref_dims(x), ref_dims(y)) == 0
-                                and pair_hom_ext(x, y) == (0, 0))
+            fact = memo[key] = pair_hom_ext(items[b], items[a]) == (0, 0)
         return fact
+
+    vecs = [ref_dims(r) for r in items]
+    masks: dict[int, tuple[int, int]] = {}
+
+    def mask(j: int) -> tuple[int, int]:
+        """The picks x with <x, dim j> = 0 and those with <dim j, x> = 0, as
+        bits by item index."""
+        m = masks.get(j)
+        if m is None:
+            e = vecs[j]
+            right = [sum(map(mul, row, e)) for row in pool.form]  # <x, e> = x . right
+            left = [sum(map(mul, col, e)) for col in zip(*pool.form)]  # <e, x> = left . x
+            after = before = 0
+            for k in range(first, len(items)):
+                after |= (not sum(map(mul, vecs[k], right))) << k
+                before |= (not sum(map(mul, left, vecs[k]))) << k
+            m = masks[j] = (after, before)
+        return m
+
+    def screened(seq: tuple[int, ...], pos: int) -> Iterator[int]:
+        """The picks that pass the Euler form against every member of
+        ``seq`` at slot ``pos``, ascending."""
+        bits = (1 << len(items)) - (1 << first)
+        for j in seq[:pos]:
+            bits &= mask(j)[0]
+        for j in seq[pos:]:
+            bits &= mask(j)[1]
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
     def exceptional(i: int) -> bool:
         fact = memo.get(ids[i])
@@ -294,10 +329,11 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
             grown.add(frozenset(seq))
         for pos in slots(len(seq), last):
             counted = first  # the picks before ``counted`` have their check
-            picks = range(first, len(items))
             if len(seq) == n - 1:  # the last member: only the picks on its line
-                ray = completion_ray(pool.form, [ref_dims(items[j]) for j in seq], pos)
+                ray = completion_ray(pool.form, [vecs[j] for j in seq], pos)
                 picks = map(first.__add__, pool.lines.get(ray, ()))
+            else:
+                picks = screened(seq, pos)
             for i in picks:
                 if report is not None:
                     report.checked += i + 1 - counted

@@ -231,21 +231,29 @@ def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch
     from stratsys import classifier
     from stratsys.modules import NoExceptionalModuleError, materialize, ref_root
 
+    # <d, d> = 1 on (2, 7, 2), but it is no Schur root: no module on it is
+    # exceptional, and the braid walk never reaches it.  Ask about it first.
+    screened = classifier._screened_roots
+    monkeypatch.setattr(classifier, "_screened_roots", lambda q, cap: sorted(
+        screened(q, cap), key=lambda d: d != (2, 7, 2)))
     runs = []
     search = classifier._exceptional_sequences
     monkeypatch.setattr(classifier, "_exceptional_sequences",
                         lambda items, length: runs.append([r.dims for r in items])
                         or search(items, length))
     WILD3.context.clear()
-    witness, _ = regular_css_search(WILD3, 8)
-    assert [ref_dims(m) for m in witness.modules] == [(1, 2, 0), (4, 8, 1), (0, 1, 0)]
+    witness, report = regular_css_search(WILD3, 8)
+    assert [ref_dims(m) for m in witness.modules] == [(0, 1, 0), (1, 8, 4), (0, 2, 1)]
     assert [len(items) for items in runs] == [39, 38]
-    assert set(runs[0]) - set(runs[1]) == {(1, 8, 4)}
+    assert runs[0][0] == (2, 7, 2) and set(runs[0]) - set(runs[1]) == {(2, 7, 2)}
+    assert report.flags[0] == ("dropped (2, 7, 2): the braid walk did not reach it within "
+                               "its bounds and no generic module on it was found")
     # the miss is memoized, and it is not a plain lookup failure
-    assert WILD3.context.root_reps[(1, 8, 4)] is None
+    assert WILD3.context.root_reps[(2, 7, 2)] is None
+    assert not WILD3.context.walk.reached((2, 7, 2))
     with pytest.raises(NoExceptionalModuleError) as caught:
-        materialize(ref_root(WILD3, [1, 8, 4]))
-    assert caught.value.dims == (1, 8, 4)
+        materialize(ref_root(WILD3, [2, 7, 2]))
+    assert caught.value.dims == (2, 7, 2)
     assert not isinstance(caught.value, LookupError)
 
 

@@ -307,11 +307,11 @@ PINNED_REPORTS = {
     "wild-regcss-cap6": ("--json wild regcss samples/wild_double_path.quiver.json --cap 6", 1,
                          "b328581a10108f6bc5bab9c098f59f0eaad1023c0b025093c9f0cbbfd2fd6986"),
     "wild-regcss-cap8": ("--json wild regcss samples/wild_double_path.quiver.json --cap 8", 0,
-                         "bfd6874ddbd42f3fe20c28968cf39346ebb1a84aaffe699abcaf1e72e3c4db41"),
+                         "261f39a046371209dcc57f23c3b4f32f5d6c6d94fd85a849f7f55144344d1df1"),
     "wild-regcss-cap10": ("--json wild regcss samples/wild_double_path.quiver.json --cap 10", 0,
-                          "28372d81430738e6bdfebc6caca59242a526098375adbacb3c2ff6cb0536548e"),
+                          "2bcd4054d4fad6a6dac8b6e41f22fc35dc36a23f5469b271626d6802a7c9b231"),
     "wild-regcss-cap12": ("--json wild regcss samples/wild_double_path.quiver.json --cap 12", 0,
-                          "9fb230a6cd384bde470dcde13850317b4f2795dc97ef5d82bb5d3fcd28f44b43"),
+                          "aa7843736a4a0a871aad8cfa9c67453b8622a043fae1dfc08fc7ee84e967c90e"),
     "ss-extend-outer": ("--json ss extend samples/fg_p2q3.ss.json --positions outer --bound 4", 0,
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,

@@ -261,7 +261,7 @@ def test_euler_screen_agrees_with_structure():
     found = [exceptional_of_dims(wild, d) for d in _screened_roots(wild, 6)]
     pools = [[ref_plain(rep) for rep in found if rep is not None],
              [r for r in build_candidates(canonical_apq(2, 3), 8) if ref_total_dim(r) <= 12]]
-    assert [len(pool) for pool in pools] == [18, 35]
+    assert [len(pool) for pool in pools] == [24, 35]
     for pool in pools:
         reps = [materialize(r) for r in pool]
         follows = set()
