@@ -2,11 +2,14 @@
 
 tau is computed structurally: take the minimal projective presentation
 0 -> P1 -> P0 -> M -> 0, apply the Nakayama functor nu = D Hom(-, A), and
-take the kernel of nu(P1) -> nu(P0).  nu sends P_i to I_i, and at vertex x
-its map is the transpose of Hom(iota, P_x), the matrix that the presentation
-route to Hom and Ext^1 builds (``reps.presentation_matrix``).  tau_inv is the
-dual construction, realized through the standard duality with the opposite
-quiver.
+take the kernel of nu(P1) -> nu(P0).  The presentation is the one the
+presentation route to Ext^1 built for the same module, kept on it.  nu
+sends P_i to I_i, and at vertex x its map is the transpose of
+Hom(iota, P_x), the matrix ``reps.presentation_matrix`` builds at P_x, read
+off the path table (``reps.presentation_matrix_to_projective``).  The kernel
+is taken summand by summand over the I_w, never over their built sum.
+tau_inv is the dual construction, realized through the standard duality
+with the opposite quiver.
 
 ``ar_position`` decides from dimension vectors: dim tau X = Phi(dim X) for
 every indecomposable non-projective X (Dlab-Ringel), so the Coxeter orbit of
@@ -21,9 +24,9 @@ from typing import Optional
 
 from .quiver import classify_type, defect
 from .report import CheckReport
-from .reps import (Representation, direct_sum, dual_representation, ext1_dim,
-                   hom_dim, injective, minimal_presentation, presentation_matrix,
-                   projective, sub_representation, zero_rep)
+from .reps import (Representation, dual_representation, ext1_dim, hom_dim, injective,
+                   minimal_presentation, presentation_matrix_to_projective,
+                   sub_representation, zero_rep)
 
 
 class CapExceededError(RuntimeError):
@@ -50,8 +53,8 @@ def tau(m: Representation) -> Representation:
         return zero_rep(q)
     # nu = D Hom(-, A), so nu(iota) at x is the transpose of Hom(iota, P_x);
     # P_x at v and I_v at x share the basis of paths x ~> v
-    mats = [presentation_matrix(pres, projective(q, x)).transpose() for x in q.vertices]
-    out, _incl = sub_representation(direct_sum([injective(q, w) for w in pres.slots1]), mats)
+    mats = [presentation_matrix_to_projective(pres, x).transpose() for x in q.vertices]
+    out, _incl = sub_representation([injective(q, w) for w in pres.slots1], mats)
     return out
 
 

@@ -150,8 +150,11 @@ class QuiverContext:
     never ``id()``), so equal quivers built apart share it, and caches it on
     the instance.  The derived invariants are computed on first use: the
     projective and injective dimension vectors (the rows and columns of the
-    path-count matrix) with their inverse maps, the Coxeter transform and
-    the path table.  The upper layers keep their memos in plain dicts:
+    path-count matrix) with their inverse maps, the Coxeter transform, the
+    path table and ``path_index``, each path's position in its table entry
+    (``reps`` applies an arrow map of P_v or I_v as a row gather read off
+    it, and builds the Nakayama step of tau from it with no matrix
+    product).  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
     materialized orbit modules), ``root_reps`` (``modules`` and
@@ -167,7 +170,9 @@ class QuiverContext:
     kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
     ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask),
     ``projectives`` and ``injectives`` (``reps``: P_v and I_v per vertex),
-    and ``walk``, the quiver's ``BraidWalk``, which guards itself.
+    and ``walk``, the quiver's ``BraidWalk``, which guards itself.  A
+    module's minimal presentation is no memo of the context: it is kept on
+    the module (``reps.minimal_presentation``) and dies with it.
     ``hits`` and ``misses`` count the lookups in ``hom_ext``, ``orbit_reps``
     and ``pools``.
 
@@ -184,7 +189,7 @@ class QuiverContext:
 
     COUNTED = ("hom_ext", "orbit_reps", "pools")
     DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex",
-               "coxeter", "paths")
+               "coxeter", "paths", "path_index")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
@@ -265,6 +270,12 @@ class QuiverContext:
         for u in q.vertices:
             extend(u, u, [])
         return {key: tuple(sorted(val)) for key, val in table.items()}
+
+    @cached_property
+    def path_index(self) -> dict[tuple[int, int], dict[Path, int]]:
+        """(u, v) -> {path: its position in ``paths[(u, v)]``}: the basis
+        index of a path u ~> v in P_u at v and in I_v at u."""
+        return {key: {p: k for k, p in enumerate(val)} for key, val in self.paths.items()}
 
 
 class BraidWalk:

@@ -14,14 +14,23 @@ The constructions work on the integer numerators of the matrices over their
 one denominator (``RationalMatrix.nums`` and ``den``).  The only
 ``Fraction``s they form are the path coefficients of a presentation and the
 Hom-space basis that ``hom_space`` hands out.
+
+Each piece of structural work is done once.  ``minimal_presentation`` keeps
+its result on the module, so the Ext^1 route and ``artheory.tau`` share it.
+A kernel of a morphism out of a direct sum (``sub_representation``) never
+builds the sum: an arrow map of the context's P_v or I_v has at most one 1
+per row, so it acts as a row gather read off the context's path index, and
+Hom(iota, P_x) (``presentation_matrix_to_projective``) is read off the same
+table, with no matrix product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import RationalMatrix
@@ -30,11 +39,17 @@ from .quiver import DimVector, Path, Quiver, euler_form
 
 @dataclass(frozen=True)
 class Representation:
-    """Immutable representation: dims per vertex, one matrix per arrow."""
+    """Immutable representation: dims per vertex, one matrix per arrow.
+
+    ``minimal_presentation`` keeps its result on the instance, so the
+    presentation is built once per module and dies with it."""
 
     quiver: Quiver
     dims: DimVector
     maps: tuple[RationalMatrix, ...]  # aligned with quiver.arrows
+    # no part of eq, repr or hash
+    _presentation: Optional["ProjPresentation"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = self.quiver
@@ -344,24 +359,53 @@ def brick_iso(x: Representation, y: Representation) -> bool:
 # kernels of morphisms
 # ---------------------------------------------------------------------------
 
-def sub_representation(m: Representation, mats: Sequence[RationalMatrix]
+def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalMatrix]
                        ) -> tuple[Representation, dict[int, RationalMatrix]]:
-    """Kernel of a morphism out of m, given by its matrix at each vertex, as
-    a representation plus its inclusion matrices (columns = basis vectors).
+    """Kernel of a morphism out of the direct sum of ``parts``, given by its
+    matrix at each vertex, as a representation plus its inclusion matrices
+    (columns = basis vectors).
 
     Each inclusion is ``linalg.kernel_matrix``: the basis vector of a free
     column f has its last nonzero entry, 1, at f and 0 at the other free
     columns.  So the coordinates of an image vector in the target's kernel
     basis are its entries at the target's free columns, and one product
     checks that the image lies in that kernel.
+
+    The sum is never built: an arrow maps the inclusion summand by summand.
+    A summand that is the context's P_v or I_v has at most one 1 in each row
+    of its arrow maps, so its rows of the image are rows of the inclusion,
+    gathered by ``_gathers``; any other summand multiplies its rows.
     """
-    q = m.quiver
+    q = parts[0].quiver
+    if len({p.quiver for p in parts}) != 1:
+        raise ValueError("summands live over different quivers")
+    if [mat.cols for mat in mats] != list(map(sum, zip(*(p.dims for p in parts)))):
+        raise ValueError("the matrices do not start at the sum of the summands")
     incl = {v: linalg.kernel_matrix(mats[k]) for k, v in enumerate(q.vertices)}
     free = {v: [max(r for r, x in enumerate(col) if x) for col in zip(*basis.nums)]
             for v, basis in incl.items()}
+    kinds = [_context_summand(p) for p in parts]
+    gathers = {kind: _gathers(q, *kind) for kind in set(kinds) if kind is not None}
     maps = []
-    for a, mat in zip(q.arrows, m.maps):
-        image = mat.mul(incl[a.src])
+    for ai, a in enumerate(q.arrows):
+        source, s = incl[a.src], q.index(a.src)
+        width, zero = source.cols, (0,) * source.cols
+        blocks = []  # (numerators, denominator) of each summand's rows of the image
+        start = 0
+        for part, kind in zip(parts, kinds):
+            stop = start + part.dims[s]
+            if kind is None:
+                rows = RationalMatrix.from_nums(source.nums[start:stop], source.den, width)
+                product = part.maps[ai].mul(rows)
+                blocks.append((product.nums, product.den))
+            else:
+                blocks.append(([zero if i is None else source.nums[start + i]
+                                for i in gathers[kind][ai]], source.den))
+            start = stop
+        den = lcm(*(d for _, d in blocks))
+        image = RationalMatrix.from_nums(
+            [row if d == den else tuple(x * (den // d) for x in row)
+             for nums, d in blocks for row in nums], den, width)
         coords = RationalMatrix.from_nums([image.nums[r] for r in free[a.tgt]], image.den,
                                           image.cols)
         if incl[a.tgt].mul(coords) != image:
@@ -370,21 +414,47 @@ def sub_representation(m: Representation, mats: Sequence[RationalMatrix]
     return Representation(q, tuple(incl[v].cols for v in q.vertices), tuple(maps)), incl
 
 
+def _context_summand(m: Representation) -> Optional[tuple[str, int]]:
+    """("P", v) when m is the context's P_v, ("I", v) when it is its I_v,
+    else None."""
+    ctx = m.quiver.context
+    v = ctx.proj_vertex.get(m.dims)
+    if v is not None and ctx.projectives.get(v) is m:
+        return "P", v
+    v = ctx.inj_vertex.get(m.dims)
+    if v is not None and ctx.injectives.get(v) is m:
+        return "I", v
+    return None
+
+
+def _gathers(q: Quiver, kind: str, v: int) -> list[list[Optional[int]]]:
+    """Per arrow a: s -> t of P_v (``kind`` "P") or I_v ("I"), the position
+    at s of the basis vector that each basis vector at t reads off the
+    matrix's one 1 in its row, or None for a zero row.  P_v(a) sends the
+    path p to p.a; I_v(a) sends the dual of a.p to the dual of p."""
+    table, index = q.context.paths, q.context.path_index
+    if kind == "P":
+        return [[index[(v, a.src)].get(p[:-1]) if p and p[-1] == a.label else None
+                 for p in table[(v, a.tgt)]] for a in q.arrows]
+    return [[index[(a.src, v)][(a.label,) + p] for p in table[(a.tgt, v)]] for a in q.arrows]
+
+
 # ---------------------------------------------------------------------------
 # minimal projective presentations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProjPresentation:
-    """Minimal presentation 0 -> (+) P_w -> (+) P_v -> M -> 0.
+    """Minimal presentation 0 -> (+) P_w -> (+) P_v -> M -> 0 over ``quiver``.
 
     ``slots0``/``slots1`` list the vertex of each indecomposable summand of
     the cover and the kernel.  ``iota`` gives the inclusion as path
     coefficients: iota[(j, i)] is a list of (path, coeff) with the path
-    running from slots0[i]'s vertex to slots1[j]'s vertex.
+    running from slots0[i]'s vertex to slots1[j]'s vertex.  It holds no
+    reference to M, which holds it (``minimal_presentation``).
     """
 
-    module: Representation
+    quiver: Quiver
     slots0: tuple[int, ...]
     slots1: tuple[int, ...]
     iota: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]]
@@ -428,16 +498,21 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
 
 def minimal_presentation(m: Representation) -> ProjPresentation:
     """Minimal projective presentation; over a hereditary algebra the kernel
-    of the cover is projective, so the presentation has length one."""
+    of the cover is projective, so the presentation has length one.
+
+    Built once per module and kept on it: a second call returns the same
+    object.  Racing first calls build equal presentations."""
+    pres = m._presentation
+    if pres is not None:
+        return pres
     q = m.quiver
     table = q.context.paths
     slots0, cover = projective_cover_data(m)
-    p0 = direct_sum([projective(q, v) for v in slots0]) if slots0 else zero_rep(q)
-    # sanity: the cover must be onto
-    for k, v in enumerate(q.vertices):
-        if m.dims[k] and linalg.rank(cover[v]) != m.dims[k]:
-            raise ArithmeticError("projective cover failed to be surjective")
-    kernel, incl = sub_representation(p0, [cover[v] for v in q.vertices])
+    parts = [projective(q, v) for v in slots0] or [zero_rep(q)]
+    kernel, incl = sub_representation(parts, [cover[v] for v in q.vertices])
+    # sanity: the cover must be onto; its rank is its width less the kernel's
+    if any(cover[v].cols - incl[v].cols != d for v, d in zip(q.vertices, m.dims)):
+        raise ArithmeticError("projective cover failed to be surjective")
     # the kernel is projective, so its cover is an isomorphism: one P1 slot
     # at w per top lift e_j of the kernel at w, whose generator iota sends
     # to column j of incl[w], read in the path basis of P0 at w
@@ -460,7 +535,9 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
     proj_dims = q.context.proj_dims
     if sum(sum(proj_dims[q.index(w)]) for w in slots1) != kernel.total_dim:
         raise ArithmeticError("kernel of cover is not projective; algebra not hereditary?")
-    return ProjPresentation(m, tuple(slots0), tuple(slots1), iota_paths)
+    pres = ProjPresentation(q, tuple(slots0), tuple(slots1), iota_paths)
+    object.__setattr__(m, "_presentation", pres)
+    return pres
 
 
 def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMatrix:
@@ -473,16 +550,8 @@ def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMa
     summed in integers over the lcm of their denominators.
     """
     slots0, slots1 = pres.slots0, pres.slots1
-    col_off = []
-    total_cols = 0
-    for v in slots0:
-        col_off.append(total_cols)
-        total_cols += y.dim_at(v)
-    row_off = []
-    total_rows = 0
-    for w in slots1:
-        row_off.append(total_rows)
-        total_rows += y.dim_at(w)
+    col_off, total_cols = _offsets(y.dim_at(v) for v in slots0)
+    row_off, total_rows = _offsets(y.dim_at(w) for w in slots1)
     terms = [(j, i, coeff, y.map_along(path, slots0[i]))
              for (j, i), paths in pres.iota.items() for path, coeff in paths]
     den = lcm(*(coeff.denominator * mat.den for _, _, coeff, mat in terms))
@@ -496,6 +565,31 @@ def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMa
                 if x:
                     out[c0 + c] += scale * x
     return RationalMatrix.from_nums(rows, den, total_cols)
+
+
+def presentation_matrix_to_projective(pres: ProjPresentation, x: int) -> RationalMatrix:
+    """``presentation_matrix(pres, projective(q, x))``, read off the path
+    table with no matrix product: P_x at v has the paths x ~> v as its
+    basis, and a path v ~> w sends the basis path r to r.path."""
+    table, index = pres.quiver.context.paths, pres.quiver.context.path_index
+    col_off, total_cols = _offsets(len(table[(x, v)]) for v in pres.slots0)
+    row_off, total_rows = _offsets(len(table[(x, w)]) for w in pres.slots1)
+    den = lcm(*(coeff.denominator for paths in pres.iota.values() for _, coeff in paths))
+    rows = [[0] * total_cols for _ in range(total_rows)]
+    for (j, i), paths in pres.iota.items():
+        basis, position = table[(x, pres.slots0[i])], index[(x, pres.slots1[j])]
+        r0, c0 = row_off[j], col_off[i]
+        for path, coeff in paths:
+            scale = coeff.numerator * (den // coeff.denominator)
+            for c, r in enumerate(basis):
+                rows[r0 + position[r + path]][c0 + c] += scale
+    return RationalMatrix.from_nums(rows, den, total_cols)
+
+
+def _offsets(sizes) -> tuple[list[int], int]:
+    """The first position of each block of the given sizes, and their sum."""
+    ends = [0, *accumulate(sizes)]
+    return ends[:-1], ends[-1]
 
 
 def hom_ext_via_presentation(pres: ProjPresentation, y: Representation) -> tuple[int, int]:
@@ -515,13 +609,6 @@ def ext1_dim_direct(x: Representation, y: Representation) -> int:
         return 0
     _, ext = hom_ext_via_presentation(minimal_presentation(x), y)
     return ext
-
-
-def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
-    if x.is_zero() or y.is_zero():
-        return 0
-    hom, _ = hom_ext_via_presentation(minimal_presentation(x), y)
-    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +715,17 @@ def mutate(e: Representation, f: Representation, left: bool) -> Representation:
         return f if left else e
     basis = hom_space(e, f).basis
     if left:  # E^k -> F: the components side by side
-        source, target = direct_sum([e] * k), f
+        sources, targets = [e] * k, [f]
         mats = [RationalMatrix.from_rows([sum((g[v].entries[r] for g in basis), ())
                                           for r in range(f.dims[v])], cols=k * e.dims[v])
                 for v in range(q.n)]
     else:  # E -> F^k: the components stacked
-        source, target = e, direct_sum([f] * k)
+        sources, targets = [e], [f] * k
         mats = [RationalMatrix.from_rows([row for g in basis for row in g[v].entries],
                                          cols=e.dims[v])
                 for v in range(q.n)]
-    if all(t >= s for t, s in zip(target.dims, source.dims)):  # mono: the cokernel
-        kernel, _ = sub_representation(dual_representation(target),
+    if all(mat.rows >= mat.cols for mat in mats):  # mono: the cokernel
+        kernel, _ = sub_representation([dual_representation(f)] * len(targets),
                                        [m.transpose() for m in mats])
         return Representation(q, kernel.dims, tuple(m.transpose() for m in kernel.maps))
-    return sub_representation(source, mats)[0]
+    return sub_representation(sources, mats)[0]

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from stratsys.quiver import Quiver, canonical_apq, kronecker
-from stratsys.reps import Representation, make_rep
+from stratsys.reps import (Representation, hom_ext_via_presentation, make_rep,
+                           minimal_presentation)
 
 ENTRY_CHOICES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2)]
@@ -23,6 +24,14 @@ def random_representation(q: Quiver, rng: random.Random, max_dim: int = 3) -> Re
         maps[a.label] = [[rng.choice(ENTRY_CHOICES) for _ in range(cols)]
                          for _ in range(rows)]
     return make_rep(q, dims, maps)
+
+
+def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
+    """dim Hom(x, y) by the presentation route, a test oracle for ``hom_dim``."""
+    if x.is_zero() or y.is_zero():
+        return 0
+    hom, _ = hom_ext_via_presentation(minimal_presentation(x), y)
+    return hom
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ KEPT = {
     "tubes.max_regular_ss_size": "benchmark/child.py runs it over the criterion-7 grid",
     "reps.is_morphism": "test oracle: every Hom basis element is a morphism",
     "reps.is_exceptional": "test oracle: End and Ext^1 of an explicit module",
-    "reps.hom_dim_via_presentation": "test oracle: the presentation route to dim Hom",
     "io_json.system_to_json": "test oracle: the JSON round trip of a system",
 }
 

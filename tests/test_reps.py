@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from conftest import random_representation, wild_sample
+from conftest import hom_dim_via_presentation, random_representation, wild_sample
 from stratsys.io_json import rep_to_json
 from stratsys.linalg import RationalMatrix, format_rational, rank
 from stratsys.quiver import canonical_apq, euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
-                           ext1_dim_direct, hom_dim, hom_dim_via_presentation,
+                           ext1_dim_direct, hom_dim,
                            hom_space, injective, is_brick, is_exceptional,
                            is_morphism, is_sincere,
                            make_rep, minimal_presentation, nonsplit_extension,
@@ -105,12 +105,12 @@ def test_hom_space_basis_satisfies_intertwiner(kron2, apq23, rng):
 def test_sub_representation_rejects_a_subspace_not_closed(kron2):
     p2 = projective(kron2, 2)  # dims (2, 1): the arrows send e_2 to e_a1 and e_a2
     # zero maps at every vertex: the kernel is all of p2
-    whole, _ = sub_representation(p2, [RationalMatrix.zero(1, 2), RationalMatrix.zero(1, 1)])
+    whole, _ = sub_representation([p2], [RationalMatrix.zero(1, 2), RationalMatrix.zero(1, 1)])
     assert whole == p2
     # no morphism: the kernels span(e_a1) at 1 and everything at 2 are not
     # closed, because the arrow a2 sends e_2 to e_a2
     with pytest.raises(ValueError, match="not closed"):
-        sub_representation(p2, [RationalMatrix.from_rows([[0, 1]]), RationalMatrix.zero(1, 1)])
+        sub_representation([p2], [RationalMatrix.from_rows([[0, 1]]), RationalMatrix.zero(1, 1)])
 
 
 def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
@@ -119,7 +119,7 @@ def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
         x = random_representation(apq23, rng)
         y = random_representation(apq23, rng)
         for mats in hom_space(x, y).basis:
-            sub, incl = sub_representation(x, mats)
+            sub, incl = sub_representation([x], mats)
             for k, v in enumerate(apq23.vertices):
                 assert incl[v].cols == sub.dims[k] == x.dims[k] - rank(mats[k])
                 assert not any(map(any, mats[k].mul(incl[v]).nums))
