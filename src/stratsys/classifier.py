@@ -549,11 +549,12 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
 
     The pool holds one ``ROOT`` descriptor per screened vector, so a module is
     built only when the search first asks about it.  A vector with no module
-    found is dropped, with a flag, and the search runs again; its facts
-    replay from the quiver's shared memos.  The first witness is the one an
-    eager pool of the found modules gives: a vector whose module a run never
-    builds was refused by the Euler form wherever it came up, so it changes
-    no sequence.
+    found is dropped, with a flag, and the search runs again; it replays its
+    facts from the engine's ``hom_ext`` memo and its modules from
+    ``root_reps``, so nothing is asked of the structure twice.  The first
+    witness is the one an eager pool of the found modules gives: a vector
+    whose module a run never builds was refused by the Euler form wherever
+    it came up, so it changes no sequence.
 
     Failure within the cap is an honest "none found", not a disproof.
     """

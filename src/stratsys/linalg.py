@@ -205,9 +205,12 @@ def pivot_columns(raw_rows: Iterable[Sequence]) -> set[int]:
     return set(_eliminate(map(enumerate, raw_rows)))
 
 
-def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> RationalMatrix:
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int
+            ) -> tuple[RationalMatrix, list[int]]:
     """The kernel basis of an RREF, one column per free column with a 1 in
-    the free position, as an ncols x (ncols - rank) matrix."""
+    the free position, as an ncols x (ncols - rank) matrix, and the free
+    columns, ascending.  A pivot row has no entry left of its pivot, so the
+    1 is the last nonzero entry of its column."""
     free = [f for f in range(ncols) if f not in pivots]
     position = {f: i for i, f in enumerate(free)}
     den = lcm(*(row[c] for c, row in pivots.items()))
@@ -219,12 +222,17 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> RationalMatrix:
         for j, v in row.items():
             if j != c:
                 nums[c][position[j]] = -v * scale
-    return RationalMatrix.from_nums(nums, den, len(free))
+    return RationalMatrix.from_nums(nums, den, len(free)), free
+
+
+def _kernel_of(matrix: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
+    """``kernel_matrix`` of ``matrix`` and its free columns (see ``_kernel``)."""
+    return _kernel(_eliminate(map(enumerate, matrix.nums), reduced=True), matrix.cols)
 
 
 def kernel_matrix(matrix: RationalMatrix) -> RationalMatrix:
     """The ``kernel_basis`` vectors as the columns of one matrix."""
-    return _kernel(_eliminate(map(enumerate, matrix.nums), reduced=True), matrix.cols)
+    return _kernel_of(matrix)[0]
 
 
 def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -240,7 +248,7 @@ def kernel_basis_of_rows(sparse_rows: Sequence[dict[int, Fraction]],
                          ncols: int) -> list[tuple[Fraction, ...]]:
     """``kernel_basis`` of the matrix with sparse rows {column: rational value}."""
     return list(_kernel(_eliminate((row.items() for row in sparse_rows), reduced=True),
-                        ncols).transpose().entries)
+                        ncols)[0].transpose().entries)
 
 
 def span_basis(vectors: Sequence[Sequence], length: int) -> list[tuple[Fraction, ...]]:

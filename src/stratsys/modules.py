@@ -40,9 +40,9 @@ Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
 orbit modules (``orbit_reps``), the module found (or None) per ``ROOT``
 vector (``root_reps``) and one (dim Hom, dim Ext^1) entry per pedigreed
-pair (``hom_ext``).  One lookup in ``pair_hom_ext`` answers a pair;
-``pair_hom`` and ``pair_ext`` are its two halves.  Explicit representations
-are never memoized.
+pair (``hom_ext``), which ``pair_hom_ext`` alone reads and writes: one
+lookup there answers a pair, and ``pair_hom`` and ``pair_ext`` are its two
+halves.  Explicit representations are never memoized.
 """
 
 from __future__ import annotations
@@ -220,9 +220,6 @@ def _root_rep(q: Quiver, dims: DimVector) -> Representation:
     if rep is _UNSEARCHED:
         from . import classifier  # the upper layer; a call through it is traced
         rep = ctx.root_reps[dims] = classifier.exceptional_of_dims(q, dims)
-        if rep is not None:
-            # certified: <d, d> = 1 and dim End = 1 give dim Ext^1 = 0
-            ctx.hom_ext[((ROOT, dims), (ROOT, dims))] = (1, 0)
     if rep is None:
         raise NoExceptionalModuleError(dims)
     return rep
@@ -269,10 +266,9 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
     side are structural, but for two ``ROOT`` members of one walked
     exceptional sequence; two different tubes are orthogonal; and every
     other pair has a directing side.  Where the pair is not structural, its
-    Hom and Ext^1 are not both nonzero.  The one reader of ``hom_ext``, and
-    its one writer but for the (1, 0) that ``materialize`` seeds for a
-    ``ROOT`` module it finds: a pedigreed pair is answered once and its
-    checked entry stays in the quiver's context."""
+    Hom and Ext^1 are not both nonzero.  The one reader and the one writer
+    of ``hom_ext``: a pedigreed pair is answered once and its checked entry
+    stays in the quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
@@ -321,7 +317,8 @@ def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
     x, y = materialize(a), materialize(b)
     if a.kind == ROOT and a == b:
-        return 1  # found means exceptional, as the seeded hom_ext entry says
+        # found means certified: <d, d> = 1 and dim End = 1, so dim Ext^1 = 0
+        return 1
     return hom_dim(x, y)
 
 

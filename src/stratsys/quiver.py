@@ -161,39 +161,28 @@ class QuiverContext:
     ``classifier``: the exceptional module found per ``ROOT`` dimension
     vector, or None, and each module built along the braid walk), ``hom_ext``
     (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
-    with the (1, 0) of each ``ROOT`` module found), ``pools`` (``systems``:
-    the compiled candidate pool per exponent bound: its modules, their
-    interned ids with the ``precedence`` memo those ids index, and the
-    positions of the modules by primitive dimension vector), ``ref_ids``
-    and ``precedence``
-    (``systems``: a small integer per pedigreed ref key, and the search
-    kernel's facts by id: key ``x`` whether ``x`` is exceptional, key
-    ``(b, a)`` whether ``b`` may follow ``a``, filled as searches ask),
-    ``projectives`` and ``injectives`` (``reps``: P_v and I_v per vertex),
-    and ``walk``, the quiver's ``BraidWalk``, which guards itself.  A
-    module's minimal presentation is no memo of the context: it is kept on
-    the module (``reps.minimal_presentation``) and dies with it.
-    ``hits`` and ``misses`` count the lookups in ``hom_ext``, ``orbit_reps``
-    and ``pools``.
+    written by ``pair_hom_ext`` alone), ``projectives`` and ``injectives``
+    (``reps``: P_v and I_v per vertex), and ``walk``, the quiver's
+    ``BraidWalk``, which guards itself.  The search kernel keeps no memo
+    here: a search holds its facts by item index and asks ``hom_ext`` for
+    each once.  A module's minimal presentation is no memo of the context:
+    it is kept on the module (``reps.minimal_presentation``) and dies with
+    it.  ``hits`` and ``misses`` count the lookups in ``hom_ext`` and
+    ``orbit_reps``.
 
     Thread guarantees: one context per value (creation is locked), memo
     values are immutable and a function of their key, and a memo is only
     ever replaced whole, so a concurrent reader sees a complete value or a
-    miss.  Ids are handed out under a lock (see ``intern``); a search pairs
-    a pool's ids with the memo of their own generation only, so a pool
-    stored after a ``clear`` is interned again, never read against the new
-    memo.  Racing misses
-    compute the same value twice; the counts are exact in single-threaded
-    runs only.
+    miss.  Racing misses compute the same value twice; the counts are exact
+    in single-threaded runs only.
     """
 
-    COUNTED = ("hom_ext", "orbit_reps", "pools")
+    COUNTED = ("hom_ext", "orbit_reps")
     DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex",
                "coxeter", "paths", "path_index")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self._lock = threading.Lock()
         self.clear()
 
     def clear(self) -> None:
@@ -205,25 +194,11 @@ class QuiverContext:
         self.orbit_reps: dict[tuple[str, int, int], Any] = {}
         self.root_reps: dict[DimVector, Any] = {}
         self.hom_ext: dict[tuple, tuple[int, int]] = {}
-        self.pools: dict[Any, tuple] = {}
-        with self._lock:
-            self.ref_ids: dict[tuple, int] = {}
-            self.precedence: dict[Any, bool] = {}
         self.projectives: dict[int, Any] = {}
         self.injectives: dict[int, Any] = {}
         self.walk = BraidWalk(self.quiver)
         self.hits = dict.fromkeys(self.COUNTED, 0)
         self.misses = dict.fromkeys(self.COUNTED, 0)
-
-    def intern(self, keys: Sequence[tuple]) -> tuple[list[int], dict[Any, bool]]:
-        """The id of each ref key, and the ``precedence`` memo those ids index.
-
-        Under the lock each key gets exactly one id and no id two keys, and
-        the ids and the memo come from one generation (``clear`` replaces
-        both at once)."""
-        with self._lock:
-            ids = self.ref_ids
-            return [ids.setdefault(k, len(ids)) for k in keys], self.precedence
 
     @cached_property
     def proj_dims(self) -> tuple[DimVector, ...]:

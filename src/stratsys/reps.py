@@ -367,9 +367,10 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
 
     Each inclusion is ``linalg.kernel_matrix``: the basis vector of a free
     column f has its last nonzero entry, 1, at f and 0 at the other free
-    columns.  So the coordinates of an image vector in the target's kernel
-    basis are its entries at the target's free columns, and one product
-    checks that the image lies in that kernel.
+    columns, and the elimination hands out those columns.  So the
+    coordinates of an image vector in the target's kernel basis are its
+    entries at the target's free columns, and one product checks that the
+    image lies in that kernel.
 
     The sum is never built: an arrow maps the inclusion summand by summand.
     A summand that is the context's P_v or I_v has at most one 1 in each row
@@ -381,9 +382,9 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
         raise ValueError("summands live over different quivers")
     if [mat.cols for mat in mats] != list(map(sum, zip(*(p.dims for p in parts)))):
         raise ValueError("the matrices do not start at the sum of the summands")
-    incl = {v: linalg.kernel_matrix(mats[k]) for k, v in enumerate(q.vertices)}
-    free = {v: [max(r for r, x in enumerate(col) if x) for col in zip(*basis.nums)]
-            for v, basis in incl.items()}
+    incl, free = {}, {}
+    for k, v in enumerate(q.vertices):
+        incl[v], free[v] = linalg._kernel_of(mats[k])
     kinds = [_context_summand(p) for p in parts]
     gathers = {kind: _gathers(q, *kind) for kind in set(kinds) if kind is not None}
     maps = []

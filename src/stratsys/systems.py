@@ -16,8 +16,8 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
-                      pair_hom_ext, ref_dims, ref_is_exceptional, ref_key,
-                      ref_preinj, ref_preproj, ref_total_dim, ref_tube)
+                      pair_hom_ext, ref_dims, ref_is_exceptional, ref_preinj,
+                      ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .linalg import RationalMatrix, kernel_matrix
 from .quiver import DimVector, Quiver, _euler_matrix, classify_type
@@ -97,23 +97,6 @@ def is_filtration_finite(s: StratSystem) -> bool:
 # extension to a complete system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pool:
-    """Search items compiled once for the kernel, in pick order.
-
-    ``ids`` are the items' interned ids and ``memo`` the ``precedence`` memo
-    of the same ``clear()`` generation, both None when some item is explicit.
-    ``lines`` maps each primitive dimension vector to the positions of the
-    items on its ray, ascending, and ``form`` is the quiver's Euler matrix.
-    Nothing in a pool is changed after it is built."""
-
-    refs: tuple[ModuleRef, ...]
-    ids: Optional[tuple[int, ...]]
-    memo: Optional[dict]
-    lines: dict[DimVector, tuple[int, ...]]
-    form: tuple[tuple[int, ...], ...]
-
-
 def _ray(vec: Sequence[int]) -> Optional[DimVector]:
     """The primitive vector with the first nonzero entry positive on the
     line through ``vec``, or None for the zero vector."""
@@ -138,50 +121,11 @@ def completion_ray(form: Sequence[Sequence[int]], dims: Sequence[DimVector],
     return _ray([row[0] for row in basis.nums])
 
 
-def _compile_pool(refs: Iterable[ModuleRef]) -> Pool:
-    """``refs`` compiled for the kernel (see ``Pool``)."""
-    refs = tuple(refs)
-    ctx = refs[0].quiver.context if refs else None
-    # shared and screened facts hold over one quiver only
-    if any(r.quiver.context is not ctx for r in refs):
-        raise ValueError("modules live over different quivers")
-    ids = memo = None
-    if refs and all(r.kind != PLAIN for r in refs):
-        ids, memo = ctx.intern([ref_key(r) for r in refs])
-        ids = tuple(ids)
-    lines: dict[DimVector, list[int]] = {}
-    for k, r in enumerate(refs):
-        ray = _ray(ref_dims(r))
-        if ray is not None:  # a zero module is never exceptional
-            lines.setdefault(ray, []).append(k)
-    form = tuple(map(tuple, _euler_matrix(refs[0].quiver))) if refs else ()
-    return Pool(refs, ids, memo, {ray: tuple(ks) for ray, ks in lines.items()}, form)
-
-
-def _candidate_pool(quiver: Quiver, exponent_bound: int) -> Pool:
-    """The compiled ``build_candidates`` pool, built once per bound in the
-    quiver's context."""
-    ctx = quiver.context
-    pool = ctx.pools.get(exponent_bound)
-    if pool is not None:
-        ctx.hits["pools"] += 1
-    else:
-        ctx.misses["pools"] += 1
-        pool = ctx.pools[exponent_bound] = _compile_pool(_build_candidates(quiver,
-                                                                           exponent_bound))
-    return pool
-
-
 def build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
     """Search space for completions: the exceptional tau-orbit modules of
     projectives and injectives up to the exponent bound, plus the
     simple-regular catalogue when the quiver is a canonical Euclidean cycle;
-    one per dimension vector, in search order, built once per bound in the
-    quiver's context."""
-    return list(_candidate_pool(quiver, exponent_bound).refs)
-
-
-def _build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
+    one per dimension vector, in search order."""
     refs: list[ModuleRef] = []
     for v in quiver.vertices:
         for k in range(exponent_bound + 1):
@@ -209,38 +153,36 @@ def _build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
     return unique
 
 
-def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
+def _exceptional_sequences(refs: Sequence[ModuleRef], length: int,
                            start: Sequence[ModuleRef] = (),
                            slots: Optional[Callable[[int, int], Iterable[int]]] = None,
                            report: Optional[CheckReport] = None
                            ) -> Iterator[tuple[int, ...]]:
-    """Depth-first search for ordered systems over a pool, by index.
+    """Depth-first search for ordered systems over ``refs``, by index.
 
     The systems are the exceptional sequences of Crawley-Boevey ("Exceptional
     sequences of representations of quivers", 1993).  The indices run over
-    ``start`` followed by the pool's modules.  Starting from ``start`` (taken
-    to satisfy the axioms), each step inserts a pool module at a position
-    from ``slots(size, last_slot)`` (default: appended) and checks only the
-    new pairs; each attempt counts one check on ``report``.  Every accepted
+    ``start`` followed by ``refs``, the picks.  Starting from ``start`` (taken
+    to satisfy the axioms), each step inserts a pick at a position from
+    ``slots(size, last_slot)`` (default: appended) and checks only the new
+    pairs; each attempt counts one check on ``report``.  Every accepted
     sequence is yielded in depth-first order and grown while shorter than
     ``length``, so a caller takes the first hit of full length, all of them,
-    or the longest length reached.  A ``Pool`` from ``_compile_pool`` is used
-    as it is; a list is compiled for the one search.
+    or the longest length reached.  Every item must live over one quiver.
 
     A step needs two facts from (dim Hom, dim Ext^1) = ``pair_hom_ext``:
     ``b`` may follow ``a`` iff pair_hom_ext(b, a) == (0, 0), and ``i`` is
     exceptional iff pair_hom_ext(i, i) == (1, 0).  Since dim Hom - dim Ext^1
     = <dim b, dim a>, a nonzero Euler form answers "no" without the engine:
-    each member j gets two bitmasks over the picks, built from ``pool.form``
-    when first needed, of the x with <x, dim j> = 0 and of those with
-    <dim j, x> = 0, and a slot tries only the picks in the AND of its
-    members' masks.  So the engine is asked about a subset of the pairs a
-    scan of every pick asks about, and ``report`` still counts one check
-    per pick.  Over pedigreed items the facts live in the quiver's
-    ``precedence`` memo, keyed by interned ids and shared by every search on
-    the quiver; a search with an explicit item keeps its own.  The new pairs
-    are tried before exceptionality, which is the costly fact for large
-    explicit modules.
+    each member j gets two bitmasks over the picks, built from the quiver's
+    Euler matrix when first needed, of the x with <x, dim j> = 0 and of
+    those with <dim j, x> = 0, and a slot tries only the picks in the AND of
+    its members' masks.  So the engine is asked about a subset of the pairs
+    a scan of every pick asks about, and ``report`` still counts one check
+    per pick.  The search keeps the facts it asked for in its own dict, by
+    item index; the engine's ``hom_ext`` memo answers a pedigreed pair
+    again in a later search.  The new pairs are tried before
+    exceptionality, which is the costly fact for large explicit modules.
 
     The last member, the n-th over n vertices, is placed on a line.  Into
     slot ``pos`` of E_1, ..., E_{n-1} a pick x fits only if <x, dim E_j> = 0
@@ -261,33 +203,31 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
     the least valid tuple, and every accepted tuple is still yielded (at
     length 2, every valid ordering).  An insertion search grows them all.
     """
-    pool = pool if isinstance(pool, Pool) else _compile_pool(pool)
     start = tuple(start)
-    items = start + pool.refs
-    first, n = len(start), len(pool.form)
+    items = start + tuple(refs)
+    first = len(start)
+    ctx = items[0].quiver.context if items else None
+    # the Euler screen holds over one quiver only
+    if any(r.quiver.context is not ctx for r in items):
+        raise ValueError("modules live over different quivers")
+    form = tuple(map(tuple, _euler_matrix(items[0].quiver))) if items else ()
+    n = len(form)
     grown: Optional[set[frozenset[int]]] = set() if slots is None else None
     slots = slots or (lambda size, last: (size,))
-
-    ctx = items[0].quiver.context if items else None
-    if any(r.quiver.context is not ctx for r in (*start, *pool.refs[:1])):
-        raise ValueError("modules live over different quivers")
-    if pool.ids is not None and all(r.kind != PLAIN for r in start):
-        ids, memo = ctx.intern([ref_key(r) for r in start])
-        if memo is pool.memo:
-            ids = tuple(ids) + pool.ids
-        else:  # the pool is from before a clear(): intern all in this generation
-            ids, memo = ctx.intern([ref_key(r) for r in items])
-    else:  # explicit modules stay out of the context
-        ids, memo = range(len(items)), {}
+    facts: dict[object, bool] = {}
 
     def follows(b: int, a: int) -> bool:  # asked only where <dim b, dim a> = 0
-        key = (ids[b], ids[a])
-        fact = memo.get(key)
+        fact = facts.get((b, a))
         if fact is None:
-            fact = memo[key] = pair_hom_ext(items[b], items[a]) == (0, 0)
+            fact = facts[(b, a)] = pair_hom_ext(items[b], items[a]) == (0, 0)
         return fact
 
     vecs = [ref_dims(r) for r in items]
+    lines: dict[DimVector, list[int]] = {}  # the picks by the primitive vector of their line
+    for k in range(first, len(items)):
+        ray = _ray(vecs[k])
+        if ray is not None:  # a zero module is never exceptional
+            lines.setdefault(ray, []).append(k)
     masks: dict[int, tuple[int, int]] = {}
 
     def mask(j: int) -> tuple[int, int]:
@@ -296,8 +236,8 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
         m = masks.get(j)
         if m is None:
             e = vecs[j]
-            right = [sum(map(mul, row, e)) for row in pool.form]  # <x, e> = x . right
-            left = [sum(map(mul, col, e)) for col in zip(*pool.form)]  # <e, x> = left . x
+            right = [sum(map(mul, row, e)) for row in form]  # <x, e> = x . right
+            left = [sum(map(mul, col, e)) for col in zip(*form)]  # <e, x> = left . x
             after = before = 0
             for k in range(first, len(items)):
                 after |= (not sum(map(mul, vecs[k], right))) << k
@@ -319,9 +259,9 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
             bits ^= low
 
     def exceptional(i: int) -> bool:
-        fact = memo.get(ids[i])
+        fact = facts.get(i)
         if fact is None:
-            fact = memo[ids[i]] = pair_hom_ext(items[i], items[i]) == (1, 0)
+            fact = facts[i] = pair_hom_ext(items[i], items[i]) == (1, 0)
         return fact
 
     def grow(seq: tuple[int, ...], last: int, recurse) -> Iterator[tuple[int, ...]]:
@@ -330,8 +270,7 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
         for pos in slots(len(seq), last):
             counted = first  # the picks before ``counted`` have their check
             if len(seq) == n - 1:  # the last member: only the picks on its line
-                ray = completion_ray(pool.form, [vecs[j] for j in seq], pos)
-                picks = map(first.__add__, pool.lines.get(ray, ()))
+                picks = lines.get(completion_ray(form, [vecs[j] for j in seq], pos), ())
             else:
                 picks = screened(seq, pos)
             for i in picks:
@@ -350,7 +289,7 @@ def _exceptional_sequences(pool: Sequence[ModuleRef] | Pool, length: int,
                 report.checked += len(items) - counted
 
     # grow gets itself as ``recurse``: a closure over its own name would be a
-    # reference cycle that keeps the memo alive until the cyclic collector runs
+    # reference cycle that keeps its facts alive until the cyclic collector runs
     return grow(tuple(range(first)), 0, grow)
 
 
@@ -380,8 +319,8 @@ def extend_to_complete(s: StratSystem, exponent_bound: int = 8, positions=None
     if s.size == n:
         report.checked += 1
         return s, report
-    pool = _candidate_pool(s.quiver, exponent_bound)
-    items = s.modules + pool.refs
+    pool = build_candidates(s.quiver, exponent_bound)
+    items = s.modules + tuple(pool)
 
     def slot_list(size: int, last: int) -> Iterable[int]:
         if positions == "outer":

@@ -9,7 +9,7 @@ import pytest
 from stratsys.classifier import apq_families, regular_css_search
 from stratsys.modules import pair_hom_ext
 from stratsys.quiver import Quiver, canonical_apq, euler_form, validate
-from stratsys.systems import StratSystem, build_candidates, extend_to_complete
+from stratsys.systems import StratSystem, extend_to_complete
 
 
 def test_equal_quivers_share_one_context_and_hash():
@@ -63,24 +63,9 @@ def test_compiled_fields_keep_the_invalid_quiver_semantics():
         stray.index(3)
 
 
-def test_hom_ext_table_is_the_same_cold_and_warm(apq23):
-    ctx = apq23.context
-
-    def table():
-        pool = build_candidates(apq23, 8)
-        return [[pair_hom_ext(a, b) for b in pool] for a in pool]
-
-    ctx.clear()
-    cold = table()
-    misses = dict(ctx.misses)
-    warm = table()
-    assert warm == cold
-    assert ctx.misses == misses  # the warm table was answered from the memos
-    assert ctx.hits["hom_ext"] >= len(cold) ** 2 and ctx.hits["pools"] == 1
-
-
-def _counted(monkeypatch, module, name):
-    """Count the calls made through ``module.name``."""
+def _counted(monkeypatch, module, name, *others):
+    """Count the calls made through ``module.name`` and through the same
+    name in each of ``others``, which import it from ``module``."""
     calls = [0]
     real = getattr(module, name)
 
@@ -88,8 +73,30 @@ def _counted(monkeypatch, module, name):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(module, name, counting)
+    for where in (module, *others):
+        monkeypatch.setattr(where, name, counting)
     return calls
+
+
+def test_hom_ext_table_is_the_same_cold_and_warm(monkeypatch, apq23):
+    from stratsys import systems
+
+    ctx = apq23.context
+    built = _counted(monkeypatch, systems, "build_candidates")
+
+    def table():
+        pool = systems.build_candidates(apq23, 8)
+        return [[pair_hom_ext(a, b) for b in pool] for a in pool]
+
+    ctx.clear()
+    cold = table()
+    misses = dict(ctx.misses)
+    warm = table()
+    assert warm == cold
+    # the warm table, its candidate pool's exceptionality checks included,
+    # was answered from the memos
+    assert ctx.misses == misses
+    assert ctx.hits["hom_ext"] >= len(cold) ** 2 and built[0] == 2
 
 
 def _kernel_calls(monkeypatch):
@@ -117,16 +124,17 @@ def _kernel_calls(monkeypatch):
 
 
 def test_apq_families_builds_no_pool_and_runs_no_search(monkeypatch, capsys):
+    from stratsys import classifier, systems
     from stratsys.cli import main
 
-    ctx = canonical_apq(2, 3).context
-    ctx.clear()
+    canonical_apq(2, 3).context.clear()
     calls = _kernel_calls(monkeypatch)
+    built = _counted(monkeypatch, systems, "build_candidates", classifier)
     assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
     capsys.readouterr()
     # deterministic counter gates: uniqueness is read off the Euler line, so
     # no completion pool is built and the search kernel never runs
-    assert ctx.misses["pools"] == ctx.hits["pools"] == 0
+    assert built[0] == 0
     assert calls[0] == 0
 
 
@@ -147,7 +155,7 @@ def test_apq_families_checks_each_family_once(monkeypatch, capsys):
     assert ctx.misses["hom_ext"] <= 405
 
 
-def test_uniqueness_searches_share_one_precedence_memo(monkeypatch):
+def test_uniqueness_searches_stay_under_the_engine_ceilings(monkeypatch):
     from stratsys import systems
 
     ctx = canonical_apq(3, 4).context
@@ -171,7 +179,8 @@ def test_uniqueness_searches_share_one_precedence_memo(monkeypatch):
     # scan of the whole pool for the last member made 702 calls, 1,259
     # misses and 2,084 Euler forms, where the Euler line tries only the
     # picks on it with 180 Euler forms; the picks on the line pass every
-    # Euler equation, so the kernel now makes none
+    # Euler equation, so the kernel now makes none.  With the Euler line a
+    # memo shared by the 30 searches saved no call, so each keeps its own
     assert len(rests) == 30
     assert calls[0] <= 210
     assert ctx.misses["hom_ext"] <= 767
@@ -210,7 +219,7 @@ def test_the_regular_search_builds_only_the_modules_it_asks_about(monkeypatch):
 
 class _YieldingKey:
     """A ref key whose hash gives up the interpreter lock, so that threads
-    interleave inside ``dict.setdefault``."""
+    interleave inside the lookups and stores of the ``hom_ext`` memo."""
 
     def __init__(self, key):
         self.key = key
@@ -223,20 +232,21 @@ class _YieldingKey:
         return isinstance(other, _YieldingKey) and self.key == other.key
 
 
-def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
-    from stratsys import modules, systems
+def test_threads_search_as_one_thread_does(monkeypatch):
+    from stratsys import modules
     from stratsys.classifier import apq_families
     from stratsys.systems import StratSystem, extend_to_complete
 
     quiver = canonical_apq(2, 3)
     ctx = quiver.context
     instances = apq_families(2, 3, 12)
-    monkeypatch.setattr(systems, "ref_key", lambda ref: _YieldingKey(modules.ref_key(ref)))
+    real_key = modules.ref_key
+    monkeypatch.setattr(modules, "ref_key", lambda ref: _YieldingKey(real_key(ref)))
 
     def completions(first=0):
         # the one-slot searches of ``apq families --p 2 --q 3``, from the
-        # ``first`` instance on and around, so that threads intern different
-        # keys at the same time
+        # ``first`` instance on and around, so that threads ask about
+        # different pairs at the same time
         out = {}
         for k in range(len(instances)):
             inst = instances[(first + k) % len(instances)]
@@ -244,11 +254,6 @@ def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
             found, report = extend_to_complete(rest, exponent_bound=16, positions=[0])
             out[inst.label()] = (found, report.checked, report.flags)
         return out
-
-    def facts():
-        key_of = {i: key.key for key, i in ctx.ref_ids.items()}
-        return {(key_of[k] if isinstance(k, int) else (key_of[k[0]], key_of[k[1]])): fact
-                for k, fact in ctx.precedence.items()}
 
     def threaded():
         got = []
@@ -269,23 +274,7 @@ def test_threads_share_the_precedence_memo_with_one_id_per_key(monkeypatch):
     ctx.clear()
     try:
         expected = completions()
-        expected_facts = facts()
         ctx.clear()
         assert threaded() == [expected] * 4
-        # one id per key and no id shared by two keys
-        assert sorted(ctx.ref_ids.values()) == list(range(len(ctx.ref_ids)))
-        assert facts() == expected_facts
-        # threads that share one compiled pool, and a pool compiled before a
-        # clear(): its ids must not index the new generation's memo
-        for stale in (False, True):
-            pool = ctx.pools[16]
-            ctx.clear()
-            if stale:
-                ctx.pools[16] = pool
-            else:
-                build_candidates(quiver, 16)
-            assert threaded() == [expected] * 4
-            assert sorted(ctx.ref_ids.values()) == list(range(len(ctx.ref_ids)))
-            assert facts() == expected_facts
     finally:
         ctx.clear()  # no yielding key outlives the test

@@ -2,7 +2,7 @@
 
 Each search here runs twice: once with the kernel, and once with a scan that
 tries every pick at every slot and checks each pair directly with
-``pair_hom_ext`` (no Euler screen, no line, no shared memo).  Both must
+``pair_hom_ext`` (no Euler screen, no line, no facts of its own).  Both must
 yield the same sequences in the same order up to where the caller stops,
 and give the same reports, flags and check counts (but for the flags of
 vectors dropped for want of a module: the scan asks about more vectors).
@@ -20,7 +20,7 @@ from stratsys.classifier import (FamilyInstance, apq_families, enumerate_css_kro
 from stratsys.cli import main
 from stratsys.modules import pair_hom_ext, ref_dims
 from stratsys.quiver import _euler_matrix, canonical_apq
-from stratsys.systems import Pool, StratSystem, check_css, completion_ray, extend_to_complete
+from stratsys.systems import StratSystem, check_css, completion_ray, extend_to_complete
 
 from conftest import one_short_systems, wild_sample
 
@@ -29,7 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def _scan(pool, length, start=(), slots=None, report=None):
     """The kernel's search order and check count, by brute force."""
-    refs = tuple(start) + tuple(pool.refs if isinstance(pool, Pool) else pool)
+    refs = tuple(start) + tuple(pool)
     first = len(start)
     grown = set() if slots is None else None
     slots = slots or (lambda size, last: (size,))
@@ -56,7 +56,7 @@ def _scan(pool, length, start=(), slots=None, report=None):
 def _logged(kernel, runs):
     """``kernel``, logging each run's yielded sequences as modules."""
     def search(pool, length, start=(), slots=None, report=None):
-        refs = tuple(start) + tuple(pool.refs if isinstance(pool, Pool) else pool)
+        refs = tuple(start) + tuple(pool)
         log = []
         runs.append(log)
         for seq in kernel(pool, length, start=start, slots=slots, report=report):

@@ -219,11 +219,9 @@ def test_a_dropped_search_frees_its_memo_without_the_cyclic_collector():
     import gc
     import weakref
 
-    from stratsys.systems import _compile_pool
-
-    # the search's closures hold its compiled pool as they hold its memo
-    pool = _compile_pool(regular_exceptional_pool(canonical_apq(2, 3), 10))
-    alive = weakref.ref(pool)
+    # the search's closures hold its items as they hold its facts
+    pool = regular_exceptional_pool(canonical_apq(2, 3), 10)
+    alive = weakref.ref(pool[0])
     gc.disable()
     try:
         search = _exceptional_sequences(pool, 5)
