@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .apq import apq_algebra
-from .modules import (ModuleRef, NoExceptionalModuleError, ref_dims, ref_preinj,
-                      ref_preproj, ref_root)
+from .modules import (ModuleRef, NoExceptionalModuleError, TooLargeError, ref_dims,
+                      ref_preinj, ref_preproj, ref_root)
 from .quiver import Quiver, _euler_matrix, classify_type, euler_form, kronecker
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep, mutate, simple
@@ -464,32 +464,11 @@ def verify_family_uniqueness(inst: FamilyInstance) -> CheckReport:
 # wild quivers: all-regular complete systems
 # ---------------------------------------------------------------------------
 
-GENERIC_STREAMS = (
-    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-     73, 79, 83, 89, 97, 101, 103, 107, 109, 113),
-    (1, 2, 4, 8, 16, 32, 64, 128, 3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121, 13,
-     6, 10, 14, 22, 26, 34, 38, 46, 58, 62),
-    (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
-     4181, 6765, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376),
-)
-
-
-def _generic_representation(q: Quiver, dims, stream) -> Representation:
-    values = itertools.cycle(stream)
-    maps = {}
-    for a in q.arrows:
-        rows_n = dims[q.index(a.tgt)]
-        cols_n = dims[q.index(a.src)]
-        maps[a.label] = [[Fraction(next(values)) for _ in range(cols_n)]
-                         for _ in range(rows_n)]
-    return make_rep(q, tuple(dims), maps)
-
-
 def _braid_module(q: Quiver, dims) -> Representation:
     """The exceptional module on a vector the braid walk reached, built
     along the walk's recipe (``reps.mutate``) from the modules of the pair it
     came from, and certified by its dimension vector and dim End = 1.  Kept
-    in ``root_reps``, as ``materialize`` keeps what it finds."""
+    in ``root_reps``, whose one writer this is."""
     ctx = q.context
     rep = ctx.root_reps.get(dims)
     if rep is None:
@@ -507,32 +486,25 @@ def _braid_module(q: Quiver, dims) -> Representation:
 
 
 def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
-    """The exceptional module on a unit-form root, or None.
-
-    A vector that the quiver's braid walk reaches (``QuiverContext.walk``)
-    is built along the walk.  Any other is looked for among the generic
-    representations of ``GENERIC_STREAMS``, where a structural witness
-    certifies the answer (exceptional modules are unique on their dimension
-    vector); None there means that neither found a module."""
+    """The exceptional module on a unit-form root that the quiver's braid
+    walk reaches (``QuiverContext.walk``), built along the walk; None on any
+    other vector, which a spent walk answers at once."""
     dims = tuple(dims)
-    if euler_form(q, dims, dims) != 1:
+    if euler_form(q, dims, dims) != 1 or not q.context.walk.reached(dims):
         return None
-    if q.context.walk.reached(dims):
-        return _braid_module(q, dims)
-    for stream in GENERIC_STREAMS:
-        rep = _generic_representation(q, dims, stream)
-        # <d, d> = 1 makes dim Ext^1(rep, rep) = dim End(rep) - 1
-        if hom_dim(rep, rep) == 1:
-            return rep
-    return None
+    return _braid_module(q, dims)
 
 
 SCREEN_STEPS = 24  # Coxeter iterates the regular screen looks at on each side
+SCREEN_BOX = 1_000_000  # the most vectors the regular screen enumerates
 
 
 def _screened_roots(q: Quiver, dim_cap: int) -> list[tuple[int, ...]]:
     """The nonzero vectors with entries up to ``dim_cap`` and <d, d> = 1 whose
     Coxeter orbit does not end within the screen, by total dimension."""
+    if (dim_cap + 1) ** q.n > SCREEN_BOX:
+        raise TooLargeError(f"the screen box [0, {dim_cap}]^{q.n} holds more than "
+                            f"{SCREEN_BOX} vectors")
     dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
     phi = q.context.coxeter
     # an orbit that ends within the screen is preprojective or preinjective;
@@ -548,13 +520,15 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
     regular exceptional modules over a wild quiver with >= 3 vertices.
 
     The pool holds one ``ROOT`` descriptor per screened vector, so a module is
-    built only when the search first asks about it.  A vector with no module
-    found is dropped, with a flag, and the search runs again; it replays its
-    facts from the engine's ``hom_ext`` memo and its modules from
-    ``root_reps``, so nothing is asked of the structure twice.  The first
-    witness is the one an eager pool of the found modules gives: a vector
-    whose module a run never builds was refused by the Euler form wherever
-    it came up, so it changes no sequence.
+    built only when the search first asks about it.  Braid mutation is the
+    one builder, so a vector the braid walk does not reach (any with an entry
+    above ``quiver.WALK_ENTRY_BOUND``, 40) has no module: it is dropped, with
+    a flag, and the search runs again; it replays its facts from the engine's
+    ``hom_ext`` memo and its modules from ``root_reps``, so nothing is asked
+    of the structure twice.  The first witness is the one an eager pool of
+    the built modules gives: a vector whose module a run never builds was
+    refused by the Euler form wherever it came up, so it changes no sequence.
+    A box ``[0, cap]^n`` of more than ``SCREEN_BOX`` vectors is refused.
 
     Failure within the cap is an honest "none found", not a disproof.
     """
@@ -574,7 +548,7 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
         except NoExceptionalModuleError as missing:
             refs = [r for r in refs if r.dims != missing.dims]
             report.flag(f"dropped {missing.dims}: the braid walk did not reach it "
-                        "within its bounds and no generic module on it was found")
+                        "within its bounds")
     if witness is None:
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report

@@ -190,11 +190,6 @@ def module_ref_from_json(data: Any, quiver: Quiver, where: str = "module") -> Mo
     raise InputError(f"{where}: unknown descriptor {sorted(data)}")
 
 
-def system_to_json(s: StratSystem) -> dict:
-    return {"quiver": s.quiver.to_json(),
-            "modules": [module_ref_to_json(m) for m in s.modules]}
-
-
 def system_from_json(data: Any, where: str = "system") -> StratSystem:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object")

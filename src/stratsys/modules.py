@@ -28,18 +28,18 @@ dimension vector up to isomorphism (Crawley-Boevey, "Exceptional sequences
 of representations of quivers", 1993), so
 the vector alone is a pedigree: a search can key its facts on it, and the
 module is built (by ``classifier.exceptional_of_dims``) only the first time
-a structural question needs it.  A vector the braid walk reaches
-(``QuiverContext.walk``) is built along the walk by braid mutation
-(``reps.mutate``): a universal extension in the Ext^1 case, the kernel or
-cokernel of the canonical map in the Hom case, certified by its dimension
-vector and dim End = 1.  Any other vector falls back to a generic-matrix
-search.  When no module is found, ``materialize`` raises
+a structural question needs it.  Braid mutation is the one builder: a
+vector the braid walk reaches (``QuiverContext.walk``) is built along the
+walk (``reps.mutate``), as a universal extension in the Ext^1 case and as
+the kernel or cokernel of the canonical map in the Hom case, and certified
+by its dimension vector and dim End = 1.  On a vector the walk does not
+reach within its bounds, ``materialize`` raises
 ``NoExceptionalModuleError`` carrying the vector.
 
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
-orbit modules (``orbit_reps``), the module found (or None) per ``ROOT``
-vector (``root_reps``) and one (dim Hom, dim Ext^1) entry per pedigreed
+orbit modules (``orbit_reps``), the module built per ``ROOT`` vector
+(``root_reps``) and one (dim Hom, dim Ext^1) entry per pedigreed
 pair (``hom_ext``), which ``pair_hom_ext`` alone reads and writes: one
 lookup there answers a pair, and ``pair_hom`` and ``pair_ext`` are its two
 halves.  Explicit representations are never memoized.
@@ -64,10 +64,11 @@ class TooLargeError(RuntimeError):
 
 
 class NoExceptionalModuleError(RuntimeError):
-    """No exceptional module was found on a ``ROOT`` descriptor's vector."""
+    """The braid walk did not reach a ``ROOT`` descriptor's vector."""
 
     def __init__(self, dims: DimVector):
-        super().__init__(f"no exceptional module found on dimension vector {dims}")
+        super().__init__(f"the braid walk did not reach the dimension vector {dims} "
+                         "within its bounds")
         self.dims = dims
 
 
@@ -209,17 +210,11 @@ def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
     return rep
 
 
-_UNSEARCHED = object()
-
-
 def _root_rep(q: Quiver, dims: DimVector) -> Representation:
-    """The exceptional module on ``dims``, searched for once per quiver; a
-    miss is memoized too, and raises on every ask."""
-    ctx = q.context
-    rep = ctx.root_reps.get(dims, _UNSEARCHED)
-    if rep is _UNSEARCHED:
-        from . import classifier  # the upper layer; a call through it is traced
-        rep = ctx.root_reps[dims] = classifier.exceptional_of_dims(q, dims)
+    """The exceptional module on ``dims``, kept in ``root_reps`` once built;
+    a vector the braid walk does not reach raises on every ask."""
+    from . import classifier  # the upper layer; a call through it is traced
+    rep = q.context.root_reps.get(dims) or classifier.exceptional_of_dims(q, dims)
     if rep is None:
         raise NoExceptionalModuleError(dims)
     return rep
@@ -317,7 +312,7 @@ def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:
     x, y = materialize(a), materialize(b)
     if a.kind == ROOT and a == b:
-        # found means certified: <d, d> = 1 and dim End = 1, so dim Ext^1 = 0
+        # built means certified: <d, d> = 1 and dim End = 1, so dim Ext^1 = 0
         return 1
     return hom_dim(x, y)
 

@@ -28,7 +28,7 @@ DimVector = tuple[int, ...]
 Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
 
 WALK_ENTRY_BOUND = 40  # the largest entry of a dimension vector the braid walk visits
-WALK_STATES = 2000     # the complete exceptional sequences the braid walk visits per quiver
+WALK_STATES = 20_000   # the complete exceptional sequences the braid walk visits per quiver
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ class QuiverContext:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
     materialized orbit modules), ``root_reps`` (``modules`` and
-    ``classifier``: the exceptional module found per ``ROOT`` dimension
-    vector, or None, and each module built along the braid walk), ``hom_ext``
+    ``classifier``: the exceptional module built along the braid walk per
+    ``ROOT`` dimension vector, written by ``classifier`` alone), ``hom_ext``
     (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
     written by ``pair_hom_ext`` alone), ``projectives`` and ``injectives``
     (``reps``: P_v and I_v per vertex), and ``walk``, the quiver's
@@ -285,7 +285,8 @@ class BraidWalk:
 
     def reached(self, dims: DimVector) -> bool:
         """Whether the walk reaches ``dims``, walking on until it does or
-        runs out of sequences."""
+        runs out of sequences; once its queue or its budget is spent, it
+        answers at once."""
         if max(dims, default=0) > WALK_ENTRY_BOUND:
             return False
         with self._lock:

@@ -306,15 +306,6 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
     return HomSpace(x, y, tuple(basis))
 
 
-def is_morphism(x: Representation, y: Representation, mats: Sequence[RationalMatrix]) -> bool:
-    q = x.quiver
-    for ai, a in enumerate(q.arrows):
-        s, t = q.index(a.src), q.index(a.tgt)
-        if mats[t].mul(x.maps[ai]) != y.maps[ai].mul(mats[s]):
-            return False
-    return True
-
-
 def ext1_dim(x: Representation, y: Representation) -> int:
     """dim Ext^1 via the hereditary Euler identity
     dim Ext^1 = dim Hom - <dim x, dim y>."""
@@ -330,12 +321,6 @@ def end_dim(m: Representation) -> int:
 
 def is_brick(m: Representation) -> bool:
     return not m.is_zero() and end_dim(m) == 1
-
-
-def is_exceptional(m: Representation) -> bool:
-    """Brick with no self-extensions; over a hereditary algebra this also
-    certifies indecomposability."""
-    return is_brick(m) and ext1_dim(m, m) == 0
 
 
 def brick_iso(x: Representation, y: Representation) -> bool:

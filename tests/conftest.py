@@ -2,12 +2,16 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
+from stratsys.io_json import module_ref_to_json
+from stratsys.linalg import RationalMatrix
 from stratsys.quiver import Quiver, canonical_apq, kronecker
-from stratsys.reps import (Representation, hom_ext_via_presentation, make_rep,
-                           minimal_presentation)
+from stratsys.reps import (Representation, ext1_dim, hom_ext_via_presentation, is_brick,
+                           make_rep, minimal_presentation)
+from stratsys.systems import StratSystem
 
 ENTRY_CHOICES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2)]
@@ -32,6 +36,29 @@ def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
         return 0
     hom, _ = hom_ext_via_presentation(minimal_presentation(x), y)
     return hom
+
+
+def is_morphism(x: Representation, y: Representation, mats: Sequence[RationalMatrix]) -> bool:
+    """Whether ``mats``, one matrix per vertex, commute with every arrow map
+    of ``x`` and ``y``: a test oracle for the Hom bases."""
+    q = x.quiver
+    for ai, a in enumerate(q.arrows):
+        s, t = q.index(a.src), q.index(a.tgt)
+        if mats[t].mul(x.maps[ai]) != y.maps[ai].mul(mats[s]):
+            return False
+    return True
+
+
+def is_exceptional(m: Representation) -> bool:
+    """Brick with no self-extensions; over a hereditary algebra this also
+    certifies indecomposability.  A test oracle for explicit modules."""
+    return is_brick(m) and ext1_dim(m, m) == 0
+
+
+def system_to_json(s: StratSystem) -> dict:
+    """The JSON form of a system, a test oracle for ``system_from_json``."""
+    return {"quiver": s.quiver.to_json(),
+            "modules": [module_ref_to_json(m) for m in s.modules]}
 
 
 @pytest.fixture

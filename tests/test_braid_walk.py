@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 
 from stratsys import modules
 from stratsys.classifier import _braid_module, exceptional_of_dims, regular_css_search
-from stratsys.modules import pair_hom_ext, ref_root
+from stratsys.modules import pair_hom_ext, ref_dims, ref_root
 from stratsys.quiver import WALK_STATES, Quiver, euler_form, kronecker
-from stratsys.reps import brick_iso, ext1_dim_direct, hom_dim, is_exceptional, mutate
+from stratsys.reps import brick_iso, ext1_dim_direct, hom_dim, mutate
 
-from conftest import wild_sample
+from conftest import is_exceptional, wild_sample
 
 
 @pytest.mark.parametrize("dims", [(0, 5, 6), (0, 6, 5), (2, 3, 6), (4, 3, 6), (5, 6, 0),
                                   (6, 5, 0), (1, 8, 4), (15, 8, 4), (1, 18, 12)])
 def test_the_walk_builds_every_module_the_generic_search_missed(dims):
-    # the generic matrices of GENERIC_STREAMS found no module on these
-    # vectors, although each is a real Schur root
+    # fixed generic matrices give no module on these vectors, although each
+    # is a real Schur root; the walk builds all of them
     wild = wild_sample()
     wild.context.clear()
     rep = exceptional_of_dims(wild, dims)
@@ -153,15 +153,20 @@ def test_threads_walk_as_one_walk_does():
         sys.setswitchinterval(interval)
 
 
-def test_the_walk_spends_one_budget_on_a_six_vertex_star():
-    # five arms into a centre: the walk runs out of its budget long before it
-    # runs out of sequences, and the generic search builds the rest
+def test_the_walk_builds_every_member_on_a_six_vertex_star():
+    # five arms into a centre: the breadth-first walk passes 2,000 sequences
+    # before it reaches (2,1,1,0,0,1) and (2,1,0,1,1,0), and its budget
+    # covers both, so no vector is dropped
     star = Quiver.make(range(6), [(i, 0, f"a{i}") for i in range(1, 6)])
     star.context.clear()
     start = time.perf_counter()
     witness, report = regular_css_search(star, 2)
     assert witness is not None and report.passed
-    assert len(star.context.walk._seen) == WALK_STATES
-    assert not star.context.walk.reached((2, 2, 1, 1, 1, 1))  # spends nothing more
-    assert len(star.context.walk._seen) == WALK_STATES
+    assert [ref_dims(m) for m in witness.modules] == [
+        (1, 0, 0, 0, 1, 1), (1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 1, 1),
+        (2, 1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 0, 1)]
+    assert not any(flag.startswith("dropped") for flag in report.flags)
+    for member in witness.modules:
+        assert is_exceptional(star.context.root_reps[member.dims])
+    assert len(star.context.walk._seen) < WALK_STATES
     assert time.perf_counter() - start < 20

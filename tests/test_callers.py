@@ -21,9 +21,6 @@ KEPT = {
     "modules.pair_hom": "benchmark/tracer.py spans it",
     "artheory.auslander_check": "benchmark/child.py checks each oracle pair with it",
     "tubes.max_regular_ss_size": "benchmark/child.py runs it over the criterion-7 grid",
-    "reps.is_morphism": "test oracle: every Hom basis element is a morphism",
-    "reps.is_exceptional": "test oracle: End and Ext^1 of an explicit module",
-    "io_json.system_to_json": "test oracle: the JSON round trip of a system",
 }
 
 

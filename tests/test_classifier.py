@@ -228,7 +228,7 @@ def test_regular_css_search_finds_what_an_eager_pool_finds(cap):
 
 
 def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch):
-    from stratsys import classifier
+    from stratsys import classifier, modules
     from stratsys.modules import NoExceptionalModuleError, materialize, ref_root
 
     # <d, d> = 1 on (2, 7, 2), but it is no Schur root: no module on it is
@@ -247,14 +247,23 @@ def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch
     assert [len(items) for items in runs] == [39, 38]
     assert runs[0][0] == (2, 7, 2) and set(runs[0]) - set(runs[1]) == {(2, 7, 2)}
     assert report.flags[0] == ("dropped (2, 7, 2): the braid walk did not reach it within "
-                               "its bounds and no generic module on it was found")
-    # the miss is memoized, and it is not a plain lookup failure
-    assert WILD3.context.root_reps[(2, 7, 2)] is None
+                               "its bounds")
+    # no module is kept for the miss, and it is not a plain lookup failure
+    assert (2, 7, 2) not in WILD3.context.root_reps
     assert not WILD3.context.walk.reached((2, 7, 2))
     with pytest.raises(NoExceptionalModuleError) as caught:
         materialize(ref_root(WILD3, [2, 7, 2]))
     assert caught.value.dims == (2, 7, 2)
     assert not isinstance(caught.value, LookupError)
+    # the spent walk answers a second ask at once: no Hom space, no new sequence
+    calls = []
+    for layer in (classifier, modules):
+        monkeypatch.setattr(layer, "hom_dim", lambda *args, real=layer.hom_dim:
+                            calls.append(args) or real(*args))
+    seen = len(WILD3.context.walk._seen)
+    with pytest.raises(NoExceptionalModuleError):
+        materialize(ref_root(WILD3, (2, 7, 2)))
+    assert calls == [] and len(WILD3.context.walk._seen) == seen
 
 
 def test_a_root_descriptor_reads_as_its_vector(monkeypatch):
@@ -315,13 +324,3 @@ def test_exceptional_of_dims_unit_root():
     assert rep is not None
     assert rep.dims == (2, 1, 0)
     assert exceptional_of_dims(WILD3, (1, 1, 1)) is None  # <d,d> != 1
-
-
-def test_generic_representation_cycles_its_stream():
-    from stratsys.classifier import GENERIC_STREAMS, _generic_representation
-
-    q = Quiver.make([1, 2, 3], [(3, 2, "b"), (2, 1, "a")])
-    stream = GENERIC_STREAMS[0]
-    rep = _generic_representation(q, (80, 80, 1), stream)  # 6480 entries
-    entries = [x for mat in rep.maps for row in mat.entries for x in row]
-    assert entries == [stream[k % len(stream)] for k in range(6480)]

@@ -560,3 +560,22 @@ def test_huge_tau_powers_exit_2(tmp_path, capsys, json_flag, modules):
     else:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_a_huge_regcss_cap_exits_2_before_it_enumerates(capsys, json_flag):
+    # the box [0, 100000]^3 would not fit in memory as a list
+    start = time.perf_counter()
+    code = main(json_flag + ["wild", "regcss",
+                             str(REPO_ROOT / "samples" / "wild_double_path.quiver.json"),
+                             "--cap", "100000"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    if json_flag:
+        payload = json.loads(captured.out)
+        assert payload["verdict"] == "error" and "[0, 100000]^3" in payload["error"]
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the screen box [0, 100000]^3 holds more than")

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from conftest import system_to_json
 from stratsys.io_json import (InputError, module_ref_to_json, quiver_from_json,
-                              rep_from_json, rep_to_json, system_from_json,
-                              system_to_json)
+                              rep_from_json, rep_to_json, system_from_json)
 from stratsys.modules import materialize, ref_dims
 from stratsys.quiver import Quiver, canonical_apq, kronecker
 from stratsys.reps import injective, projective

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from conftest import hom_dim_via_presentation, random_representation, wild_sample
+from conftest import (hom_dim_via_presentation, is_exceptional, is_morphism,
+                      random_representation, wild_sample)
 from stratsys.io_json import rep_to_json
 from stratsys.linalg import RationalMatrix, format_rational, rank
 from stratsys.quiver import canonical_apq, euler_form, kronecker
 from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim,
-                           hom_space, injective, is_brick, is_exceptional,
-                           is_morphism, is_sincere,
+                           hom_space, injective, is_brick, is_sincere,
                            make_rep, minimal_presentation, nonsplit_extension,
                            projective, simple, sub_representation, supp)
 
