@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 from typing import Optional
 
 from .apq import apq_algebra
@@ -496,31 +498,51 @@ def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
 
 
 SCREEN_STEPS = 24  # Coxeter iterates the regular screen looks at on each side
-SCREEN_BOX = 1_000_000  # the most vectors the regular screen enumerates
+SCREEN_BOX = 1_000_000  # the most vectors the regular screen's box may hold
 
 
 def _screened_roots(q: Quiver, dim_cap: int) -> list[tuple[int, ...]]:
     """The nonzero vectors with entries up to ``dim_cap`` and <d, d> = 1 whose
-    Coxeter orbit does not end within the screen, by total dimension."""
+    Coxeter orbit does not end within the screen, by total dimension and
+    then by the vector.  A box ``[0, cap]^n`` of more than ``SCREEN_BOX``
+    vectors is refused.
+
+    The vectors are solved for, not scanned.  Split d into its last entry c
+    and the rest x'.  Over an acyclic quiver <d, d> = c^2 - L c + <x', x'>,
+    where L sums x' over the arrows between the last vertex and the others,
+    with multiplicity.  So for each x' in ``[0, cap]^(n-1)`` the c with
+    <d, d> = 1 are the roots of c^2 - L c + (<x', x'> - 1) = 0: the
+    discriminant is a square s^2, and c = (L +- s) / 2, an integer since s
+    and L have the same parity.  The zero vector has <d, d> = 0.
+    """
     if (dim_cap + 1) ** q.n > SCREEN_BOX:
         raise TooLargeError(f"the screen box [0, {dim_cap}]^{q.n} holds more than "
                             f"{SCREEN_BOX} vectors")
-    dims_list = [d for d in itertools.product(range(dim_cap + 1), repeat=q.n) if any(d)]
+    form, last = _euler_matrix(q), q.n - 1
+    head = [row[:last] for row in form[:last]]  # <x', x'> = x' . head x'
+    link = [form[i][last] + form[last][i] for i in range(last)]  # L = -link . x'
+    roots = []
+    for rest in itertools.product(range(dim_cap + 1), repeat=last):
+        el = -sum(map(mul, link, rest))
+        disc = el * el + 4 - 4 * sum(x * sum(map(mul, row, rest)) for x, row in zip(rest, head))
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            roots += (rest + (c,) for c in {(el - s) // 2, (el + s) // 2} if 0 <= c <= dim_cap)
     phi = q.context.coxeter
     # an orbit that ends within the screen is preprojective or preinjective;
     # surviving the screen is regular-or-unknown
-    return [dims for dims in sorted(dims_list, key=lambda d: (sum(d), d))
-            if euler_form(q, dims, dims) == 1
-            and not any(phi.ending_orbit(dims, SCREEN_STEPS, inverse)
-                        for inverse in (False, True))]
+    return [dims for dims in sorted(roots, key=lambda d: (sum(d), d))
+            if not any(phi.ending_orbit(dims, SCREEN_STEPS, inverse)
+                       for inverse in (False, True))]
 
 
 def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], CheckReport]:
     """Bounded constructive search for a complete stratifying system made of
     regular exceptional modules over a wild quiver with >= 3 vertices.
 
-    The pool holds one ``ROOT`` descriptor per screened vector, so a module is
-    built only when the search first asks about it.  Braid mutation is the
+    The pool holds one ``ROOT`` descriptor per screened vector, solved for
+    in the box ``[0, cap]^n`` (``_screened_roots``), so a module is built
+    only when the search first asks about it.  Braid mutation is the
     one builder, so a vector the braid walk does not reach (any with an entry
     above ``quiver.WALK_ENTRY_BOUND``, 40) has no module: it is dropped, with
     a flag, and the search runs again; it replays its facts from the engine's

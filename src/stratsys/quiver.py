@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Any, Optional, Sequence
 
 from .linalg import RationalMatrix, kernel_basis
@@ -459,10 +460,12 @@ class CoxeterTransform:
     inverse: tuple[tuple[int, ...], ...]
 
     def apply(self, x: Sequence[int]) -> DimVector:
-        return tuple(sum(row[j] * int(x[j]) for j in range(len(x))) for row in self.matrix)
+        x = tuple(map(int, x))
+        return tuple(sum(map(mul, row, x)) for row in self.matrix)
 
     def apply_inverse(self, x: Sequence[int]) -> DimVector:
-        return tuple(sum(row[j] * int(x[j]) for j in range(len(x))) for row in self.inverse)
+        x = tuple(map(int, x))
+        return tuple(sum(map(mul, row, x)) for row in self.inverse)
 
     def ending_orbit(self, x: Sequence[int], steps: int, inverse: bool,
                      budget: Optional[int] = None) -> Optional[tuple[DimVector, ...]]:

@@ -700,16 +700,16 @@ def mutate(e: Representation, f: Representation, left: bool) -> Representation:
     if k == 0:
         return f if left else e
     basis = hom_space(e, f).basis
-    if left:  # E^k -> F: the components side by side
-        sources, targets = [e] * k, [f]
-        mats = [RationalMatrix.from_rows([sum((g[v].entries[r] for g in basis), ())
-                                          for r in range(f.dims[v])], cols=k * e.dims[v])
-                for v in range(q.n)]
-    else:  # E -> F^k: the components stacked
-        sources, targets = [e], [f] * k
-        mats = [RationalMatrix.from_rows([row for g in basis for row in g[v].entries],
-                                         cols=e.dims[v])
-                for v in range(q.n)]
+    mats = []
+    for v in range(q.n):  # the components over one denominator
+        den = lcm(*(g[v].den for g in basis))
+        parts = [[[x * (den // g[v].den) for x in row] for row in g[v].nums] for g in basis]
+        if left:  # E^k -> F: the components side by side
+            mats.append(RationalMatrix.from_nums([sum(rows, []) for rows in zip(*parts)],
+                                                 den, k * e.dims[v]))
+        else:  # E -> F^k: the components stacked
+            mats.append(RationalMatrix.from_nums(sum(parts, []), den, e.dims[v]))
+    sources, targets = ([e] * k, [f]) if left else ([e], [f] * k)
     if all(mat.rows >= mat.cols for mat in mats):  # mono: the cokernel
         kernel, _ = sub_representation([dual_representation(f)] * len(targets),
                                        [m.transpose() for m in mats])

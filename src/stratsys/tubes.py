@@ -10,12 +10,13 @@ all-regular stratifying system.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from .apq import (TUBE_INFTY, TUBE_ZERO, TubeLabel, TubePoint, apq_algebra,
                   recognize_apq, tube_lambda, tube_rank)
 from .artheory import tau, tau_inv
-from .modules import ModuleRef, ref_tube, ref_dims, ref_is_exceptional
-from .quiver import Quiver, classify_type
+from .modules import ModuleRef, pair_hom_ext, ref_dims, ref_is_exceptional, ref_tube
+from .quiver import Quiver, _euler_matrix, classify_type
 from .report import CheckReport
 from .reps import brick_iso, ext1_dim, hom_dim, supp
 from .systems import StratSystem, _exceptional_sequences
@@ -242,7 +243,42 @@ def regular_exceptional_pool(quiver: Quiver, dim_cap: int) -> list[ModuleRef]:
 
 
 def max_regular_ss_size(quiver: Quiver, dim_cap: int) -> int:
-    """Exhaustive search for the largest stratifying system whose members are
-    regular exceptional modules of total dimension within the cap."""
+    """The size of the largest stratifying system whose members are regular
+    exceptional modules of total dimension within the cap, searched one
+    orthogonal block of the pool at a time.
+
+    Two pool modules are linked when either Euler form between them is
+    nonzero, or, where both are zero, when ``pair_hom_ext`` is not (0, 0) in
+    either direction.  The blocks are the connected components of that link
+    graph, and the answer is the sum over the blocks of the longest
+    exceptional sequence inside each (``_exceptional_sequences``).  The sum
+    is exact.  The longest sequences of the blocks, one after another, form
+    a valid sequence: each member was valid inside its block, and every pair
+    across blocks has Hom and Ext^1 zero both ways, which the engine checked
+    when it found the pair unlinked.  Conversely, a valid sequence restricted
+    to one block is still valid, since the axioms are pairwise, so no
+    sequence is longer than the sum.  Different tubes are Hom- and
+    Ext-orthogonal (Ringel, LNM 1099, 3.1), so each block lies in one tube;
+    the code checks the orthogonality rather than assumes it.
+    """
     pool = regular_exceptional_pool(quiver, dim_cap)
-    return max(map(len, _exceptional_sequences(pool, quiver.n)), default=0)
+    form = _euler_matrix(quiver)
+    vecs = [ref_dims(r) for r in pool]
+    rows = [[sum(map(mul, col, e)) for col in zip(*form)] for e in vecs]  # <e, x> = row . x
+    block = list(range(len(pool)))  # each module's block, named by its least index
+
+    def linked(a: int, b: int) -> bool:
+        return bool(sum(map(mul, rows[a], vecs[b])) or sum(map(mul, rows[b], vecs[a]))
+                    or pair_hom_ext(pool[a], pool[b]) != (0, 0)
+                    or pair_hom_ext(pool[b], pool[a]) != (0, 0))
+
+    for b in range(len(pool)):
+        for a in range(b):
+            if block[a] != block[b] and linked(a, b):
+                old, new = max(block[a], block[b]), min(block[a], block[b])
+                block = [new if k == old else k for k in block]
+    members: dict[int, list[ModuleRef]] = {}
+    for ref, k in zip(pool, block):
+        members.setdefault(k, []).append(ref)
+    return sum(max(map(len, _exceptional_sequences(refs, quiver.n)), default=0)
+               for refs in members.values())

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,12 +7,14 @@ from typing import Sequence
 
 import pytest
 
+from stratsys.classifier import SCREEN_STEPS
 from stratsys.io_json import module_ref_to_json
 from stratsys.linalg import RationalMatrix
-from stratsys.quiver import Quiver, canonical_apq, kronecker
+from stratsys.quiver import Quiver, canonical_apq, euler_form, kronecker
 from stratsys.reps import (Representation, ext1_dim, hom_ext_via_presentation, is_brick,
                            make_rep, minimal_presentation)
-from stratsys.systems import StratSystem
+from stratsys.systems import StratSystem, _exceptional_sequences
+from stratsys.tubes import regular_exceptional_pool
 
 ENTRY_CHOICES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2)]
@@ -53,6 +56,33 @@ def is_exceptional(m: Representation) -> bool:
     """Brick with no self-extensions; over a hereditary algebra this also
     certifies indecomposability.  A test oracle for explicit modules."""
     return is_brick(m) and ext1_dim(m, m) == 0
+
+
+def box_screened_roots(q: Quiver, cap: int) -> list[tuple[int, ...]]:
+    """The regular screen by an Euler form on every vector of ``[0, cap]^n``,
+    a test oracle for ``classifier._screened_roots``."""
+    phi = q.context.coxeter
+    box = sorted((d for d in itertools.product(range(cap + 1), repeat=q.n) if any(d)),
+                 key=lambda d: (sum(d), d))
+    return [d for d in box if euler_form(q, d, d) == 1
+            and not any(phi.ending_orbit(d, SCREEN_STEPS, inverse) for inverse in (False, True))]
+
+
+def whole_pool_max_regular_ss_size(quiver: Quiver, cap: int) -> int:
+    """The longest regular system by one search over the whole pool, a test
+    oracle for ``tubes.max_regular_ss_size``."""
+    pool = regular_exceptional_pool(quiver, cap)
+    return max(map(len, _exceptional_sequences(pool, quiver.n)), default=0)
+
+
+def six_vertex_star() -> Quiver:
+    """Five arms into a centre: a wild quiver with six vertices."""
+    return Quiver.make(range(6), [(i, 0, f"a{i}") for i in range(1, 6)])
+
+
+def doubled_triangle() -> Quiver:
+    """The triangle 1 -> 2 -> 3 with the arrow 1 -> 3 doubled: a wild quiver."""
+    return Quiver.make((1, 2, 3), [(1, 2, "a"), (2, 3, "b"), (1, 3, "c"), (1, 3, "d")])
 
 
 def system_to_json(s: StratSystem) -> dict:

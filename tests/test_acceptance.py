@@ -196,6 +196,15 @@ def test_criterion_7_regular_size_bound():
     _finish("CRITERION 7 (regular size bound)", started, 300)
 
 
+def test_criterion_7_reaches_the_tame_bound_at_ranks_5_and_6():
+    """The paper's tame bound n - 2 = p + q - 2, reached exactly: one search
+    per orthogonal block keeps the two tubes from multiplying."""
+    started = time.perf_counter()
+    for p, q in [(4, 5), (5, 6)]:
+        assert max_regular_ss_size(canonical_apq(p, q), 2 * (p + q)) == p + q - 2, (p, q)
+    _finish("CRITERION 7 at (4, 5) and (5, 6)", started, 10)
+
+
 def test_criterion_8_family_catalogue_2_3():
     """All twelve families at (2,3) for t <= 12 pass; the (F,G,Y) searches
     reproduce the catalogued lists; each listed first member is recovered as

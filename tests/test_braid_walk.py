@@ -15,7 +15,7 @@ from stratsys.modules import pair_hom_ext, ref_dims, ref_root
 from stratsys.quiver import WALK_STATES, Quiver, euler_form, kronecker
 from stratsys.reps import brick_iso, ext1_dim_direct, hom_dim, mutate
 
-from conftest import is_exceptional, wild_sample
+from conftest import is_exceptional, six_vertex_star, wild_sample
 
 
 @pytest.mark.parametrize("dims", [(0, 5, 6), (0, 6, 5), (2, 3, 6), (4, 3, 6), (5, 6, 0),
@@ -157,7 +157,7 @@ def test_the_walk_builds_every_member_on_a_six_vertex_star():
     # five arms into a centre: the breadth-first walk passes 2,000 sequences
     # before it reaches (2,1,1,0,0,1) and (2,1,0,1,1,0), and its budget
     # covers both, so no vector is dropped
-    star = Quiver.make(range(6), [(i, 0, f"a{i}") for i in range(1, 6)])
+    star = six_vertex_star()
     star.context.clear()
     start = time.perf_counter()
     witness, report = regular_css_search(star, 2)

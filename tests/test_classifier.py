@@ -13,6 +13,8 @@ from stratsys.modules import ref_dims
 from stratsys.quiver import Quiver, kronecker
 from stratsys.systems import check_css
 
+from conftest import box_screened_roots, doubled_triangle, six_vertex_star, wild_sample
+
 
 def test_kron_list_m2_bound3_counts():
     instances = kronecker_css_list(2, 3)
@@ -200,6 +202,19 @@ def test_regular_css_search_cap8_witness():
     assert witness is not None
     assert check_css(witness).passed
     assert witness.size == 3
+
+
+@pytest.mark.parametrize("quiver, caps", [
+    (wild_sample, [6, 8, 12, 24, 40]),
+    (six_vertex_star, [2, 3, 5]),
+    (doubled_triangle, [6, 14]),
+], ids=["wild-sample", "six-vertex-star", "doubled-triangle"])
+def test_the_solved_pool_is_the_box_scan(quiver, caps):
+    from stratsys.classifier import _screened_roots
+
+    q = quiver()
+    for cap in caps:
+        assert _screened_roots(q, cap) == box_screened_roots(q, cap), cap
 
 
 def _eager_search(q, cap):

@@ -312,6 +312,10 @@ PINNED_REPORTS = {
                           "2bcd4054d4fad6a6dac8b6e41f22fc35dc36a23f5469b271626d6802a7c9b231"),
     "wild-regcss-cap12": ("--json wild regcss samples/wild_double_path.quiver.json --cap 12", 0,
                           "aa7843736a4a0a871aad8cfa9c67453b8622a043fae1dfc08fc7ee84e967c90e"),
+    "wild-regcss-cap40": ("--json wild regcss samples/wild_double_path.quiver.json --cap 40", 0,
+                          "215cda84e69953811d90a54208cfd9da88dca4ffef13e9520c01b41e5a908395"),
+    "wild-regcss-cap99": ("--json wild regcss samples/wild_double_path.quiver.json --cap 99", 0,
+                          "6e6801a2ac75a49be991a9fbbb36090bc8c7416e2aa879a9909de7b4fc5aaa0c"),
     "ss-extend-outer": ("--json ss extend samples/fg_p2q3.ss.json --positions outer --bound 4", 0,
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,

@@ -6,7 +6,9 @@ A stdlib ``cProfile`` run counts the body runs of chosen functions while
 seeded batch of small modules with integer and 1/2 entries.  The counts are a
 function of the code and the batch alone, so they repeat exactly; lower a
 ceiling when a change lowers its count.  Writing those modules out with
-``rep_to_json`` constructs no ``Fraction``."""
+``rep_to_json`` constructs no ``Fraction``, and building the wild sample's
+walk modules reads the ``Fraction`` view of a matrix only where a Hom basis
+is handed out."""
 
 import cProfile
 import random
@@ -19,6 +21,8 @@ from stratsys.io_json import rep_to_json
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import ext1_dim, ext1_dim_direct
 
+ENTRIES_CEILING = 103  # 2,403 while each Hom-case mutation row read the
+                       # Fraction view of a whole basis map
 CEILING = 319  # 30,213 when every matrix entry was stored as a Fraction; 446
                # while each query presented x twice
 
@@ -79,3 +83,18 @@ def test_rep_to_json_constructs_no_fraction():
     modules = [m for pair in _pairs() for m in pair]
     assert any(m.den == 2 for x in modules for m in x.maps)
     assert _calls(lambda: [rep_to_json(x) for x in modules], [Fraction.__new__]) == [0]
+
+
+def test_building_the_walk_modules_reads_few_fraction_views(monkeypatch):
+    from stratsys.classifier import _screened_roots, exceptional_of_dims
+
+    wild = wild_sample()
+    wild.context.clear()
+    screened = _screened_roots(wild, 24)
+    reads = []
+    view = linalg.RationalMatrix.entries.fget
+    monkeypatch.setattr(linalg.RationalMatrix, "entries",
+                        property(lambda m: reads.append(m) or view(m)))
+    built = [exceptional_of_dims(wild, dims) for dims in screened]
+    assert sum(rep is not None for rep in built) == 148
+    assert len(reads) <= ENTRIES_CEILING

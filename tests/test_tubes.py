@@ -15,6 +15,8 @@ from stratsys.tubes import (_ext_orthogonal_families, fg_system, max_regular_ss_
                             mouth_ss, support_formula, tube_rigid_bound_check,
                             verify_support_formula, verify_tau_cycles)
 
+from conftest import whole_pool_max_regular_ss_size
+
 GRID = [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
 
 
@@ -191,6 +193,48 @@ def test_max_regular_examples():
     assert max_regular_ss_size(canonical_apq(1, 2), 6) == 1
     assert max_regular_ss_size(kronecker(2), 10) == 0
     assert max_regular_ss_size(canonical_apq(2, 3), 10) == 3
+
+
+@pytest.mark.parametrize("p, q", GRID + [(2, 5), (1, 4), (4, 4), (3, 5)])
+def test_the_block_sum_is_the_whole_pool_search(p, q):
+    quiver = canonical_apq(p, q)
+    assert max_regular_ss_size(quiver, 2 * (p + q)) == whole_pool_max_regular_ss_size(
+        quiver, 2 * (p + q))
+
+
+def test_a_pair_with_zero_euler_forms_and_nonzero_hom_shares_a_block(monkeypatch):
+    # E^(0)_3[3] and E^(0)_1[3] over (3, 4): both Euler forms are 0, but
+    # Hom and Ext^1 are 1 both ways, so neither order is a system
+    from stratsys import tubes
+    from stratsys.modules import pair_hom_ext, ref_tube
+    from stratsys.quiver import euler_form
+
+    quiver = canonical_apq(3, 4)
+    pair = [ref_tube(3, 4, TUBE_ZERO, 3, 3), ref_tube(3, 4, TUBE_ZERO, 1, 3)]
+    a, b = map(ref_dims, pair)
+    assert euler_form(quiver, a, b) == euler_form(quiver, b, a) == 0
+    assert pair_hom_ext(*pair) == pair_hom_ext(*pair[::-1]) == (1, 1)
+    monkeypatch.setattr(tubes, "regular_exceptional_pool", lambda quiver, cap: pair)
+    assert max_regular_ss_size(quiver, 14) == 1
+
+
+def test_the_block_search_stays_under_its_ceilings(monkeypatch):
+    # the whole-pool search yielded 3,401 sequences here, every interleaving
+    # of sequences from the two tubes; the structural Hom calls are those of
+    # the pool's exceptionality checks and the same-tube pairs
+    from stratsys import modules, tubes
+
+    quiver = canonical_apq(3, 4)
+    quiver.context.clear()
+    hom_calls, yielded = [], []
+    monkeypatch.setattr(modules, "hom_dim", lambda *args, real=modules.hom_dim:
+                        hom_calls.append(args) or real(*args))
+    search = tubes._exceptional_sequences
+    monkeypatch.setattr(tubes, "_exceptional_sequences", lambda refs, length: (
+        yielded.append(seq) or seq for seq in search(refs, length)))
+    assert max_regular_ss_size(quiver, 14) == 5
+    assert len(yielded) <= 131
+    assert len(hom_calls) <= 94
 
 
 def test_mouth_dim_vector_matches_reps():
