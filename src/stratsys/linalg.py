@@ -244,13 +244,6 @@ def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
     return list(kernel_matrix(matrix).transpose().entries)
 
 
-def kernel_basis_of_rows(sparse_rows: Sequence[dict[int, Fraction]],
-                         ncols: int) -> list[tuple[Fraction, ...]]:
-    """``kernel_basis`` of the matrix with sparse rows {column: rational value}."""
-    return list(_kernel(_eliminate((row.items() for row in sparse_rows), reduced=True),
-                        ncols)[0].transpose().entries)
-
-
 def span_basis(vectors: Sequence[Sequence], length: int) -> list[tuple[Fraction, ...]]:
     """Deterministic (RREF) basis of the span of the given vectors."""
     pivots = _eliminate(map(enumerate, vectors), reduced=True)

@@ -10,14 +10,19 @@ dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y> by the Euler identity.
     X -> Y -> tau X -> ... -> X.  So with e = <dim X, dim Y> the pair is
     (max(e, 0), max(-e, 0)).
   * Points of two different tubes are orthogonal: (0, 0).
+  * Two points of one tube of rank r: a standard stable tube is uniserial,
+    so dim Hom(E_i[k], E_j[l]) is the number of lengths c <= min(k, l)
+    with c = i + k - j (mod r), one for each image E_j[c] (rays and corays,
+    Ringel LNM 1099, 3.1), counted in closed form.
   * Two ``ROOT`` modules whose vectors sit in one complete exceptional
     sequence that the quiver's braid walk reached (``BraidWalk.paired``)
     form an exceptional pair in one order or the other, and Hom and Ext^1
     of an exceptional pair are not both nonzero (Happel-Ringel): the
     directing-pair formula again.
 
-Only pairs inside one tube and the other pairs with an explicit or a
-``ROOT`` side are computed structurally, on materialized representations.
+Only pairs with an explicit or a ``ROOT`` side, but for two walked ``ROOT``
+members, are computed structurally, on materialized representations, so a
+tube point is built only when it meets such a module.
 The rules are cross-validated against that structure in the test suite.
 Without them the generalized Kronecker orbit checks would need matrices
 with ~10^5 rows, which no structural checker can materialize.
@@ -257,13 +262,13 @@ def materialize(ref: ModuleRef) -> Representation:
 def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
     """(dim Hom(a, b), dim Ext^1(a, b)), the Ext dimension by the Euler
     identity dim Ext^1 = dim Hom - <dim a, dim b>.  Hom is decided in one
-    step: pairs inside one tube and pairs with an explicit or a ``ROOT``
-    side are structural, but for two ``ROOT`` members of one walked
-    exceptional sequence; two different tubes are orthogonal; and every
-    other pair has a directing side.  Where the pair is not structural, its
-    Hom and Ext^1 are not both nonzero.  The one reader and the one writer
-    of ``hom_ext``: a pedigreed pair is answered once and its checked entry
-    stays in the quiver's context."""
+    step: pairs with an explicit or a ``ROOT`` side are structural, but for
+    two ``ROOT`` members of one walked exceptional sequence; two points of
+    one tube are counted by ``_tube_hom`` and two different tubes are
+    orthogonal; and every other pair has a directing side.  Where the pair
+    is directing or walked, its Hom and Ext^1 are not both nonzero.  The
+    one reader and the one writer of ``hom_ext``: a pedigreed pair is
+    answered once and its checked entry stays in the quiver's context."""
     q = a.quiver
     if b.quiver is not q and b.quiver != q:
         raise ValueError("modules live over different quivers")
@@ -282,7 +287,7 @@ def pair_hom_ext(a: ModuleRef, b: ModuleRef) -> tuple[int, int]:
     if not any(dims_a) or not any(dims_b):
         hom = 0
     elif a.kind == b.kind == TUBE:
-        hom = _structural_hom(a, b) if a.point.tube == b.point.tube else 0
+        hom = _tube_hom(a, b) if a.point.tube == b.point.tube else 0
     elif a.kind == b.kind == ROOT and a != b and q.context.walk.paired(a.dims, b.dims):
         # two members of one exceptional sequence: Hom and Ext^1 are not
         # both nonzero (Happel-Ringel)
@@ -307,6 +312,23 @@ def pair_hom(a: ModuleRef, b: ModuleRef) -> int:
 def pair_ext(a: ModuleRef, b: ModuleRef) -> int:
     """dim Ext^1(a, b), the second half of ``pair_hom_ext``."""
     return pair_hom_ext(a, b)[1]
+
+
+def _tube_hom(a: ModuleRef, b: ModuleRef) -> int:
+    """dim Hom(E_i[k], E_j[l]) for two points of one tube of rank r.
+
+    The tube is standard and uniserial: E_i[k] has regular socle E_i and
+    regular top E_{i+k-1} (indices mod r, from 1).  The image of a nonzero
+    map is a quotient of the source with its top, E_{i+k-c}[c], and a
+    submodule of the target with its socle, E_j[c]; each such length c
+    gives one dimension (Ringel, LNM 1099, 3.1).  So Hom counts the
+    c <= min(k, l) with c = i + k - j (mod r), in closed form, since a
+    level may be huge."""
+    rank = apq_algebra(*a.apq).tube_rank(a.point.tube)
+    x, y = a.point, b.point
+    first = (x.index + x.level - y.index - 1) % rank + 1
+    top = min(x.level, y.level)
+    return 0 if top < first else (top - first) // rank + 1
 
 
 def _structural_hom(a: ModuleRef, b: ModuleRef) -> int:

@@ -478,14 +478,14 @@ class CoxeterTransform:
         (Dlab-Ringel), so an indecomposable X whose forward orbit ends at k
         is tau^{-k} P_i, and one whose inverse orbit ends at k is tau^k I_i.
         """
-        step = self.apply_inverse if inverse else self.apply
-        v = tuple(int(t) for t in x)
+        rows = self.inverse if inverse else self.matrix
+        v = tuple(map(int, x))
         orbit = [v]
         for _ in range(steps):
             if budget is not None and sum(v) > budget:
                 return None
-            v = step(v)
-            if any(t < 0 for t in v):
+            v = tuple([sum(map(mul, row, v)) for row in rows])
+            if min(v) < 0:
                 return tuple(orbit)
             orbit.append(v)
         return None

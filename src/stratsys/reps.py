@@ -292,15 +292,17 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
     rows, total = _coboundary(x, y)
     if total == 0:
         return HomSpace(x, y, ())
-    kernel = linalg.kernel_basis_of_rows(rows, total)
+    kernel, _ = linalg._kernel(
+        linalg._eliminate((row.items() for row in rows), reduced=True), total)
+    den = kernel.den
     basis = []
-    for vec in kernel:
+    for vec in kernel.transpose().nums:
         mats = []
         pos = 0
         for k in range(q.n):
             r_n, c_n = y.dims[k], x.dims[k]
-            mats.append(RationalMatrix.from_rows(
-                [vec[pos + r * c_n: pos + (r + 1) * c_n] for r in range(r_n)], cols=c_n))
+            mats.append(RationalMatrix.from_nums(
+                [vec[pos + r * c_n: pos + (r + 1) * c_n] for r in range(r_n)], den, c_n))
             pos += r_n * c_n
         basis.append(tuple(mats))
     return HomSpace(x, y, tuple(basis))

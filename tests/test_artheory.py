@@ -167,27 +167,20 @@ def test_engine_matches_structure_orbit_modules(maker, exp):
             assert ext == ext1_dim(ma, mb), (a.describe(), b.describe())
 
 
-def test_apq_families_materializes_only_tube_pairs_and_explicit_modules(monkeypatch, capsys):
-    """The Euler form answers every pair with a tau-orbit side and two
-    different tubes are orthogonal; ``apq families`` has no explicit module,
-    so only pairs inside one tube reach the structure."""
+def test_apq_families_makes_no_structural_hom_call(monkeypatch, capsys):
+    """The Euler form answers every pair with a tau-orbit side, two
+    different tubes are orthogonal and Hom inside one tube has a closed
+    form; ``apq families`` has no explicit module, so no pair reaches the
+    structure."""
     from stratsys import modules
     from stratsys.cli import main
 
-    structural = modules._structural_hom
     pairs = []
-
-    def recording(a, b):
-        pairs.append((a, b))
-        return structural(a, b)
-
     canonical_apq(2, 3).context.clear()
-    monkeypatch.setattr(modules, "_structural_hom", recording)
+    monkeypatch.setattr(modules, "_structural_hom", lambda a, b: pairs.append((a, b)) or 0)
     assert main(["--json", "apq", "families", "--p", "2", "--q", "3"]) == 0
     capsys.readouterr()
-    assert pairs
-    assert all(a.kind == b.kind == modules.TUBE and a.point.tube == b.point.tube
-               for a, b in pairs), sorted({(a.describe(), b.describe()) for a, b in pairs})
+    assert pairs == []
 
 
 def test_orbit_dims_cache_is_thread_safe():
@@ -257,6 +250,32 @@ def test_engine_makes_points_of_different_tubes_orthogonal(p, q):
             ma, mb = materialize(a), materialize(b)
             assert pair_hom_ext(a, b) == (hom_dim(ma, mb), ext1_dim(ma, mb)) == (0, 0), \
                 (a.describe(), b.describe())
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+def test_engine_counts_hom_inside_a_tube_as_the_structure_does(p, q, monkeypatch):
+    """Every ordered pair of points of one tube, at levels up to the rank
+    plus one, in the tubes of rank p and q and one lambda tube: the engine's
+    closed form against ``hom_dim`` and, for Ext^1, the presentation route
+    on the materialized points.  The engine makes no ``hom_dim`` call."""
+    from stratsys import modules
+    from stratsys.reps import ext1_dim_direct
+
+    alg = apq_algebra(p, q)
+    alg.quiver.context.clear()
+    tubes = []
+    for label in (TUBE_INFTY, TUBE_ZERO, tube_lambda(1)):
+        rank = alg.tube_rank(label)
+        tubes.append([ref_tube(p, q, label, i, level)
+                      for i in range(1, rank + 1) for level in range(1, rank + 2)])
+    monkeypatch.setattr(modules, "hom_dim", None)  # a structural call would raise
+    engine = {(a, b): pair_hom_ext(a, b)
+              for tube in tubes for a, b in itertools.product(tube, repeat=2)}
+    monkeypatch.undo()
+    for (a, b), entry in engine.items():
+        ma, mb = materialize(a), materialize(b)
+        assert entry == (hom_dim(ma, mb), ext1_dim_direct(ma, mb)), \
+            (a.describe(), b.describe())
 
 
 def test_engine_on_dynkin_orbit_modules():

@@ -276,18 +276,20 @@ def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload,
     assert f"error: {path}{field}:" in captured.err
 
 
-def test_a_huge_tube_level_meets_the_cap_at_once(tmp_path, capsys):
-    # the dimension vector of a tube point is a closed form in its level, so
-    # the size guard refuses level 10^9 without summing 10^9 mouth vectors
+def test_a_huge_tube_level_gets_its_exact_verdict_at_once(tmp_path, capsys):
+    # the dimension vector of a tube point and Hom inside its tube are closed
+    # forms in its level, so level 10^9 is answered without building the point
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"quiver": {"apq": {"p": 2, "q": 3}},
                                 "modules": [{"E_inf": 1, "level": 10**9}]}), encoding="utf-8")
     start = time.perf_counter()
-    code = main(["ss", "check", str(path)])
+    code = main(["--json", "ss", "check", str(path)])
     elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "total dimension 2500000000, beyond the cap 4000" in captured.err
+    violations = json.loads(capsys.readouterr().out)["details"][0]["violations"]
+    assert code == 1
+    assert [(v["axiom"], v["value"]) for v in violations] == [
+        ("indecomposable-exceptional", [500000000, 500000000]),
+        ("ext-vanishing Ext1(X_j,X_i)", 500000000)]
     assert elapsed < 5
 
 

@@ -7,8 +7,7 @@ seeded batch of small modules with integer and 1/2 entries.  The counts are a
 function of the code and the batch alone, so they repeat exactly; lower a
 ceiling when a change lowers its count.  Writing those modules out with
 ``rep_to_json`` constructs no ``Fraction``, and building the wild sample's
-walk modules reads the ``Fraction`` view of a matrix only where a Hom basis
-is handed out."""
+walk modules reads no ``Fraction`` view of a matrix."""
 
 import cProfile
 import random
@@ -21,8 +20,9 @@ from stratsys.io_json import rep_to_json
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import ext1_dim, ext1_dim_direct
 
-ENTRIES_CEILING = 103  # 2,403 while each Hom-case mutation row read the
-                       # Fraction view of a whole basis map
+ENTRIES_CEILING = 0  # 2,403 while each Hom-case mutation row read the
+                     # Fraction view of a whole basis map; 103 while
+                     # hom_space handed its basis out as Fraction rows
 CEILING = 319  # 30,213 when every matrix entry was stored as a Fraction; 446
                # while each query presented x twice
 
