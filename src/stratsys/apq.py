@@ -11,30 +11,29 @@ of consecutive mouth dimension vectors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .quiver import DimVector, Quiver, canonical_apq
+from .record import Frozen
 from .reps import Representation, make_rep, nonsplit_extension, simple
 
 
-@dataclass(frozen=True)
-class TubeLabel:
+class TubeLabel(Frozen):
     """One of the tube families: "infty" (rank p), "zero" (rank q), or
     "lambda" with a nonzero rational parameter (rank 1)."""
 
-    kind: str
-    lam: Optional[Fraction] = None
+    __slots__ = ("kind", "lam")
 
-    def __post_init__(self):
-        if self.kind not in ("infty", "zero", "lambda"):
-            raise ValueError(f"unknown tube kind {self.kind!r}")
-        if self.kind == "lambda":
-            if self.lam is None or self.lam == 0:
+    def __init__(self, kind: str, lam: Optional[Fraction] = None):
+        if kind not in ("infty", "zero", "lambda"):
+            raise ValueError(f"unknown tube kind {kind!r}")
+        if kind == "lambda":
+            if lam is None or lam == 0:
                 raise ValueError("lambda tube needs a nonzero parameter")
-        elif self.lam is not None:
+        elif lam is not None:
             raise ValueError("only lambda tubes carry a parameter")
+        self._init(kind, lam)
 
     def short(self) -> str:
         if self.kind == "infty":
@@ -52,18 +51,16 @@ def tube_lambda(lam) -> TubeLabel:
     return TubeLabel("lambda", Fraction(lam))
 
 
-@dataclass(frozen=True)
-class TubePoint:
+class TubePoint(Frozen):
     """The module with regular socle at mouth position ``index`` and regular
     length ``level`` inside the given tube."""
 
-    tube: TubeLabel
-    index: int
-    level: int
+    __slots__ = ("tube", "index", "level")
 
-    def __post_init__(self):
-        if self.index < 1 or self.level < 1:
+    def __init__(self, tube: TubeLabel, index: int, level: int):
+        if index < 1 or level < 1:
             raise ValueError("mouth index and level are 1-based")
+        self._init(tube, index, level)
 
 
 def tube_rank(p: int, q: int, label: TubeLabel) -> int:

@@ -19,8 +19,7 @@ side it picks certifies the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .quiver import classify_type, defect
 from .report import CheckReport
@@ -33,8 +32,7 @@ class CapExceededError(RuntimeError):
     """Raised when an orbit iteration cannot settle within the configured cap."""
 
 
-@dataclass(frozen=True)
-class ArPosition:
+class ArPosition(NamedTuple):
     """Location in the AR quiver: tau^{-k} P_i, tau^k I_i, or regular."""
 
     kind: str  # "Preprojective" | "Preinjective" | "Regular"

@@ -10,7 +10,6 @@ an all-regular complete system over a wild quiver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -20,6 +19,7 @@ from .apq import apq_algebra
 from .modules import (ModuleRef, NoExceptionalModuleError, TooLargeError, ref_dims,
                       ref_preinj, ref_preproj, ref_root)
 from .quiver import Quiver, _euler_matrix, classify_type, euler_form, kronecker
+from .record import Record
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep, mutate, simple
 from .systems import (StratSystem, _exceptional_sequences, build_candidates, check_css,
@@ -27,16 +27,14 @@ from .systems import (StratSystem, _exceptional_sequences, build_candidates, che
 from .tubes import LAMBDA_SAMPLE, fg_system
 
 
-@dataclass
-class FamilyInstance:
+class FamilyInstance(Record):
     """One instantiated member of a classification list."""
 
-    family_id: int
-    params: dict
-    system: StratSystem
-    listed_x: Optional[ModuleRef] = None
-    report: Optional[CheckReport] = None
-    flags: list[str] = field(default_factory=list)
+    __slots__ = ("family_id", "params", "system", "listed_x", "report", "flags")
+
+    def __init__(self, family_id: int, params: dict, system: StratSystem,
+                 listed_x: Optional[ModuleRef] = None, report: Optional[CheckReport] = None):
+        self._init(family_id, params, system, listed_x, report, [])
 
     def label(self) -> str:
         ps = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -251,11 +249,12 @@ def y_search(p: int, q: int, exponent_bound: int, side: str
 # sincerity profiles
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SincerityProfile:
-    minimal_preproj: dict[int, Optional[int]]
-    minimal_preinj: dict[int, Optional[int]]
-    report: CheckReport
+class SincerityProfile(Record):
+    __slots__ = ("minimal_preproj", "minimal_preinj", "report")
+
+    def __init__(self, minimal_preproj: dict[int, Optional[int]],
+                 minimal_preinj: dict[int, Optional[int]], report: CheckReport):
+        self._init(minimal_preproj, minimal_preinj, report)
 
 
 def _catalogued_minimal_preproj(p: int, q: int, i: int) -> list[int]:

@@ -17,7 +17,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -25,25 +24,29 @@ from numbers import Rational
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
+from .record import Frozen
 
-@dataclass(frozen=True)
-class RationalMatrix:
+
+class RationalMatrix(Frozen):
     """Immutable dense rational matrix: entry (i, j) is nums[i][j] / den,
     with den > 0 and gcd(den, *nums) == 1 (an integer matrix has den 1)."""
 
-    rows: int
-    cols: int
-    nums: tuple[tuple[int, ...], ...]
-    den: int
+    __slots__ = ("rows", "cols", "nums", "den")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or self.den < 1:
+    def __init__(self, rows: int, cols: int, nums: tuple[tuple[int, ...], ...], den: int):
+        if rows < 0 or cols < 0 or den < 1:
             raise ValueError("matrix dimensions must be nonnegative and den positive")
-        if len(self.nums) != self.rows:
+        if len(nums) != rows:
             raise ValueError("row count mismatch")
-        for row in self.nums:
-            if len(row) != self.cols:
+        for row in nums:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
+        # matrices are built by the ten thousand: no loop, as in ``_init``
+        set_rows, set_cols, set_nums, set_den = self._setters
+        set_rows(self, rows)
+        set_cols(self, cols)
+        set_nums(self, nums)
+        set_den(self, den)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: Optional[int] = None) -> "RationalMatrix":

@@ -52,12 +52,12 @@ halves.  Explicit representations are never memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .apq import TubeLabel, TubePoint, apq_algebra
 from .artheory import tau, tau_inv
 from .quiver import DimVector, Quiver, euler_form
+from .record import Frozen
 from .reps import Representation, hom_dim, injective, projective, zero_rep
 
 MATERIALIZE_CAP = 4000
@@ -84,19 +84,16 @@ ROOT = "root"      # the exceptional module on a dimension vector
 PLAIN = "plain"    # explicit representation, no pedigree
 
 
-@dataclass(frozen=True)
-class ModuleRef:
+class ModuleRef(Frozen):
     """A module given either symbolically (with a tau-orbit, tube or
     dimension-vector pedigree) or as an explicit representation."""
 
-    quiver: Quiver
-    kind: str
-    vertex: Optional[int] = None
-    power: int = 0
-    apq: Optional[tuple[int, int]] = None
-    point: Optional[TubePoint] = None
-    rep_obj: Optional[Representation] = None
-    dims: Optional[DimVector] = None
+    __slots__ = ("quiver", "kind", "vertex", "power", "apq", "point", "rep_obj", "dims")
+
+    def __init__(self, quiver: Quiver, kind: str, vertex: Optional[int] = None, power: int = 0,
+                 apq: Optional[tuple[int, int]] = None, point: Optional[TubePoint] = None,
+                 rep_obj: Optional[Representation] = None, dims: Optional[DimVector] = None):
+        self._init(quiver, kind, vertex, power, apq, point, rep_obj, dims)
 
     def describe(self) -> str:
         if self.kind == PREPROJ:

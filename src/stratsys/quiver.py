@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .linalg import RationalMatrix, kernel_basis
+from .record import Frozen
 from .report import CheckReport
 
 DimVector = tuple[int, ...]
@@ -32,40 +32,31 @@ WALK_ENTRY_BOUND = 40  # the largest entry of a dimension vector the braid walk 
 WALK_STATES = 20_000   # the complete exceptional sequences the braid walk visits per quiver
 
 
-@dataclass(frozen=True)
-class Arrow:
-    src: int
-    tgt: int
-    label: str
+class Arrow(Frozen):
+    __slots__ = ("src", "tgt", "label")
+
+    def __init__(self, src: int, tgt: int, label: str):
+        self._init(src, tgt, label)
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """Finite directed multigraph; expected to be acyclic and connected."""
 
-    vertices: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-    # compiled once per instance, no part of eq, repr or hash
-    _hash: int = field(init=False, repr=False, compare=False)
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _arrow_pairs: Optional[tuple[tuple[int, int], ...]] = field(
-        init=False, repr=False, compare=False)
-    _context: Optional["QuiverContext"] = field(init=False, repr=False, compare=False)
+    # hash, vertex index and arrow index pairs compiled once per instance,
+    # and the context found on first use: no part of eq, repr or hash
+    __slots__ = ("vertices", "arrows", "_hash", "_index", "_arrow_pairs", "_context")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[int, ...], arrows: tuple[Arrow, ...]):
         # never raises on a quiver that ``validate`` rejects: a duplicate
         # vertex keeps its first position (as tuple.index does), and an
         # arrow endpoint outside the vertices leaves the pairs unset
         index: dict[int, int] = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             index.setdefault(v, i)
         pairs = None
-        if all(a.src in index and a.tgt in index for a in self.arrows):
-            pairs = tuple((index[a.src], index[a.tgt]) for a in self.arrows)
-        object.__setattr__(self, "_hash", hash((self.vertices, self.arrows)))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_arrow_pairs", pairs)
-        object.__setattr__(self, "_context", None)
+        if all(a.src in index and a.tgt in index for a in arrows):
+            pairs = tuple((index[a.src], index[a.tgt]) for a in arrows)
+        self._init(vertices, arrows, hash((vertices, arrows)), index, pairs, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -115,10 +106,6 @@ class Quiver:
                 return a
         raise KeyError(f"no arrow labelled {label!r}")
 
-    def opposite(self) -> "Quiver":
-        """Reverse every arrow, keeping labels; duality sends reps here."""
-        return Quiver(self.vertices, tuple(Arrow(a.tgt, a.src, a.label) for a in self.arrows))
-
     def zero_vector(self) -> DimVector:
         return tuple(0 for _ in self.vertices)
 
@@ -153,9 +140,10 @@ class QuiverContext:
     projective and injective dimension vectors (the rows and columns of the
     path-count matrix) with their inverse maps, the Coxeter transform, the
     path table and ``path_index``, each path's position in its table entry
-    (``reps`` applies an arrow map of P_v or I_v as a row gather read off
-    it, and builds the Nakayama step of tau from it with no matrix
-    product).  The upper layers keep their memos in plain dicts:
+    (``reps`` builds the Nakayama step of tau from it with no matrix
+    product), ``gathers``, the arrow maps of every P_v and I_v as row
+    gathers read off that index, and the ``opposite`` quiver, where duality
+    sends representations.  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
     materialized orbit modules), ``root_reps`` (``modules`` and
@@ -180,7 +168,7 @@ class QuiverContext:
 
     COUNTED = ("hom_ext", "orbit_reps")
     DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex",
-               "coxeter", "paths", "path_index")
+               "coxeter", "paths", "path_index", "gathers", "opposite")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
@@ -252,6 +240,28 @@ class QuiverContext:
         """(u, v) -> {path: its position in ``paths[(u, v)]``}: the basis
         index of a path u ~> v in P_u at v and in I_v at u."""
         return {key: {p: k for k, p in enumerate(val)} for key, val in self.paths.items()}
+
+    @cached_property
+    def gathers(self) -> dict[tuple[str, int], list[list[Optional[int]]]]:
+        """("P", v) or ("I", v) -> per arrow a: s -> t, the position at s of
+        the basis vector of P_v or I_v that each basis vector at t reads off
+        the arrow map's one 1 in its row, or None for a zero row.  P_v(a)
+        sends the path p to p.a; I_v(a) sends the dual of a.p to the dual of
+        p."""
+        q, table, index = self.quiver, self.paths, self.path_index
+        out = {}
+        for v in q.vertices:
+            out[("P", v)] = [[index[(v, a.src)].get(p[:-1]) if p and p[-1] == a.label else None
+                              for p in table[(v, a.tgt)]] for a in q.arrows]
+            out[("I", v)] = [[index[(a.src, v)][(a.label,) + p] for p in table[(a.tgt, v)]]
+                             for a in q.arrows]
+        return out
+
+    @cached_property
+    def opposite(self) -> Quiver:
+        """Every arrow reversed, keeping its label and position."""
+        q = self.quiver
+        return Quiver(q.vertices, tuple(Arrow(a.tgt, a.src, a.label) for a in q.arrows))
 
 
 class BraidWalk:
@@ -451,8 +461,7 @@ def _path_count_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(count(u, w) for w in q.vertices) for u in q.vertices)
 
 
-@dataclass(frozen=True)
-class CoxeterTransform:
+class CoxeterTransform(NamedTuple):
     """Integer linear map with Phi(dim P_i) = -dim I_i for every vertex i."""
 
     quiver: Quiver
@@ -552,8 +561,7 @@ def defect(q: Quiver, dims: Sequence[int]) -> Optional[int]:
 # representation type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuiverClass:
+class QuiverClass(NamedTuple):
     tag: str  # "Dynkin" | "Euclidean" | "Wild"
 
 

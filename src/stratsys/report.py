@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed check: which axiom, on what, and the computed value."""
 
     axiom: str
@@ -26,14 +26,13 @@ class Violation:
         return out
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Verdict plus the list of violations (pass iff the list is empty)."""
 
-    name: str
-    violations: list[Violation] = field(default_factory=list)
-    checked: int = 0
-    flags: list[str] = field(default_factory=list)
+    __slots__ = ("name", "violations", "checked", "flags")
+
+    def __init__(self, name: str, checked: int = 0):
+        self._init(name, [], checked, [])  # violations and flags start empty
 
     @property
     def passed(self) -> bool:

@@ -26,44 +26,40 @@ table, with no matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .linalg import RationalMatrix
 from .quiver import DimVector, Path, Quiver, euler_form
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Immutable representation: dims per vertex, one matrix per arrow.
+class Representation(Frozen):
+    """Immutable representation: dims per vertex, one matrix per arrow
+    (``maps``, aligned with ``quiver.arrows``).
 
-    ``minimal_presentation`` keeps its result on the instance, so the
-    presentation is built once per module and dies with it."""
+    ``minimal_presentation`` keeps its result on the instance, in
+    ``_presentation`` (no part of eq, repr or hash), so the presentation is
+    built once per module and dies with it."""
 
-    quiver: Quiver
-    dims: DimVector
-    maps: tuple[RationalMatrix, ...]  # aligned with quiver.arrows
-    # no part of eq, repr or hash
-    _presentation: Optional["ProjPresentation"] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("quiver", "dims", "maps", "_presentation")
 
-    def __post_init__(self):
-        q = self.quiver
-        if len(self.dims) != q.n:
+    def __init__(self, quiver: Quiver, dims: DimVector, maps: tuple[RationalMatrix, ...]):
+        if len(dims) != quiver.n:
             raise ValueError("dims length must match vertex count")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise ValueError("dims must be nonnegative")
-        if len(self.maps) != len(q.arrows):
+        if len(maps) != len(quiver.arrows):
             raise ValueError("one matrix per arrow required")
-        for a, mat in zip(q.arrows, self.maps):
-            want = (self.dims[q.index(a.tgt)], self.dims[q.index(a.src)])
+        for a, mat in zip(quiver.arrows, maps):
+            want = (dims[quiver.index(a.tgt)], dims[quiver.index(a.src)])
             if (mat.rows, mat.cols) != want:
                 raise ValueError(
                     f"map for arrow {a.label} has shape {(mat.rows, mat.cols)}, expected {want}")
+        self._init(quiver, dims, maps, None)
 
     def dim_at(self, vertex: int) -> int:
         return self.dims[self.quiver.index(vertex)]
@@ -201,7 +197,8 @@ def direct_sum(parts: Sequence[Representation]) -> Representation:
 def dual_representation(m: Representation) -> Representation:
     """Standard duality: a representation of the opposite quiver, whose
     arrows keep their order and labels."""
-    return Representation(m.quiver.opposite(), m.dims, tuple(mat.transpose() for mat in m.maps))
+    return Representation(m.quiver.context.opposite, m.dims,
+                          tuple(mat.transpose() for mat in m.maps))
 
 
 def supp(m: Representation) -> set[int]:
@@ -217,8 +214,7 @@ def is_sincere(m: Representation) -> bool:
 # Hom and Ext^1 through the coboundary of the standard resolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """Basis of Hom(source, target); every element satisfies the
     intertwiner equations f_t . X_a = Y_a . f_s exactly."""
 
@@ -362,7 +358,8 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
     The sum is never built: an arrow maps the inclusion summand by summand.
     A summand that is the context's P_v or I_v has at most one 1 in each row
     of its arrow maps, so its rows of the image are rows of the inclusion,
-    gathered by ``_gathers``; any other summand multiplies its rows.
+    gathered as the context's ``gathers`` say; any other summand multiplies
+    its rows.
     """
     q = parts[0].quiver
     if len({p.quiver for p in parts}) != 1:
@@ -373,7 +370,7 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
     for k, v in enumerate(q.vertices):
         incl[v], free[v] = linalg._kernel_of(mats[k])
     kinds = [_context_summand(p) for p in parts]
-    gathers = {kind: _gathers(q, *kind) for kind in set(kinds) if kind is not None}
+    gathers = q.context.gathers
     maps = []
     for ai, a in enumerate(q.arrows):
         source, s = incl[a.src], q.index(a.src)
@@ -415,24 +412,11 @@ def _context_summand(m: Representation) -> Optional[tuple[str, int]]:
     return None
 
 
-def _gathers(q: Quiver, kind: str, v: int) -> list[list[Optional[int]]]:
-    """Per arrow a: s -> t of P_v (``kind`` "P") or I_v ("I"), the position
-    at s of the basis vector that each basis vector at t reads off the
-    matrix's one 1 in its row, or None for a zero row.  P_v(a) sends the
-    path p to p.a; I_v(a) sends the dual of a.p to the dual of p."""
-    table, index = q.context.paths, q.context.path_index
-    if kind == "P":
-        return [[index[(v, a.src)].get(p[:-1]) if p and p[-1] == a.label else None
-                 for p in table[(v, a.tgt)]] for a in q.arrows]
-    return [[index[(a.src, v)][(a.label,) + p] for p in table[(a.tgt, v)]] for a in q.arrows]
-
-
 # ---------------------------------------------------------------------------
 # minimal projective presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjPresentation:
+class ProjPresentation(NamedTuple):
     """Minimal presentation 0 -> (+) P_w -> (+) P_v -> M -> 0 over ``quiver``.
 
     ``slots0``/``slots1`` list the vertex of each indecomposable summand of
@@ -453,10 +437,12 @@ def _top_lift_indices(m: Representation, vertex: int) -> list[int]:
     top: those that are not pivot columns of an echelon form of the radical,
     the span of the columns of the incoming arrow maps."""
     q = m.quiver
-    radical = (col for a, mat in zip(q.arrows, m.maps) if a.tgt == vertex
-               for col in zip(*mat.nums))
-    pivot_cols = linalg.pivot_columns(radical)
-    return [j for j in range(m.dims[q.index(vertex)]) if j not in pivot_cols]
+    d = m.dims[q.index(vertex)]
+    incoming = [mat for a, mat in zip(q.arrows, m.maps) if a.tgt == vertex and mat.cols]
+    if not (d and incoming):  # the radical is zero
+        return list(range(d))
+    pivot_cols = linalg.pivot_columns(col for mat in incoming for col in zip(*mat.nums))
+    return [j for j in range(d) if j not in pivot_cols]
 
 
 def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int, RationalMatrix]]:

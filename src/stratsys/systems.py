@@ -10,10 +10,9 @@ member of a stratifying system over a hereditary algebra must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
                       pair_hom_ext, ref_dims, ref_is_exceptional, ref_preinj,
@@ -24,8 +23,7 @@ from .quiver import DimVector, Quiver, _euler_matrix, classify_type
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class StratSystem:
+class StratSystem(NamedTuple):
     """Ordered candidate system over a fixed quiver."""
 
     quiver: Quiver

@@ -1,6 +1,9 @@
 """Unused-import gate for the package, on the standard library alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,16 @@ def test_sources_parse_as_python_3_10(path):
     """pyproject.toml claims ``requires-python >= 3.10``; no file may use
     grammar that came later (``except*``, type parameter lists, ...)."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each CLI run pays for its imports at interpreter start; ``dataclasses``
+    and the ``inspect`` it pulls in cost about 27 ms there."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, stratsys.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

@@ -128,7 +128,7 @@ def test_presenting_grows_no_context_memo():
 
     # tau_inv works over the opposite quiver; build the named modules and
     # the derived tables of both orientations first
-    contexts = [o.context for q in quivers for o in (q, q.opposite())]
+    contexts = [o.context for q in quivers for o in (q, q.context.opposite)]
     for ctx in contexts:
         for v in ctx.quiver.vertices:
             projective(ctx.quiver, v)
