@@ -23,7 +23,7 @@ class TubeLabel(Frozen):
     """One of the tube families: "infty" (rank p), "zero" (rank q), or
     "lambda" with a nonzero rational parameter (rank 1)."""
 
-    __slots__ = ("kind", "lam")
+    __slots__ = ("kind", "lam", "_hash")  # the hash is kept, as ``Quiver`` keeps its own
 
     def __init__(self, kind: str, lam: Optional[Fraction] = None):
         if kind not in ("infty", "zero", "lambda"):
@@ -33,7 +33,10 @@ class TubeLabel(Frozen):
                 raise ValueError("lambda tube needs a nonzero parameter")
         elif lam is not None:
             raise ValueError("only lambda tubes carry a parameter")
-        self._init(kind, lam)
+        self._init(kind, lam, hash((kind, lam)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def short(self) -> str:
         if self.kind == "infty":
@@ -55,12 +58,15 @@ class TubePoint(Frozen):
     """The module with regular socle at mouth position ``index`` and regular
     length ``level`` inside the given tube."""
 
-    __slots__ = ("tube", "index", "level")
+    __slots__ = ("tube", "index", "level", "_hash")
 
     def __init__(self, tube: TubeLabel, index: int, level: int):
         if index < 1 or level < 1:
             raise ValueError("mouth index and level are 1-based")
-        self._init(tube, index, level)
+        self._init(tube, index, level, hash((tube, index, level)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def tube_rank(p: int, q: int, label: TubeLabel) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .quiver import classify_type, defect
+from .quiver import defect
 from .report import CheckReport
 from .reps import (Representation, dual_representation, ext1_dim, hom_dim, injective,
                    minimal_presentation, presentation_matrix_to_projective,
@@ -104,7 +104,7 @@ def ar_position(m: Representation, cap: int = 64) -> ArPosition:
         raise ValueError("zero module has no AR position")
     q = m.quiver
     sides = ("P", "I")
-    if classify_type(q).tag == "Euclidean":
+    if q.context.quiver_class.tag == "Euclidean":
         d = defect(q, m.dims)
         if d == 0:
             return ArPosition("Regular")

@@ -18,7 +18,7 @@ from typing import Optional
 from .apq import apq_algebra
 from .modules import (ModuleRef, NoExceptionalModuleError, TooLargeError, ref_dims,
                       ref_preinj, ref_preproj, ref_root)
-from .quiver import Quiver, _euler_matrix, classify_type, euler_form, kronecker
+from .quiver import Quiver, _euler_matrix, _symmetrized_form, euler_form, kronecker
 from .record import Record
 from .report import CheckReport
 from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep, mutate, simple
@@ -496,15 +496,20 @@ def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
     return _braid_module(q, dims)
 
 
-SCREEN_STEPS = 24  # Coxeter iterates the regular screen looks at on each side
+SCREEN_STEPS = 24  # Coxeter iterates walked on each side of a regular witness member
 SCREEN_BOX = 1_000_000  # the most vectors the regular screen's box may hold
 
 
 def _screened_roots(q: Quiver, dim_cap: int) -> list[tuple[int, ...]]:
-    """The nonzero vectors with entries up to ``dim_cap`` and <d, d> = 1 whose
-    Coxeter orbit does not end within the screen, by total dimension and
-    then by the vector.  A box ``[0, cap]^n`` of more than ``SCREEN_BOX``
-    vectors is refused.
+    """The real roots with entries up to ``dim_cap`` on which both Perron
+    forms are positive (``QuiverContext.perron``), by total dimension and
+    then by the vector: the dimension vectors of the regular exceptional
+    modules in the box.  A preprojective module has <y-, d> < 0 and a
+    preinjective one <d, y+> < 0, so the module on such a real root is
+    regular.  Each vector with <d, d> = 1 costs 2n integer dot products and
+    two exact sign checks, and only one that passes them is tested for a
+    root (``_is_real_root``); no Coxeter orbit is walked.  A box ``[0,
+    cap]^n`` of more than ``SCREEN_BOX`` vectors is refused.
 
     The vectors are solved for, not scanned.  Split d into its last entry c
     and the rest x'.  Over an acyclic quiver <d, d> = c^2 - L c + <x', x'>,
@@ -527,12 +532,32 @@ def _screened_roots(q: Quiver, dim_cap: int) -> list[tuple[int, ...]]:
         s = isqrt(max(disc, 0))
         if s * s == disc:
             roots += (rest + (c,) for c in {(el - s) // 2, (el + s) // 2} if 0 <= c <= dim_cap)
-    phi = q.context.coxeter
-    # an orbit that ends within the screen is preprojective or preinjective;
-    # surviving the screen is regular-or-unknown
+    perron, sym = q.context.perron, _symmetrized_form(q)
     return [dims for dims in sorted(roots, key=lambda d: (sum(d), d))
-            if not any(phi.ending_orbit(dims, SCREEN_STEPS, inverse)
-                       for inverse in (False, True))]
+            if perron.signs(dims) == (1, 1) and _is_real_root(sym, dims)]
+
+
+def _is_real_root(sym: list[list[int]], dims: tuple[int, ...]) -> bool:
+    """Whether the nonnegative vector ``dims`` with <d, d> = 1 is a real root
+    of a loop-free quiver with symmetrized Euler form ``sym``, by reflection
+    descent.  Since sum_i d_i (d, e_i) = (d, d) = 2, some vertex has (d, e_i)
+    > 0 while d is not simple; if d is a real root, its reflection d - (d,
+    e_i) e_i is a smaller positive real root.  So d is one exactly when the
+    descent reaches a simple root and no entry turns negative on the way.
+    """
+    d = list(dims)
+    pair = [sum(map(mul, row, d)) for row in sym]  # pair[i] = (d, e_i)
+    height = sum(d)
+    while height > 1:
+        i = next(i for i, c in enumerate(pair) if c > 0)
+        step = pair[i]
+        d[i] -= step
+        if d[i] < 0:
+            return False
+        height -= step
+        for j, row in enumerate(sym):
+            pair[j] -= step * row[i]
+    return True
 
 
 def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], CheckReport]:
@@ -551,10 +576,14 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
     refused by the Euler form wherever it came up, so it changes no sequence.
     A box ``[0, cap]^n`` of more than ``SCREEN_BOX`` vectors is refused.
 
+    The screen walks no Coxeter orbit; only the witness's members have theirs
+    walked, ``SCREEN_STEPS`` on each side, so the report's flag holds as
+    written, and one that ends would contradict the forms (ArithmeticError).
+
     Failure within the cap is an honest "none found", not a disproof.
     """
     report = CheckReport(f"regular-css-search cap={dim_cap}")
-    if classify_type(q).tag != "Wild":
+    if q.context.quiver_class.tag != "Wild":
         raise ValueError("regular complete systems require a wild quiver")
     if q.n < 3:
         raise ValueError("need at least three vertices")
@@ -574,6 +603,10 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report
     system = StratSystem(q, tuple(refs[i] for i in witness))
+    phi = q.context.coxeter
+    for dims in map(ref_dims, system.modules):
+        if any(phi.ending_orbit(dims, SCREEN_STEPS, inverse) for inverse in (False, True)):
+            raise ArithmeticError(f"the Perron forms kept {dims}, whose Coxeter orbit ends")
     final = check_css(system)
     report.merge(final)
     report.flag("members certified regular-or-unknown by Coxeter screening "

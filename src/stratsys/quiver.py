@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -138,8 +137,10 @@ class QuiverContext:
     never ``id()``), so equal quivers built apart share it, and caches it on
     the instance.  The derived invariants are computed on first use: the
     projective and injective dimension vectors (the rows and columns of the
-    path-count matrix) with their inverse maps, the Coxeter transform, the
-    path table and ``path_index``, each path's position in its table entry
+    path-count matrix) with their inverse maps, the Coxeter transform,
+    ``quiver_class`` (``classify_type``'s answer), ``perron`` (on a wild
+    quiver, the exact Perron forms that screen the regular pool), the path
+    table and ``path_index``, each path's position in its table entry
     (``reps`` builds the Nakayama step of tau from it with no matrix
     product), ``gathers``, the arrow maps of every P_v and I_v as row
     gathers read off that index, and the ``opposite`` quiver, where duality
@@ -162,13 +163,14 @@ class QuiverContext:
     Thread guarantees: one context per value (creation is locked), memo
     values are immutable and a function of their key, and a memo is only
     ever replaced whole, so a concurrent reader sees a complete value or a
-    miss.  Racing misses compute the same value twice; the counts are exact
-    in single-threaded runs only.
+    miss.  ``perron`` narrows its interval around rho the same way, by
+    replacing it whole.  Racing misses compute the same value twice; the
+    counts are exact in single-threaded runs only.
     """
 
     COUNTED = ("hom_ext", "orbit_reps")
-    DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex",
-               "coxeter", "paths", "path_index", "gathers", "opposite")
+    DERIVED = ("proj_dims", "inj_dims", "proj_vertex", "inj_vertex", "coxeter",
+               "quiver_class", "perron", "paths", "path_index", "gathers", "opposite")
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
@@ -212,6 +214,16 @@ class QuiverContext:
     @cached_property
     def coxeter(self) -> "CoxeterTransform":
         return coxeter_transform(self.quiver)
+
+    @cached_property
+    def quiver_class(self) -> "QuiverClass":
+        """``classify_type``'s answer."""
+        return classify_type(self.quiver)
+
+    @cached_property
+    def perron(self) -> "PerronForms":
+        """The exact Perron forms; a ValueError unless the quiver is wild."""
+        return PerronForms(self.quiver)
 
     @cached_property
     def paths(self) -> dict[tuple[int, int], tuple[Path, ...]]:
@@ -441,9 +453,10 @@ def euler_form(q: Quiver, x: Sequence[int], y: Sequence[int]) -> int:
     pairs = q._arrow_pairs
     if pairs is None:  # some arrow endpoint is not a vertex
         pairs = [(q.index(a.src), q.index(a.tgt)) for a in q.arrows]
-    total = sum(int(a) * int(b) for a, b in zip(x, y))
+    x, y = tuple(map(int, x)), tuple(map(int, y))
+    total = sum(map(mul, x, y))
     for s, t in pairs:
-        total -= int(x[s]) * int(y[t])
+        total -= x[s] * y[t]
     return total
 
 
@@ -573,27 +586,206 @@ def classify_type(q: Quiver) -> QuiverClass:
     wild otherwise; a loop makes it wild.  Exact symmetric elimination
     decides this: a negative pivot, or a zero pivot whose row is not zero,
     means the form is indefinite, and any other zero pivot means it is
-    singular.  Precondition: the quiver is connected (``validate`` rejects
-    the rest); on a disconnected quiver the answer is the type of its worst
-    component.
+    singular.  It runs on integers: each row it reduces is first scaled by
+    the positive pivot, which changes no later pivot's sign and no zero.
+    Precondition: the quiver is connected (``validate`` rejects the rest);
+    on a disconnected quiver the answer is the type of its worst component.
+    It keeps nothing; the quiver's context keeps the answer as
+    ``quiver_class`` for the callers that already use the context.
     """
     if any(a.src == a.tgt for a in q.arrows):
         return QuiverClass("Wild")
-    rows = [[Fraction(x) for x in row] for row in _symmetrized_form(q)]
+    rows = _symmetrized_form(q)
     singular = False
-    for k in range(q.n):
-        pivot = rows[k][k]
-        if pivot < 0 or (pivot == 0 and any(rows[k][k + 1:])):
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
             return QuiverClass("Wild")
         if pivot == 0:
             singular = True
             continue
         for i in range(k + 1, q.n):
-            factor = rows[i][k] / pivot
+            factor = rows[i][k]
             if factor:
-                for j in range(k + 1, q.n):
-                    rows[i][j] -= factor * rows[k][j]
+                rows[i] = [pivot * x - factor * y for x, y in zip(rows[i], row)]
     return QuiverClass("Euclidean" if singular else "Dynkin")
+
+
+# ---------------------------------------------------------------------------
+# the Perron forms of a wild quiver
+# ---------------------------------------------------------------------------
+
+def _leverrier(a: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[tuple]]:
+    """(chi, adj) for the integer matrix ``a`` by Faddeev-LeVerrier: chi[j]
+    is the coefficient of L^j in det(L I - a), and adj[j] the matrix
+    coefficient of L^j in adj(L I - a).  With M_1 = I, M_k = a M_{k-1} +
+    chi[n-k+1] I and chi[n-k] = -tr(a M_k) / k, adj = sum_k M_k L^(n-k); the
+    division by k is exact."""
+    n, r = len(a), range(len(a))
+    chi, adj = [0] * n + [1], [None] * n
+    m = [[0] * n for _ in r]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        for i in r:
+            m[i][i] += chi[n - k + 1]
+        adj[n - k] = tuple(map(tuple, m))
+        chi[n - k] = -sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*m))) // k
+    return chi, adj
+
+
+def _sign_at(p: Sequence[int], num: int, shift: int) -> int:
+    """The sign of the integer polynomial p (coefficients by rising power) at
+    num / 2^shift, by Horner's rule on 2^(shift deg p) p(num / 2^shift)."""
+    acc = scale = 0
+    for c in reversed(p):
+        acc = acc * num + (c << scale)
+        scale += shift
+    return (acc > 0) - (acc < 0)
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, made primitive, as a trimmed list:
+    each step takes |lead b| a - sign(lead b) (lead a) x^k b."""
+    lead = b[-1]
+    m, flip = abs(lead), 1 if lead > 0 else -1
+    while len(a) >= len(b):
+        c, k = a[-1] * flip, len(a) - len(b)
+        a = [m * x for x in a]
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated remainders down to gcd(p, p'), each scaled by a
+    positive constant.  Over (a, b], with neither a root, p has as many
+    distinct roots as the sign changes along the chain lose from a to b
+    (Sturm)."""
+    chain = [p, [j * c for j, c in enumerate(p)][1:]]
+    while True:
+        rest = _remainder(chain[-2], chain[-1])
+        if not rest:
+            return chain
+        chain.append([-x for x in rest])
+
+
+def _variations(chain: list[list[int]], num: int, shift: int) -> int:
+    """The sign changes along the chain at num / 2^shift, zeros skipped."""
+    signs = [s for s in (_sign_at(p, num, shift) for p in chain) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+class PerronForms:
+    """The two Perron forms of a connected wild quiver, exactly.
+
+    The Coxeter transform Phi of a connected wild quiver has a simple real
+    eigenvalue rho > 1, the largest real root of its characteristic
+    polynomial chi, with a positive eigenvector y+; Phi^-1, which has the
+    same chi, has one y- at rho too (Dlab-Ringel, Proc. AMS 83, 1981; de la
+    Pena-Takane, Arch. Math. 55, 1990).  The Euler form is Phi-invariant,
+    <p_i, y> = y_i = <y, q_i> for the projective and injective vectors, and
+    Phi p_i = -q_i; so <y-, dim tau^{-k} P_i> = -rho^{-(k+1)} y-_i < 0, and
+    dually <dim tau^k I_i, y+> < 0.  An indecomposable module with both
+    forms positive is therefore regular.
+
+    All of it is integers.  ``adjugate`` holds the matrix coefficients, by
+    rising power of L, of adj(L I - Phi) (``_leverrier``).  At rho it has
+    rank one, its columns multiples of y+ and its rows of the left
+    eigenvector E y- (E Phi^-1 = Phi^T E), so y+ = adj(rho I - Phi) p_0 and
+    <y-, x> = (E y-) . x is a multiple of row 0 of adj(rho I - Phi) times
+    x; both are signed so that <p_0, y+> = y+_0 and <y-, q_0> = y-_0 are
+    positive.  ``rows`` holds, per form, the integer vectors r_j with
+    form(x) = sum_j rho^j (x . r_j).  ``_box`` starts with the interval that
+    isolates rho, (lo, hi, shift) with rho the one root of chi in (lo /
+    2^shift, hi / 2^shift], found by Sturm bisection.  Since chi is monic
+    and rho its largest real root, chi < 0 at lo and > 0 at hi.  The
+    interval is halved by that sign only when a sign is not decided by the
+    integer bounds of its polynomial over the interval, and it is replaced
+    whole each time.
+    """
+
+    def __init__(self, quiver: Quiver):
+        if quiver.context.quiver_class.tag != "Wild":
+            raise ValueError("the Perron forms need a wild quiver")
+        ctx, e = quiver.context, _euler_matrix(quiver)
+        self.charpoly, self.adjugate = _leverrier(ctx.coxeter.matrix)
+        self._isolate()
+        ys = [[sum(map(mul, row, ctx.proj_dims[0])) for row in m] for m in self.adjugate]
+        rows = [[m[0] for m in self.adjugate],
+                [tuple(sum(map(mul, row, y)) for row in e) for y in ys]]
+        for k, w in enumerate((ctx.inj_dims[0], ctx.proj_dims[0])):
+            sign = self._sign([sum(map(mul, w, r)) for r in rows[k]])
+            if sign == 0:
+                raise ArithmeticError("a Perron eigenvector vanishes at a vertex")
+            if sign < 0:
+                rows[k][:] = [tuple(-x for x in r) for r in rows[k]]
+        self.rows = tuple(map(tuple, rows))
+
+    def _isolate(self) -> None:
+        """Bisect from (1, 2^t], 2^t above every root of chi, keeping the
+        largest root in (lo, hi], until that interval holds one root and lo >
+        1.  No dyadic point above 1 is a root: chi(L) and L^n chi(1/L) agree
+        up to sign, so a rational root r has 1/r an algebraic integer too,
+        and r = +-1."""
+        chain = _sturm_chain(self.charpoly)
+        lo, hi, shift = 1, 1 << max(abs(c) for c in self.charpoly).bit_length(), 0
+        v_lo, v_hi = None, _variations(chain, hi, 0)
+        while v_lo is None or v_lo - v_hi != 1:
+            lo, hi, shift = 2 * lo, 2 * hi, shift + 1
+            mid = (lo + hi) // 2
+            v_mid = _variations(chain, mid, shift)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        if _sign_at(self.charpoly, lo, shift) >= 0:
+            raise ArithmeticError("the Perron root of the Coxeter polynomial is not simple")
+        self._set_interval(lo, hi, shift)
+
+    def _set_interval(self, lo: int, hi: int, shift: int) -> None:
+        """Keep the interval with 2^(shift (n-1)) lo^j and hi^j summed and
+        differenced per power j, all in one tuple."""
+        d = len(self.charpoly) - 2
+        low = [lo ** j << shift * (d - j) for j in range(d + 1)]
+        high = [hi ** j << shift * (d - j) for j in range(d + 1)]
+        self._box = (lo, hi, shift, tuple(map(sum, zip(low, high))),
+                     tuple(h - l for l, h in zip(low, high)))
+
+    def _sign(self, coeffs: list[int]) -> int:
+        """The sign of sum_j coeffs[j] rho^j.  Over the interval each term
+        lies within half its difference of the middle of its two bounds, so
+        the sign is the middle's once the middle outweighs the sum of those
+        halves.  Else it is zero exactly when rho is a root of g = gcd(coeffs,
+        chi), which holds when g changes sign over the interval, where chi
+        has no other root; and else the interval is halved."""
+        tested = False
+        while True:
+            lo, hi, shift, sums, diffs = self._box
+            middle = sum(map(mul, coeffs, sums))
+            if abs(middle) > sum(map(mul, map(abs, coeffs), diffs)):
+                return 1 if middle > 0 else -1
+            if not tested:
+                tested, g, rest = True, self.charpoly, list(coeffs)
+                while rest and rest[-1] == 0:
+                    rest.pop()
+                while rest:
+                    g, rest = rest, _remainder(g, rest)
+                if _sign_at(g, lo, shift) != _sign_at(g, hi, shift):
+                    return 0
+            mid = lo + hi
+            if _sign_at(self.charpoly, mid, shift + 1) < 0:
+                self._set_interval(mid, 2 * hi, shift + 1)
+            else:
+                self._set_interval(2 * lo, mid, shift + 1)
+
+    def signs(self, x: Sequence[int]) -> tuple[int, int]:
+        """The signs of <y-, x> and <x, y+>."""
+        x = tuple(map(int, x))
+        return tuple(self._sign([sum(map(mul, x, r)) for r in rows]) for rows in self.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .modules import (ModuleRef, PLAIN, PREINJ, PREPROJ, TUBE, pair_ext,
                       ref_preproj, ref_total_dim, ref_tube)
 from .apq import TUBE_INFTY, TUBE_ZERO, recognize_apq
 from .linalg import RationalMatrix, kernel_matrix
-from .quiver import DimVector, Quiver, _euler_matrix, classify_type
+from .quiver import DimVector, Quiver, _euler_matrix
 from .report import CheckReport
 
 
@@ -129,7 +129,7 @@ def build_candidates(quiver: Quiver, exponent_bound: int) -> list[ModuleRef]:
         for k in range(exponent_bound + 1):
             refs.append(ref_preproj(quiver, v, k))
             refs.append(ref_preinj(quiver, v, k))
-    if classify_type(quiver).tag == "Euclidean":
+    if quiver.context.quiver_class.tag == "Euclidean":
         pq = recognize_apq(quiver)
         if pq is not None:
             p, q = pq

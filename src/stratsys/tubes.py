@@ -16,7 +16,7 @@ from .apq import (TUBE_INFTY, TUBE_ZERO, TubeLabel, TubePoint, apq_algebra,
                   recognize_apq, tube_lambda, tube_rank)
 from .artheory import tau, tau_inv
 from .modules import ModuleRef, pair_hom_ext, ref_dims, ref_is_exceptional, ref_tube
-from .quiver import Quiver, _euler_matrix, classify_type
+from .quiver import Quiver, _euler_matrix
 from .report import CheckReport
 from .reps import brick_iso, ext1_dim, hom_dim, supp
 from .systems import StratSystem, _exceptional_sequences
@@ -220,7 +220,7 @@ def regular_exceptional_pool(quiver: Quiver, dim_cap: int) -> list[ModuleRef]:
     rank); the Kronecker double-arrow quiver has only rank-1 tubes, hence an
     empty pool.  Other Euclidean shapes are out of catalogue range.
     """
-    if classify_type(quiver).tag != "Euclidean":
+    if quiver.context.quiver_class.tag != "Euclidean":
         raise ValueError("regular catalogue applies to Euclidean quivers only")
     if quiver.n == 2 and len(quiver.arrows) == 2:
         return []  # Kronecker shape: homogeneous tubes only

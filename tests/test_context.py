@@ -278,3 +278,28 @@ def test_threads_search_as_one_thread_does(monkeypatch):
         assert threaded() == [expected] * 4
     finally:
         ctx.clear()  # no yielding key outlives the test
+
+
+def test_the_context_classifies_its_quiver_once(monkeypatch):
+    from stratsys import quiver as quiver_module
+
+    runs = []
+    classify = quiver_module.classify_type
+    monkeypatch.setattr(quiver_module, "classify_type",
+                        lambda q: runs.append(q) or classify(q))
+    q = canonical_apq(3, 5)
+    q.context.clear()
+    assert [q.context.quiver_class.tag for _ in range(3)] == ["Euclidean"] * 3
+    assert canonical_apq(3, 5).context.quiver_class is q.context.quiver_class
+    assert runs == [q]
+    q.context.clear()
+    assert q.context.quiver_class.tag == "Euclidean" and len(runs) == 2
+
+
+def test_classify_type_leaves_no_context_behind():
+    from stratsys.quiver import _CONTEXTS, classify_type
+
+    q = Quiver.make(range(3), [(0, 1, "a"), (1, 2, "b"), (0, 2, "c"), (0, 2, "d"),
+                               (0, 2, "e"), (0, 2, "f")])
+    assert classify_type(q).tag == "Wild"
+    assert q not in _CONTEXTS

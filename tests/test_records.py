@@ -126,3 +126,19 @@ def test_the_repr_text_names_each_field():
     assert repr(ref_plain(rep)) == (
         f"ModuleRef(quiver={q!r}, kind='plain', vertex=None, power=0, apq=None, point=None, "
         f"rep_obj={rep!r}, dims=None)")
+
+
+def test_a_tube_label_keeps_its_hash_out_of_eq_and_repr():
+    label = tube_lambda(3)
+    assert label._fields == ("kind", "lam")
+    assert hash(label) == label._hash == hash(("lambda", Fraction(3)))
+    assert repr(label) == "TubeLabel(kind='lambda', lam=Fraction(3, 1))"
+    assert label == TubeLabel("lambda", Fraction(3)) != TubeLabel("infty")
+
+
+def test_a_tube_point_keeps_its_hash_out_of_eq_and_repr():
+    point = TubePoint(TubeLabel("zero"), 2, 5)
+    assert point._fields == ("tube", "index", "level")
+    assert hash(point) == point._hash == hash((TubeLabel("zero"), 2, 5))
+    assert "_hash" not in repr(point)
+    assert point == TubePoint(TubeLabel("zero"), 2, 5) != TubePoint(TubeLabel("zero"), 2, 4)
