@@ -1,10 +1,10 @@
 """Verification harnesses for the canonical Euclidean cycle quivers.
 
 Everything specific to the tubes over the arm-length (p, q) quiver lives
-here: the F/G systems of simple regulars, the tau-cycle checks, closed-form
-supports of tau-shifted families against structural computation, mouth
-systems, rigid-family bounds inside a tube, and the maximal size of an
-all-regular stratifying system.
+here: the F/G systems of simple regulars, the tau-cycle checks (the one
+structural anchor), closed-form supports of tau-shifted families read off
+that cycle, mouth systems, rigid-family bounds inside a tube with Ext^1 from
+the engine, and the maximal size of an all-regular stratifying system.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from itertools import combinations
 from operator import mul
 
 from .apq import (TUBE_INFTY, TUBE_ZERO, TubeLabel, TubePoint, apq_algebra,
-                  recognize_apq, tube_lambda, tube_rank)
-from .artheory import tau, tau_inv
-from .modules import ModuleRef, pair_hom_ext, ref_dims, ref_is_exceptional, ref_tube
+                  mouth_dim_vector, recognize_apq, tube_lambda, tube_rank)
+from .artheory import tau
+from .modules import ModuleRef, pair_ext, pair_hom_ext, ref_dims, ref_is_exceptional, ref_tube
 from .quiver import Quiver, _euler_matrix
 from .report import CheckReport
-from .reps import brick_iso, ext1_dim, hom_dim, supp
+from .reps import brick_iso, hom_dim
 from .systems import StratSystem, _exceptional_sequences
 
 LAMBDA_SAMPLE = (1, 2, "1/2", -1)
@@ -114,34 +114,33 @@ def support_formula(p: int, q: int, which: str, n: int) -> set[int]:
 
 
 def _family_orbit_supports(p: int, q: int, which: str, n_max: int) -> dict[int, set[int]]:
-    """Supports of tau^n of the whole family for all 0 < |n| <= n_max,
-    computed by iterating the structural translate."""
-    alg = apq_algebra(p, q)
-    members = mouth_ss(p, q, TUBE_INFTY if which == "F" else TUBE_ZERO).modules
-    out: dict[int, set[int]] = {n: set() for n in range(-n_max, n_max + 1) if n}
-    for ref in members:
-        up = alg.simple_regular(ref.point.tube, ref.point.index)
-        down = up
-        for n in range(1, n_max + 1):
-            up = tau(up)
-            down = tau_inv(down)
-            out[n] |= supp(up)
-            out[-n] |= supp(down)
-    return out
+    """Supports of tau^n of the whole family for all 0 < |n| <= n_max."""
+    label = TUBE_INFTY if which == "F" else TUBE_ZERO
+    rank = tube_rank(p, q, label)
+    mouths = [{v for v, d in enumerate(mouth_dim_vector(p, q, label, i)) if d}
+              for i in range(1, rank + 1)]
+    return {n: set().union(*(mouths[(i - n - 1) % rank] for i in range(1, rank)))
+            for n in range(-n_max, n_max + 1) if n}
 
 
 def verify_support_formula(p: int, q: int, n_max: int) -> CheckReport:
+    """Compare ``support_formula`` with tau^n of the families, 0 < |n| <= n_max.
+
+    tau is an equivalence from the non-projective to the non-injective
+    modules, and no tube module is either, so the mouth cycle tau E_i = E_{i-1}
+    that ``verify_tau_cycles`` checks structurally gives tau^n E_i = E_{i-n}
+    (indices mod the rank) for every n: its support is a mouth support."""
     report = CheckReport(f"support-formula p={p} q={q} |n|<={n_max}")
     for which in ("F", "G"):
-        structural_all = _family_orbit_supports(p, q, which, n_max)
+        orbit_all = _family_orbit_supports(p, q, which, n_max)
         for n in range(1, n_max + 1):
             for signed in (n, -n):
                 report.checked += 1
                 closed = support_formula(p, q, which, signed)
-                structural = structural_all[signed]
-                if closed != structural:
+                orbit = orbit_all[signed]
+                if closed != orbit:
                     report.add("support", subject=(which, signed),
-                               value=(sorted(structural), sorted(closed)))
+                               value=(sorted(orbit), sorted(closed)))
     return report
 
 
@@ -183,10 +182,10 @@ def tube_rigid_bound_check(p: int, q: int, label: TubeLabel) -> CheckReport:
     alg = apq_algebra(p, q)
     rank = alg.tube_rank(label)
     report = CheckReport(f"tube-rigid-bounds p={p} q={q} tube={label.short()}")
-    points = [TubePoint(label, i, j) for i in range(1, rank + 1) for j in range(1, rank + 2)]
-    reps = {pt: alg.tube_point(pt) for pt in points}
+    refs = [ref_tube(p, q, label, i, j) for i in range(1, rank + 1) for j in range(1, rank + 2)]
+    points = [ref.point for ref in refs]
     cones = {pt: alg.cone(pt) for pt in points}
-    ext = {(a, b): ext1_dim(reps[a], reps[b]) for a in points for b in points}
+    ext = {(a.point, b.point): pair_ext(a, b) for a in refs for b in refs}
     families = _ext_orthogonal_families([pt for pt in points if ext[(pt, pt)] == 0], ext)
     for family in families:
         if len(family) > rank or not all(cones[a].isdisjoint(cones[b])

@@ -7,14 +7,16 @@ from typing import Sequence
 
 import pytest
 
+from stratsys.apq import TUBE_INFTY, TUBE_ZERO, apq_algebra
+from stratsys.artheory import tau, tau_inv
 from stratsys.classifier import SCREEN_STEPS
 from stratsys.io_json import module_ref_to_json
 from stratsys.linalg import RationalMatrix
 from stratsys.quiver import Quiver, canonical_apq, euler_form, kronecker
 from stratsys.reps import (Representation, ext1_dim, hom_ext_via_presentation, is_brick,
-                           make_rep, minimal_presentation)
+                           make_rep, minimal_presentation, supp)
 from stratsys.systems import StratSystem, _exceptional_sequences
-from stratsys.tubes import regular_exceptional_pool
+from stratsys.tubes import mouth_ss, regular_exceptional_pool
 
 ENTRY_CHOICES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                  Fraction(-2), Fraction(1, 2)]
@@ -73,6 +75,25 @@ def whole_pool_max_regular_ss_size(quiver: Quiver, cap: int) -> int:
     oracle for ``tubes.max_regular_ss_size``."""
     pool = regular_exceptional_pool(quiver, cap)
     return max(map(len, _exceptional_sequences(pool, quiver.n)), default=0)
+
+
+def structural_family_orbit_supports(p: int, q: int, which: str,
+                                     n_max: int) -> dict[int, set[int]]:
+    """Supports of tau^n of the F or G family for all 0 < |n| <= n_max, by
+    iterating the structural translate on each member: a test oracle for
+    ``tubes._family_orbit_supports``."""
+    alg = apq_algebra(p, q)
+    members = mouth_ss(p, q, TUBE_INFTY if which == "F" else TUBE_ZERO).modules
+    out: dict[int, set[int]] = {n: set() for n in range(-n_max, n_max + 1) if n}
+    for ref in members:
+        up = alg.simple_regular(ref.point.tube, ref.point.index)
+        down = up
+        for n in range(1, n_max + 1):
+            up = tau(up)
+            down = tau_inv(down)
+            out[n] |= supp(up)
+            out[-n] |= supp(down)
+    return out
 
 
 def six_vertex_star() -> Quiver:

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_representation
+from conftest import random_representation, structural_family_orbit_supports
 from stratsys.apq import TUBE_INFTY, TUBE_ZERO, apq_algebra, tube_lambda
 from stratsys.artheory import auslander_check, tau
 from stratsys.classifier import (apq_families, compare_kronecker_enumeration,
@@ -26,7 +26,7 @@ from stratsys.quiver import (canonical_apq, coxeter_transform, euler_form,
 from stratsys.reps import (ext1_dim, ext1_dim_direct, hom_dim, injective,
                            is_brick, make_rep, projective)
 from stratsys.systems import check_ss, is_filtration_finite
-from stratsys.tubes import (fg_system, max_regular_ss_size, mouth_ss,
+from stratsys.tubes import (fg_system, max_regular_ss_size, mouth_ss, support_formula,
                             tube_rigid_bound_check, verify_support_formula,
                             verify_tau_cycles)
 
@@ -174,8 +174,13 @@ def test_criterion_6_support_formula():
     computed ones for all |n| <= 2 lcm(p, q) over the grid."""
     started = time.perf_counter()
     for p, q in GRID:
-        report = verify_support_formula(p, q, 2 * _lcm(p, q))
+        n_max = 2 * _lcm(p, q)
+        report = verify_support_formula(p, q, n_max)
         assert report.passed, report.summary()
+        for which in ("F", "G"):
+            structural = structural_family_orbit_supports(p, q, which, n_max)
+            for n, support in structural.items():
+                assert support_formula(p, q, which, n) == support, (p, q, which, n)
     _finish("CRITERION 6 (support formula)", started, 60)
 
 

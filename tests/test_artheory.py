@@ -252,7 +252,8 @@ def test_engine_makes_points_of_different_tubes_orthogonal(p, q):
                 (a.describe(), b.describe())
 
 
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5), (4, 5), (5, 6),
+                                 (7, 8)])
 def test_engine_counts_hom_inside_a_tube_as_the_structure_does(p, q, monkeypatch):
     """Every ordered pair of points of one tube, at levels up to the rank
     plus one, in the tubes of rank p and q and one lambda tube: the engine's

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from stratsys.apq import (TUBE_INFTY, TUBE_ZERO, TubePoint, apq_algebra,
+from stratsys.apq import (TUBE_INFTY, TUBE_ZERO, ApqAlgebra, TubePoint, apq_algebra,
                           mouth_dim_vector, recognize_apq, tube_lambda,
                           tube_point_dim_vector)
 from stratsys.artheory import ar_position
@@ -11,11 +13,12 @@ from stratsys.modules import ref_dims
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import ext1_dim, hom_dim, is_brick
 from stratsys.systems import check_ss
-from stratsys.tubes import (_ext_orthogonal_families, fg_system, max_regular_ss_size,
-                            mouth_ss, support_formula, tube_rigid_bound_check,
-                            verify_support_formula, verify_tau_cycles)
+from stratsys.tubes import (_ext_orthogonal_families, _family_orbit_supports, fg_system,
+                            max_regular_ss_size, mouth_ss, support_formula,
+                            tube_rigid_bound_check, verify_support_formula,
+                            verify_tau_cycles)
 
-from conftest import whole_pool_max_regular_ss_size
+from conftest import structural_family_orbit_supports, whole_pool_max_regular_ss_size
 
 GRID = [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
 
@@ -100,6 +103,48 @@ def test_verify_support_formula_small_cases():
     assert verify_support_formula(2, 3, 12).passed
     assert verify_support_formula(1, 2, 4).passed
     assert verify_support_formula(3, 3, 12).passed
+
+
+@pytest.mark.parametrize("p,q", GRID + [(2, 5), (5, 5)])
+def test_the_tau_cycle_gives_the_structural_orbit_supports(p, q):
+    # tau^n E_i = E_{i-n} read off the mouth, against n structural translates
+    n_max = 2 * lcm(p, q)
+    for which in ("F", "G"):
+        assert _family_orbit_supports(p, q, which, n_max) == \
+            structural_family_orbit_supports(p, q, which, n_max), which
+
+
+def test_apq_tubes_translates_only_in_the_tau_cycle_check(monkeypatch, capsys):
+    # the supports come off the tau-cycle and Ext^1 from the engine, so
+    # ``apq tubes`` builds no tube point and takes no inverse translate and
+    # no structural Ext^1; its tau calls are those of ``verify_tau_cycles``
+    from stratsys import artheory, reps
+    from stratsys.cli import main
+
+    calls = dict.fromkeys(("tau", "tau_inv", "ext1_dim", "tube_point"), 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    loaded = [m for key, m in list(sys.modules.items()) if key.startswith("stratsys")]
+    for name, home in (("tau", artheory), ("tau_inv", artheory), ("ext1_dim", reps)):
+        real = getattr(home, name)
+        for module in loaded:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    monkeypatch.setattr(ApqAlgebra, "tube_point", counted("tube_point", ApqAlgebra.tube_point))
+    canonical_apq(5, 6).context.clear()
+    assert verify_tau_cycles(5, 6).passed
+    anchor = calls["tau"]
+    assert anchor > 0
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["--json", "apq", "tubes", "--p", "5", "--q", "6"]) == 0
+    capsys.readouterr()
+    assert calls["tau"] <= anchor
+    assert calls["tau_inv"] == calls["ext1_dim"] == calls["tube_point"] == 0
 
 
 def test_mouth_ss_examples():
