@@ -11,25 +11,23 @@ is taken summand by summand over the I_w, never over their built sum.
 tau_inv is the dual construction, realized through the standard duality
 with the opposite quiver.
 
-``ar_position`` decides from dimension vectors: dim tau X = Phi(dim X) for
-every indecomposable non-projective X (Dlab-Ringel), so the Coxeter orbit of
-dim M says where M sits, and one structural walk of tau (or tau_inv) on the
-side it picks certifies the answer.
+``coxeter_position`` decides from dimension vectors: dim tau X = Phi(dim X)
+for every indecomposable non-projective X (Dlab-Ringel), so once the side is
+picked exactly (both sides over a Dynkin quiver, the defect over a Euclidean
+one, the Perron forms over a wild one) the Coxeter orbit of dim M on it says
+where M sits.  ``ar_position`` certifies that answer by one structural walk
+of tau (or tau_inv) on that side.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .quiver import defect
+from .quiver import Quiver, defect
 from .report import CheckReport
 from .reps import (Representation, dual_representation, ext1_dim, hom_dim, injective,
                    minimal_presentation, presentation_matrix_to_projective,
                    sub_representation, zero_rep)
-
-
-class CapExceededError(RuntimeError):
-    """Raised when an orbit iteration cannot settle within the configured cap."""
 
 
 class ArPosition(NamedTuple):
@@ -89,62 +87,76 @@ def tau_power(m: Representation, k: int) -> Representation:
 DIM_BUDGET = 4096  # largest total dimension of a module a walk translates to, or from
 
 
-def ar_position(m: Representation, cap: int = 64) -> ArPosition:
-    """Trichotomy for an indecomposable module, read off the Coxeter orbits
-    of its dimension vector and certified by one structural walk.
+def coxeter_position(q: Quiver, dims: Sequence[int]) -> tuple[ArPosition, tuple]:
+    """The AR position an indecomposable module of dimension vector ``dims``
+    has, with the Coxeter orbit that names it (empty for Regular).
 
-    The tau side ends at k when Phi^{k+1}(dim M) is the first iterate with a
-    negative entry, the tau_inv side likewise with Phi^-1; each side looks at
-    cap + 1 iterates within ``DIM_BUDGET``.  Over a Euclidean quiver the
-    defect (the radical linear form of the Euler form) picks the side, and
-    zero certifies regular; elsewhere the side that ends first is taken, the
-    tau side on a tie.  No structural work is done unless a side ends.
+    The side is decided exactly, and the orbit on it is walked until it
+    ends.  Dynkin: both sides, since Phi has finite order and no eigenvalue
+    1, so every orbit of a positive vector ends; the side that ends first is
+    taken, the tau side on a tie.  Euclidean: the defect picks the side
+    (Phi^L shifts a vector by a multiple of delta with the defect's sign),
+    and zero means Regular.  Wild: each side whose Perron form is negative
+    (``QuiverContext.perron``); a preprojective has <y-, d> < 0, a
+    preinjective <d, y+> < 0, and a regular indecomposable both positive,
+    so both positive means Regular and a zero means no indecomposable.  A
+    negative form tends to minus infinity along its side, so that orbit
+    ends or grows past ``DIM_BUDGET``, which is refused.  Like the defect, a
+    Regular answer presumes an indecomposable module.
     """
-    if m.is_zero():
+    if not any(dims):
         raise ValueError("zero module has no AR position")
-    q = m.quiver
-    sides = ("P", "I")
-    if q.context.quiver_class.tag == "Euclidean":
-        d = defect(q, m.dims)
-        if d == 0:
-            return ArPosition("Regular")
-        sides = ("P",) if d < 0 else ("I",)
-    phi = q.context.coxeter
-    orbits = {side: phi.ending_orbit(m.dims, cap + 1, side == "I", DIM_BUDGET)
-              for side in sides}
-    ended = [side for side in sides if orbits[side] is not None]
-    if ended:
-        side = min(ended, key=lambda side: len(orbits[side]))  # the first on a tie
-        return _certify(m, side, orbits[side])
-    if len(sides) == 1:
-        raise ArithmeticError("defect promised a terminating orbit but the "
-                              "cap was exceeded; was the module indecomposable?")
-    raise CapExceededError(
-        "neither tau orbit terminated within the cap; on a wild quiver this "
-        "is regular-or-unknown")
-
-
-def _certify(m: Representation, side: str, orbit: tuple) -> ArPosition:
-    """Translate m once per predicted iterate: each image must have the
-    predicted dimension vector, the last nonzero one that of P_i (side "P")
-    or I_i, and the next one must be zero.  A projective summand in any
-    earlier translate would break the next dimension vector, so m is
-    tau^{-k} P_i (or tau^k I_i) even if it was handed in decomposable."""
-    q = m.quiver
     ctx = q.context
+    tag = ctx.quiver_class.tag
+    if tag == "Dynkin":
+        sides = ("P", "I")
+    elif tag == "Euclidean":
+        d = defect(q, dims)
+        sides = ("P",) if d < 0 else ("I",) if d > 0 else ()
+    else:
+        signs = ctx.perron.signs(dims)
+        if 0 in signs:
+            raise ArithmeticError(f"a Perron form vanishes on {tuple(dims)}, which no "
+                                  "indecomposable module has")
+        sides = tuple(side for side, sign in zip(("P", "I"), signs) if sign < 0)
+    if not sides:
+        return ArPosition("Regular"), ()
+    orbits = [ctx.coxeter.ending_orbit(dims, side == "I", DIM_BUDGET) for side in sides]
+    if None in orbits:
+        raise ArithmeticError(f"a Coxeter orbit grew past the budget {DIM_BUDGET} before "
+                              "it ended; was the module indecomposable?")
+    orbit, side = min(zip(orbits, sides), key=lambda pair: len(pair[0]))  # tau on a tie
     vertex = (ctx.proj_vertex if side == "P" else ctx.inj_vertex).get(orbit[-1])
     if vertex is None:
         raise ArithmeticError("orbit died on a non-(co)generator; "
                               "module was not indecomposable?")
-    step = tau if side == "P" else tau_inv
+    kind = "Preprojective" if side == "P" else "Preinjective"
+    return ArPosition(kind, vertex, len(orbit) - 1), orbit
+
+
+def ar_position(m: Representation) -> ArPosition:
+    """Trichotomy for an indecomposable module: ``coxeter_position`` of its
+    dimension vector, certified by one structural walk on the side it
+    names.  No structural work is done for a Regular answer."""
+    position, orbit = coxeter_position(m.quiver, m.dims)
+    if position.kind != "Regular":
+        _certify(m, position, orbit)
+    return position
+
+
+def _certify(m: Representation, position: ArPosition, orbit: tuple) -> None:
+    """Translate m once per predicted iterate: each image must have the
+    predicted dimension vector, and the one after the last, that of P_i
+    (or I_i), must be zero.  A projective summand in any earlier translate
+    would break the next dimension vector, so m is tau^{-k} P_i (or tau^k
+    I_i) even if it was handed in decomposable."""
+    step = tau if position.kind == "Preprojective" else tau_inv
     current = m
-    for predicted in orbit[1:] + (q.zero_vector(),):
+    for predicted in orbit[1:] + (m.quiver.zero_vector(),):
         current = step(current)
         if current.dims != predicted:
             raise ArithmeticError("the tau orbit left its Coxeter prediction; "
                                   "module was not indecomposable?")
-    return ArPosition("Preprojective" if side == "P" else "Preinjective", vertex,
-                      len(orbit) - 1)
 
 
 def auslander_check(x: Representation, y: Representation) -> CheckReport:

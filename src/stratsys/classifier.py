@@ -16,6 +16,7 @@ from operator import mul
 from typing import Optional
 
 from .apq import apq_algebra
+from .artheory import coxeter_position
 from .modules import (ModuleRef, NoExceptionalModuleError, TooLargeError, ref_dims,
                       ref_preinj, ref_preproj, ref_root)
 from .quiver import Quiver, _euler_matrix, _symmetrized_form, euler_form, kronecker
@@ -441,7 +442,7 @@ def verify_family_uniqueness(inst: FamilyInstance) -> CheckReport:
     vector r on it, and r determines the exceptional module; so this passes
     exactly when dim X = r.  If the rest fails its axioms it has no
     completion; else a wrong X is reported with the module on the line, named
-    as ``ar_position`` reads a Coxeter orbit (within sum(r) steps), or r."""
+    by its exact position (``artheory.coxeter_position``), or r if regular."""
     report = CheckReport(f"uniqueness {inst.label()}", checked=1)
     quiver, rest = inst.system.quiver, inst.system.modules[1:]
     if not inst.report.passed and not check_ss(StratSystem(quiver, rest)).passed:
@@ -450,13 +451,10 @@ def verify_family_uniqueness(inst: FamilyInstance) -> CheckReport:
     ray = name = completion_ray(_euler_matrix(quiver), [ref_dims(m) for m in rest], 0)
     report.checked += 1
     if ray != ref_dims(inst.listed_x):
-        ctx = quiver.context
-        for make, vertex, inverse in ((ref_preproj, ctx.proj_vertex, False),
-                                      (ref_preinj, ctx.inj_vertex, True)):
-            orbit = ctx.coxeter.ending_orbit(ray, sum(ray), inverse)
-            if orbit is not None and orbit[-1] in vertex:
-                name = make(quiver, vertex[orbit[-1]], len(orbit) - 1).describe()
-                break
+        position, _ = coxeter_position(quiver, ray)
+        if position.kind != "Regular":
+            make = ref_preproj if position.kind == "Preprojective" else ref_preinj
+            name = make(quiver, position.vertex, position.power).describe()
         report.add("recovered-x", value=(name, inst.listed_x.describe()))
     return report
 
@@ -496,7 +494,6 @@ def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
     return _braid_module(q, dims)
 
 
-SCREEN_STEPS = 24  # Coxeter iterates walked on each side of a regular witness member
 SCREEN_BOX = 1_000_000  # the most vectors the regular screen's box may hold
 
 
@@ -576,9 +573,9 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
     refused by the Euler form wherever it came up, so it changes no sequence.
     A box ``[0, cap]^n`` of more than ``SCREEN_BOX`` vectors is refused.
 
-    The screen walks no Coxeter orbit; only the witness's members have theirs
-    walked, ``SCREEN_STEPS`` on each side, so the report's flag holds as
-    written, and one that ends would contradict the forms (ArithmeticError).
+    No Coxeter orbit is walked: every pool member is an exceptional module
+    with both Perron forms positive, hence regular, which the report's flag
+    states.
 
     Failure within the cap is an honest "none found", not a disproof.
     """
@@ -603,12 +600,7 @@ def regular_css_search(q: Quiver, dim_cap: int) -> tuple[Optional[StratSystem], 
         report.add("no-witness", note=f"none within cap {dim_cap}")
         return None, report
     system = StratSystem(q, tuple(refs[i] for i in witness))
-    phi = q.context.coxeter
-    for dims in map(ref_dims, system.modules):
-        if any(phi.ending_orbit(dims, SCREEN_STEPS, inverse) for inverse in (False, True)):
-            raise ArithmeticError(f"the Perron forms kept {dims}, whose Coxeter orbit ends")
     final = check_css(system)
     report.merge(final)
-    report.flag("members certified regular-or-unknown by Coxeter screening "
-                f"({SCREEN_STEPS} steps)")
+    report.flag("members certified regular by the exact Perron forms")
     return (system if final.passed else None), report

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from . import classifier, tubes
 from .apq import TUBE_INFTY, TUBE_ZERO, tube_lambda
-from .artheory import CapExceededError, ar_position, tau_power
+from .artheory import ar_position, tau_power
 from .io_json import (InputError, module_ref_to_json, quiver_from_json,
                       rep_from_json, rep_to_json, system_from_json,
                       valid_quiver_from_json)
@@ -43,9 +43,6 @@ class Report:
         self.details.append(check)
         if not check.passed:
             self.failed = True
-
-    def fail(self) -> None:
-        self.failed = True
 
     def to_json(self, with_timing: bool) -> dict:
         out: dict[str, Any] = {
@@ -131,12 +128,7 @@ def cmd_ar(args, report: Report) -> None:
         report.data["zero"] = out.is_zero()
         return
     try:
-        pos = ar_position(x, cap=args.cap)
-    except CapExceededError as exc:
-        report.data["position"] = "regular-or-unknown"
-        report.data["note"] = str(exc)
-        report.fail()
-        return
+        pos = ar_position(x)
     except ArithmeticError as exc:
         raise InputError(f"{args.x}: {exc} (the position is defined for "
                          "indecomposable modules)") from exc
@@ -268,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ar.add_argument("action", choices=["tau", "tauinv", "pos"])
     p_ar.add_argument("x")
     p_ar.add_argument("--k", type=int, default=1)
-    p_ar.add_argument("--cap", type=_bound, default=64)
 
     p_ss = sub.add_parser("ss", help="stratifying-system checks on a system file")
     p_ss.add_argument("action", choices=["check", "css", "extend", "filtfinite"])

@@ -489,12 +489,13 @@ class CoxeterTransform(NamedTuple):
         x = tuple(map(int, x))
         return tuple(sum(map(mul, row, x)) for row in self.inverse)
 
-    def ending_orbit(self, x: Sequence[int], steps: int, inverse: bool,
-                     budget: Optional[int] = None) -> Optional[tuple[DimVector, ...]]:
+    def ending_orbit(self, x: Sequence[int], inverse: bool,
+                     budget: int) -> Optional[tuple[DimVector, ...]]:
         """The iterates x, Phi x, ..., Phi^k x (Phi^-1 when ``inverse``) where
-        Phi^{k+1} x is the first iterate with a negative entry and k < steps;
-        None when no such k exists, or when an iterate before Phi^{k+1} x
-        sums to more than ``budget``.
+        Phi^{k+1} x is the first iterate with a negative entry; None when an
+        iterate before Phi^{k+1} x sums to more than ``budget``.  The caller
+        walks only a side where the orbit provably ends or grows
+        (``artheory.coxeter_position``).
 
         dim tau X = Phi(dim X) for every indecomposable non-projective X
         (Dlab-Ringel), so an indecomposable X whose forward orbit ends at k
@@ -503,9 +504,7 @@ class CoxeterTransform(NamedTuple):
         rows = self.inverse if inverse else self.matrix
         v = tuple(map(int, x))
         orbit = [v]
-        for _ in range(steps):
-            if budget is not None and sum(v) > budget:
-                return None
+        while sum(v) <= budget:
             v = tuple([sum(map(mul, row, v)) for row in rows])
             if min(v) < 0:
                 return tuple(orbit)

@@ -3,13 +3,12 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 
 from stratsys.apq import TUBE_INFTY, TUBE_ZERO, apq_algebra
 from stratsys.artheory import tau, tau_inv
-from stratsys.classifier import SCREEN_STEPS
 from stratsys.io_json import module_ref_to_json
 from stratsys.linalg import RationalMatrix
 from stratsys.quiver import Quiver, canonical_apq, euler_form, kronecker
@@ -60,14 +59,29 @@ def is_exceptional(m: Representation) -> bool:
     return is_brick(m) and ext1_dim(m, m) == 0
 
 
+def ending_walk(apply, d: Sequence[int], steps: int) -> Optional[list[tuple[int, ...]]]:
+    """The iterates d, apply(d), ... before the first with a negative entry,
+    if one comes within ``steps`` applications; else None.  A test oracle
+    for ``CoxeterTransform.ending_orbit``, which has no step count."""
+    orbit = [tuple(d)]
+    for _ in range(steps):
+        d = apply(d)
+        if min(d) < 0:
+            return orbit
+        orbit.append(d)
+    return None
+
+
 def box_screened_roots(q: Quiver, cap: int) -> list[tuple[int, ...]]:
-    """The regular screen by an Euler form on every vector of ``[0, cap]^n``,
-    a test oracle for ``classifier._screened_roots``."""
+    """The regular screen by an Euler form on every vector of ``[0, cap]^n``
+    whose Coxeter orbits run 24 steps each way without ending, a test
+    oracle for ``classifier._screened_roots``."""
     phi = q.context.coxeter
     box = sorted((d for d in itertools.product(range(cap + 1), repeat=q.n) if any(d)),
                  key=lambda d: (sum(d), d))
     return [d for d in box if euler_form(q, d, d) == 1
-            and not any(phi.ending_orbit(d, SCREEN_STEPS, inverse) for inverse in (False, True))]
+            and all(ending_walk(apply, d, 24) is None
+                    for apply in (phi.apply, phi.apply_inverse))]
 
 
 def whole_pool_max_regular_ss_size(quiver: Quiver, cap: int) -> int:

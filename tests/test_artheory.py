@@ -362,15 +362,30 @@ def test_ar_position_dynkin_walks_only_the_certifying_side(monkeypatch):
     assert calls == [("tau", (0, 1, 0)), ("tau", (1, 0, 0))]
 
 
-def test_ar_position_wild_regular_exceeds_cap(kron3, monkeypatch):
-    from stratsys.artheory import CapExceededError
+def test_ar_position_reads_a_wild_regular_off_the_forms(kron3, monkeypatch):
     from stratsys.reps import make_rep
 
     m = make_rep(kron3, (1, 1), {"a1": [[1]]})
     calls = _record_tau_calls(monkeypatch)
-    with pytest.raises(CapExceededError):
-        ar_position(m, cap=1)
-    assert calls == []  # neither Coxeter orbit ends, so nothing is translated
+    assert ar_position(m) == ArPosition("Regular")
+    assert calls == []  # both Perron forms are positive, so nothing is translated
+
+
+def test_ar_position_walks_a_long_dynkin_orbit_to_its_end(monkeypatch):
+    # over A_134 with arrows i+1 -> i, S_67 is tau^-66 P_1 and tau^67 I_134:
+    # both orbits are walked to their ends, the tau side ends first and 67
+    # translates certify it
+    from stratsys.modules import ref_dims
+    from stratsys.quiver import Quiver
+    from stratsys.reps import simple
+
+    n = 134
+    q = Quiver.make(range(1, n + 1), [(i + 1, i, f"a{i}") for i in range(1, n)])
+    calls = _record_tau_calls(monkeypatch)
+    assert ar_position(simple(q, 67)) == ArPosition("Preprojective", 1, 66)
+    assert [name for name, _ in calls] == ["tau"] * 67
+    assert ref_dims(ref_preproj(q, 1, 66)) == ref_dims(ref_preinj(q, n, 67))
+    assert ref_dims(ref_preproj(q, 1, 66)) == simple(q, 67).dims
 
 
 def _wild_sample():

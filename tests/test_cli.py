@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import wild_sample
 from stratsys.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -309,15 +310,15 @@ PINNED_REPORTS = {
     "wild-regcss-cap6": ("--json wild regcss samples/wild_double_path.quiver.json --cap 6", 1,
                          "b328581a10108f6bc5bab9c098f59f0eaad1023c0b025093c9f0cbbfd2fd6986"),
     "wild-regcss-cap8": ("--json wild regcss samples/wild_double_path.quiver.json --cap 8", 0,
-                         "261f39a046371209dcc57f23c3b4f32f5d6c6d94fd85a849f7f55144344d1df1"),
+                         "7e1d62be1b449b2ad2c639929772ae5415aa9e90b0260e0287263e9746494228"),
     "wild-regcss-cap10": ("--json wild regcss samples/wild_double_path.quiver.json --cap 10", 0,
-                          "2bcd4054d4fad6a6dac8b6e41f22fc35dc36a23f5469b271626d6802a7c9b231"),
+                          "c8fd82ce5c5d54289f5e1be2960c2c24c954ad8a65a125d13149026d97f957a2"),
     "wild-regcss-cap12": ("--json wild regcss samples/wild_double_path.quiver.json --cap 12", 0,
-                          "aa7843736a4a0a871aad8cfa9c67453b8622a043fae1dfc08fc7ee84e967c90e"),
+                          "246b088fb4613a4eb029f8c5fe0c05b5986ffa35dedb8cd25f36e1b5ed3ecbd2"),
     "wild-regcss-cap40": ("--json wild regcss samples/wild_double_path.quiver.json --cap 40", 0,
-                          "215cda84e69953811d90a54208cfd9da88dca4ffef13e9520c01b41e5a908395"),
+                          "f0e188c5493fc9edea15c11bd8ccc8b6e1f1bfe4d94f5478c83152a08cf9eae8"),
     "wild-regcss-cap99": ("--json wild regcss samples/wild_double_path.quiver.json --cap 99", 0,
-                          "6e6801a2ac75a49be991a9fbbb36090bc8c7416e2aa879a9909de7b4fc5aaa0c"),
+                          "1fe6a90a05f7aebf072a99c7db85ef5118389a2635000dd6ca335bbccdc277ae"),
     "ss-extend-outer": ("--json ss extend samples/fg_p2q3.ss.json --positions outer --bound 4", 0,
                         "73a87ebeadf3be114d9792da4d3e96de8a4fa2f76c28cbe26c3535d330648466"),
     "ss-extend-any": ("--json ss extend samples/kronecker_simples.ss.json --bound 4", 0,
@@ -482,44 +483,73 @@ def test_tau_power_builds_every_translate_within_the_budget(tmp_path, capsys):
         "translate 5 of 5 has total dimension at least 24476, beyond the budget 4096")
 
 
-def test_ar_pos_wild_regular_is_regular_or_unknown(tmp_path, capsys):
+def _rep_file(tmp_path, name: str, rep) -> str:
     from stratsys.io_json import rep_to_json
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(rep_to_json(rep)), encoding="utf-8")
+    return str(path)
+
+
+def test_ar_pos_wild_regular_is_regular(tmp_path, capsys, monkeypatch):
+    from stratsys import artheory
     from stratsys.quiver import kronecker
     from stratsys.reps import make_rep
 
-    path = tmp_path / "regular.json"
-    rep = make_rep(kronecker(3), (1, 1), {"a1": [[1]]})
-    path.write_text(json.dumps(rep_to_json(rep)), encoding="utf-8")
-    code, out = run_cli(["ar", "pos", str(path), "--cap", "1"], capsys)
-    assert code == 1
-    assert "regular-or-unknown" in out
-
-
-def test_ar_pos_over_the_wild_sample_translates_nothing(tmp_path, capsys, monkeypatch):
-    """Neither Coxeter orbit of (1, 2, 2) ends within the default cap, so the
-    verdict comes without a structural tau (which would grow without end)."""
-    from stratsys import artheory
-    from stratsys.io_json import rep_to_json
-    from stratsys.quiver import Quiver
-    from stratsys.reps import make_rep
-
     def refuse(m):
-        raise AssertionError("structural translate on the regular-or-unknown path")
+        raise AssertionError("structural translate of a regular module")
 
     monkeypatch.setattr(artheory, "tau", refuse)
     monkeypatch.setattr(artheory, "tau_inv", refuse)
-    q = Quiver.from_json(json.loads((REPO_ROOT / "samples" / "wild_double_path.quiver.json")
-                                    .read_text()))
-    rep = make_rep(q, (1, 2, 2), {"b1": [[1, 2]], "b2": [[-1, 0]],
-                                  "c1": [[1, 0], [1, 1]], "c2": [[2, 0], [0, -1]]})
-    path = tmp_path / "wild.json"
-    path.write_text(json.dumps(rep_to_json(rep)), encoding="utf-8")
-    code, out = run_cli(["--json", "ar", "pos", str(path)], capsys)
-    assert code == 1
-    data = json.loads(out)["data"]
-    assert data["position"] == "regular-or-unknown"
-    assert data["note"] == ("neither tau orbit terminated within the cap; on a wild "
-                            "quiver this is regular-or-unknown")
+    rep = make_rep(kronecker(3), (1, 1), {"a1": [[1]]})
+    code, out = run_cli(["ar", "pos", _rep_file(tmp_path, "regular", rep)], capsys)
+    assert code == 0
+    assert '"kind": "Regular"' in out
+
+
+def test_ar_pos_over_the_wild_sample_translates_nothing(tmp_path, capsys, monkeypatch):
+    """Both Perron forms are positive on (1, 2, 2), so the verdict comes
+    without a structural tau (which would grow without end)."""
+    from stratsys import artheory
+    from stratsys.reps import make_rep
+
+    def refuse(m):
+        raise AssertionError("structural translate of a regular module")
+
+    monkeypatch.setattr(artheory, "tau", refuse)
+    monkeypatch.setattr(artheory, "tau_inv", refuse)
+    rep = make_rep(wild_sample(), (1, 2, 2), {"b1": [[1, 2]], "b2": [[-1, 0]],
+                                              "c1": [[1, 0], [1, 1]], "c2": [[2, 0], [0, -1]]})
+    code, out = run_cli(["--json", "ar", "pos", _rep_file(tmp_path, "wild", rep)], capsys)
+    assert code == 0
+    assert json.loads(out)["data"] == {"position": {"kind": "Regular", "vertex": None,
+                                                    "power": 0}}
+
+
+def test_ar_pos_walks_a_long_euclidean_orbit_to_its_end(tmp_path, capsys):
+    # tau^-70 P_1 over K_2, the arrows k^140 -> k^141 taking the basis to its
+    # first and to its last 140 vectors: the defect picks the tau side, whose
+    # orbit runs 70 steps down to P_1, and 71 translates certify it
+    from stratsys.quiver import kronecker
+    from stratsys.reps import make_rep
+
+    n = 140
+    rep = make_rep(kronecker(2), (n + 1, n),
+                   {"a1": [[int(i == j) for j in range(n)] for i in range(n + 1)],
+                    "a2": [[int(i == j + 1) for j in range(n)] for i in range(n + 1)]})
+    code, out = run_cli(["--json", "ar", "pos", _rep_file(tmp_path, "long", rep)], capsys)
+    assert code == 0
+    assert json.loads(out)["data"] == {"position": {"kind": "Preprojective", "vertex": 1,
+                                                    "power": 70}}
+
+
+def test_ar_pos_refuses_a_wild_vector_where_a_form_vanishes(tmp_path, capsys):
+    from stratsys.reps import make_rep
+
+    rep = make_rep(wild_sample(), (1, 0, 1), {})  # S_1 + S_3
+    code, out = run_cli(["--json", "ar", "pos", _rep_file(tmp_path, "s1s3", rep)], capsys)
+    assert code == 2
+    assert "a Perron form vanishes on (1, 0, 1)" in json.loads(out)["error"]
 
 
 def test_long_orbit_chain_exits_2(tmp_path, capsys):

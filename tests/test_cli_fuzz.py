@@ -108,8 +108,7 @@ def invocation(draw):
         return ["rep", action, "{0}", "{1}"], [draw(rep_of(q)), draw(rep_of(q))]
     if group == "ar":
         action = draw(st.sampled_from(["tau", "tauinv", "pos"]))
-        return (["ar", action, "{0}", "--k", str(draw(st.integers(0, 3))),
-                 "--cap", str(draw(st.integers(0, 4)))], [draw(rep_of(q))])
+        return ["ar", action, "{0}", "--k", str(draw(st.integers(0, 3)))], [draw(rep_of(q))]
     if group == "ss":
         action = draw(st.sampled_from(["check", "css", "extend", "filtfinite"]))
         system = ({"quiver": q.to_json(), "modules": draw(st.lists(descriptor_of(q), max_size=4))}
@@ -124,7 +123,7 @@ def invocation(draw):
         return (["wild", "regcss", "{0}", "--cap", str(draw(st.integers(1, 2)))],
                 [WILD if well_formed(draw) else draw(QUIVER)])
     q = draw(st.sampled_from(WILD_QUIVERS))
-    return ["ar", "pos", "{0}", "--cap", str(draw(st.integers(0, 64)))], [draw(rep_of(q))]
+    return ["ar", "pos", "{0}"], [draw(rep_of(q))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,

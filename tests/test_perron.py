@@ -1,7 +1,8 @@
 """The exact Perron forms of a wild quiver (``quiver.PerronForms``): the
 integer identities they are built from, the interval that isolates rho, the
-sign theorem the regular screen rests on, the screen's pool against the
-Coxeter-walk oracle, and the screen's Coxeter walks."""
+sign theorem the regular screen and ``artheory.coxeter_position`` rest on,
+the screen's pool against the Coxeter-walk oracle, and the Coxeter walks
+the screen and the search do not take."""
 
 import itertools
 from fractions import Fraction
@@ -9,12 +10,14 @@ from operator import mul
 
 import pytest
 
+from stratsys.artheory import ArPosition, ar_position, coxeter_position
 from stratsys.classifier import _screened_roots, regular_css_search
-from stratsys.modules import PREINJ, PREPROJ, _orbit_dims, ref_dims
+from stratsys.modules import PREINJ, PREPROJ, _orbit_dims, materialize, ref_dims
 from stratsys.quiver import (CoxeterTransform, Quiver, _sturm_chain, _symmetrized_form,
-                             _variations, canonical_apq, kronecker)
+                             _variations, canonical_apq, euler_form, kronecker)
 
-from conftest import box_screened_roots, doubled_triangle, six_vertex_star, wild_sample
+from conftest import (box_screened_roots, doubled_triangle, ending_walk, six_vertex_star,
+                      wild_sample)
 
 WILD = {"wild-sample": wild_sample, "K3": lambda: kronecker(3),
         "doubled-triangle": doubled_triangle, "six-vertex-star": six_vertex_star}
@@ -157,20 +160,53 @@ def test_the_screen_walks_no_coxeter_orbit(monkeypatch, cap):
     assert walks == []
 
 
-def test_the_search_walks_only_its_witness_orbits(monkeypatch):
+def test_the_search_walks_no_coxeter_orbit(monkeypatch):
+    # the forms already decide that the members are regular, so no orbit of
+    # a witness member is walked either
     q = wild_sample()
     q.context.clear()
     walks = _count_orbit_walks(monkeypatch)
-    witness, _ = regular_css_search(q, 8)
+    witness, report = regular_css_search(q, 8)
     assert witness is not None
-    assert 0 < len(walks) <= 2 * q.n
-    assert set(walks) <= {tuple(ref_dims(m)) for m in witness.modules}
+    assert walks == []
+    assert "members certified regular by the exact Perron forms" in report.flags
 
 
-def test_a_witness_member_whose_orbit_ends_is_an_error(monkeypatch):
-    monkeypatch.setattr(CoxeterTransform, "ending_orbit", lambda self, x, steps, inverse: (x,))
-    with pytest.raises(ArithmeticError, match="Perron forms kept"):
-        regular_css_search(wild_sample(), 8)
+@pytest.mark.parametrize("cap", [8, 24])
+def test_every_witness_member_is_regular_without_a_translate(monkeypatch, cap):
+    from stratsys import artheory
+
+    q = wild_sample()
+    witness, _ = regular_css_search(q, cap)
+    members = [materialize(m) for m in witness.modules]
+    calls = []
+    for name in ("tau", "tau_inv"):
+        monkeypatch.setattr(artheory, name, lambda m, name=name: calls.append(name))
+    assert [ar_position(m) for m in members] == [ArPosition("Regular")] * q.n
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", WILD)
+def test_coxeter_position_agrees_with_a_24_step_walk(name):
+    # every <d, d> = 1 vector in [0, 4]^n whose orbit ends within 24 steps on
+    # one side gets that side, the vertex it ends on and its length
+    q = WILD[name]()
+    ctx, phi = q.context, q.context.coxeter
+    ended = 0
+    for d in itertools.product(range(5), repeat=q.n):
+        if not any(d) or euler_form(q, d, d) != 1:
+            continue
+        walks = [(walk, kind, vertex) for walk, kind, vertex in (
+            (ending_walk(phi.apply, d, 24), "Preprojective", ctx.proj_vertex),
+            (ending_walk(phi.apply_inverse, d, 24), "Preinjective", ctx.inj_vertex))
+            if walk is not None]
+        if walks:
+            walk, kind, vertex = min(walks, key=lambda w: len(w[0]))
+            position = ArPosition(kind, vertex[walk[-1]], len(walk) - 1)
+            assert coxeter_position(q, d) == (position, tuple(walk)), d
+            ended += 1
+    assert ended == {"wild-sample": 8, "K3": 4, "doubled-triangle": 6,
+                     "six-vertex-star": 29}[name]
 
 
 def _descends_to_a_simple_root(q, dims) -> bool:
