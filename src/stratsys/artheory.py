@@ -5,8 +5,9 @@ tau is computed structurally: take the minimal projective presentation
 take the kernel of nu(P1) -> nu(P0).  The presentation is the one the
 presentation route to Ext^1 built for the same module, kept on it.  nu
 sends P_i to I_i, and at vertex x its map is the transpose of
-Hom(iota, P_x), the matrix ``reps.presentation_matrix`` builds at P_x, read
-off the path table (``reps.presentation_matrix_to_projective``).  The kernel
+Hom(iota, P_x), the matrix ``reps.presentation_matrix`` builds at P_x; all
+of them are read off the path table in one pass, already transposed
+(``reps.nakayama_matrices``).  The kernel
 is taken summand by summand over the I_w, never over their built sum.
 tau_inv is the dual construction, realized through the standard duality
 with the opposite quiver.
@@ -26,8 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from .quiver import Quiver, defect
 from .report import CheckReport
 from .reps import (Representation, dual_representation, ext1_dim, hom_dim, injective,
-                   minimal_presentation, presentation_matrix_to_projective,
-                   sub_representation, zero_rep)
+                   minimal_presentation, nakayama_matrices, sub_representation, zero_rep)
 
 
 class ArPosition(NamedTuple):
@@ -49,8 +49,8 @@ def tau(m: Representation) -> Representation:
         return zero_rep(q)
     # nu = D Hom(-, A), so nu(iota) at x is the transpose of Hom(iota, P_x);
     # P_x at v and I_v at x share the basis of paths x ~> v
-    mats = [presentation_matrix_to_projective(pres, x).transpose() for x in q.vertices]
-    out, _incl = sub_representation([injective(q, w) for w in pres.slots1], mats)
+    out, _incl = sub_representation([injective(q, w) for w in pres.slots1],
+                                    nakayama_matrices(pres))
     return out
 
 
@@ -137,11 +137,31 @@ def coxeter_position(q: Quiver, dims: Sequence[int]) -> tuple[ArPosition, tuple]
 def ar_position(m: Representation) -> ArPosition:
     """Trichotomy for an indecomposable module: ``coxeter_position`` of its
     dimension vector, certified by one structural walk on the side it
-    names.  No structural work is done for a Regular answer."""
+    names.  Before a Regular answer, which takes no structural work, a
+    module whose support splits, with only zero arrow maps between the
+    parts, is refused: it is the direct sum of its restrictions to them."""
     position, orbit = coxeter_position(m.quiver, m.dims)
     if position.kind != "Regular":
         _certify(m, position, orbit)
+    elif _support_splits(m):
+        raise ArithmeticError("the support splits into parts joined by no nonzero arrow "
+                              "map, so the module is decomposable")
     return position
+
+
+def _support_splits(m: Representation) -> bool:
+    """Whether the nonzero arrow maps of m leave its support disconnected."""
+    q = m.quiver
+    edges = [(a.src, a.tgt) for a, mat in zip(q.arrows, m.maps) if any(map(any, mat.nums))]
+    support = [v for v, d in zip(q.vertices, m.dims) if d]
+    reached, grew = {support[0]}, True
+    while grew:
+        grew = False
+        for s, t in edges:
+            if (s in reached) != (t in reached):
+                reached |= {s, t}
+                grew = True
+    return len(reached) < len(support)
 
 
 def _certify(m: Representation, position: ArPosition, orbit: tuple) -> None:

@@ -126,6 +126,8 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Rational]]],
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         current = dict(filter(_VALUE, row))
+        if not current:
+            continue
         if not _INT.issuperset(map(type, current.values())):
             mult = lcm(*(v.denominator for v in current.values()))
             current = {j: v.numerator * (mult // v.denominator) for j, v in current.items()}
@@ -135,7 +137,20 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Rational]]],
             if pivot is None:
                 pivots[c] = _primitive(current)
                 break
-            current = _cancel(current, pivot, c)
+            # current := (pivot[c] current - current[c] pivot) / gcd, in place
+            pv, rv = pivot[c], current[c]
+            g = gcd(pv, rv)
+            mult_row, mult_piv = pv // g, rv // g
+            if mult_row != 1:
+                for j, v in current.items():
+                    current[j] = v * mult_row
+            get = current.get
+            for j, v in pivot.items():
+                val = get(j, 0) - v * mult_piv
+                if val:
+                    current[j] = val
+                else:
+                    del current[j]
     if reduced:
         for c in sorted(pivots, reverse=True):
             pivot = pivots[c]

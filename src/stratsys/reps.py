@@ -20,8 +20,8 @@ its result on the module, so the Ext^1 route and ``artheory.tau`` share it.
 A kernel of a morphism out of a direct sum (``sub_representation``) never
 builds the sum: an arrow map of the context's P_v or I_v has at most one 1
 per row, so it acts as a row gather read off the context's path index, and
-Hom(iota, P_x) (``presentation_matrix_to_projective``) is read off the same
-table, with no matrix product.
+the Nakayama images nu(iota) at every vertex (``nakayama_matrices``) are
+read off the same table in one pass, with no matrix product.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -237,47 +238,50 @@ def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, in
     in f |-> (f_t x_a - y_a f_s)_a, times the positive integer den(x_a)
     den(y_a), so Hom(x, y) is the kernel and Ext^1(x, y) the cokernel.
     Returns the rows and dim C^0.
+
+    Only nonzeros are walked: the row at (r, c) holds column c of x_a at
+    the variables of f_t's row r, then row r of y_a at the variables of
+    f_s's column c.  The two meet only on a loop (s == t), at the variable
+    (r, c), which is dropped if its terms cancel.
     """
     q = x.quiver
-    var_offset = []
-    total = 0
-    for k in range(q.n):
-        var_offset.append(total)
-        total += y.dims[k] * x.dims[k]
-
-    def var(k: int, r: int, c: int) -> int:
-        return var_offset[k] + r * x.dims[k] + c
-
+    var_offset = list(accumulate((y.dims[k] * x.dims[k] for k in range(q.n)), initial=0))
     rows: list[dict[int, int]] = []
     for ai, a in enumerate(q.arrows):
         s, t = q.index(a.src), q.index(a.tgt)
-        xa, ya = x.maps[ai].nums, y.maps[ai].nums
-        xd, yd = x.maps[ai].den, y.maps[ai].den
-        for r in range(y.dims[t]):
-            for c in range(x.dims[s]):
-                row: dict[int, int] = {}
-                for k in range(x.dims[t]):
-                    v = xa[k][c]
-                    if v:
-                        key = var(t, r, k)
-                        row[key] = row.get(key, 0) + v * yd
-                for k in range(y.dims[s]):
-                    v = ya[r][k]
-                    if v:
-                        key = var(s, k, c)
-                        row[key] = row.get(key, 0) - v * xd
-                rows.append({k: v for k, v in row.items() if v})
-    return rows, total
+        xa, ya = x.maps[ai], y.maps[ai]
+        xd, yd = xa.den, ya.den
+        x_cols = [[(k, v * yd) for k, v in enumerate(col) if v]
+                  for col in (zip(*xa.nums) if xa.rows else ((),) * xa.cols)]
+        width_s, width_t = x.dims[s], x.dims[t]
+        for r, y_row in enumerate(ya.nums):
+            base = var_offset[t] + r * width_t
+            y_terms = [(var_offset[s] + k * width_s, -v * xd) for k, v in enumerate(y_row) if v]
+            for c, x_terms in enumerate(x_cols):
+                row = {base + k: v for k, v in x_terms}
+                if s != t:
+                    for key, v in y_terms:
+                        row[key + c] = v
+                else:
+                    for key, v in y_terms:
+                        val = row.get(key + c, 0) + v
+                        if val:
+                            row[key + c] = val
+                        else:
+                            del row[key + c]
+                rows.append(row)
+    return rows, var_offset[-1]
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
-    """dim Hom(x, y), from the rank of the coboundary."""
+    """dim Hom(x, y), from the rank of the coboundary, whose rows are
+    eliminated shortest first."""
     if x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
     rows, total = _coboundary(x, y)
     if total == 0:
         return 0
-    return total - linalg.rank_of_sparse_rows(rows)
+    return total - linalg.rank_of_sparse_rows(sorted(rows, key=len))
 
 
 def hom_space(x: Representation, y: Representation) -> HomSpace:
@@ -352,8 +356,10 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
     column f has its last nonzero entry, 1, at f and 0 at the other free
     columns, and the elimination hands out those columns.  So the
     coordinates of an image vector in the target's kernel basis are its
-    entries at the target's free columns, and one product checks that the
-    image lies in that kernel.
+    entries at the target's free columns.  The inclusion is the identity at
+    its free rows, so the image lies in the kernel iff the inclusion times
+    the coordinates equals the image at the other rows, the pivot rows: one
+    integer check per pivot row.
 
     The sum is never built: an arrow maps the inclusion summand by summand.
     A summand that is the context's P_v or I_v has at most one 1 in each row
@@ -366,9 +372,13 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
         raise ValueError("summands live over different quivers")
     if [mat.cols for mat in mats] != list(map(sum, zip(*(p.dims for p in parts)))):
         raise ValueError("the matrices do not start at the sum of the summands")
-    incl, free = {}, {}
+    incl, free, pivot_rows = {}, {}, {}
     for k, v in enumerate(q.vertices):
         incl[v], free[v] = linalg._kernel_of(mats[k])
+        is_free = set(free[v])
+        # each pivot row of the inclusion as its (free position, entry) terms
+        pivot_rows[v] = [(r, list(filter(linalg._VALUE, enumerate(row))))
+                         for r, row in enumerate(incl[v].nums) if r not in is_free]
     kinds = [_context_summand(p) for p in parts]
     gathers = q.context.gathers
     maps = []
@@ -388,14 +398,17 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
                                 for i in gathers[kind][ai]], source.den))
             start = stop
         den = lcm(*(d for _, d in blocks))
-        image = RationalMatrix.from_nums(
-            [row if d == den else tuple(x * (den // d) for x in row)
-             for nums, d in blocks for row in nums], den, width)
-        coords = RationalMatrix.from_nums([image.nums[r] for r in free[a.tgt]], image.den,
-                                          image.cols)
-        if incl[a.tgt].mul(coords) != image:
-            raise ValueError("the kernels are not closed under the arrow maps")
-        maps.append(coords)
+        image = [row if d == den else tuple(x * (den // d) for x in row)
+                 for nums, d in blocks for row in nums]
+        coords = [image[r] for r in free[a.tgt]]
+        den_t = incl[a.tgt].den
+        for r, terms in pivot_rows[a.tgt]:
+            acc = zero
+            for i, x in terms:
+                acc = tuple(map(add, acc, map(x.__mul__, coords[i])))
+            if acc != (image[r] if den_t == 1 else tuple(map(den_t.__mul__, image[r]))):
+                raise ValueError("the kernels are not closed under the arrow maps")
+        maps.append(RationalMatrix.from_nums(coords, den, width))
     return Representation(q, tuple(incl[v].cols for v in q.vertices), tuple(maps)), incl
 
 
@@ -464,8 +477,11 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
                 mats = [m.map_along(path, v) for path in table[(v, w)]]
                 columns.extend((mat, j) for j in lifts[v] for mat in mats)
         den = lcm(*(mat.den for mat, _ in columns))
-        nums = [tuple(mat.nums[r][j] * (den // mat.den) for mat, j in columns)
-                for r in range(m.dims[kw])]
+        # built column by column, then transposed
+        cols = [tuple(map(itemgetter(j), mat.nums)) if mat.den == den
+                else tuple(map((den // mat.den).__mul__, map(itemgetter(j), mat.nums)))
+                for mat, j in columns]
+        nums = list(zip(*cols)) if cols else [()] * m.dims[kw]
         cover[w] = RationalMatrix.from_nums(nums, den, len(columns))
     return tuple(v for v in q.vertices for _ in lifts[v]), cover
 
@@ -493,19 +509,20 @@ def minimal_presentation(m: Representation) -> ProjPresentation:
     slots1: list[int] = []
     iota_paths: dict[tuple[int, int], tuple[tuple[Path, Fraction], ...]] = {}
     for w in q.vertices:
-        den, columns = incl[w].den, incl[w].transpose().nums
-        for lift in _top_lift_indices(kernel, w):
+        lifts = _top_lift_indices(kernel, w)
+        if not lifts:
+            continue
+        den, rows = incl[w].den, incl[w].nums
+        owners = [(i, p) for i, v in enumerate(slots0) for p in table[(v, w)]]
+        for lift in lifts:
             j = len(slots1)
             slots1.append(w)
-            gen_image = columns[lift]
-            pos = 0
-            for i, v in enumerate(slots0):
-                paths = table[(v, w)]
-                coeffs = tuple((p, Fraction(val, den))
-                               for p, val in zip(paths, gen_image[pos:pos + len(paths)]) if val)
-                pos += len(paths)
-                if coeffs:
-                    iota_paths[(j, i)] = coeffs
+            coeffs: dict[int, list[tuple[Path, Fraction]]] = {}
+            for (i, p), val in zip(owners, map(itemgetter(lift), rows)):
+                if val:
+                    coeffs.setdefault(i, []).append((p, Fraction(val, den)))
+            for i, terms in coeffs.items():
+                iota_paths[(j, i)] = tuple(terms)
     proj_dims = q.context.proj_dims
     if sum(sum(proj_dims[q.index(w)]) for w in slots1) != kernel.total_dim:
         raise ArithmeticError("kernel of cover is not projective; algebra not hereditary?")
@@ -541,23 +558,29 @@ def presentation_matrix(pres: ProjPresentation, y: Representation) -> RationalMa
     return RationalMatrix.from_nums(rows, den, total_cols)
 
 
-def presentation_matrix_to_projective(pres: ProjPresentation, x: int) -> RationalMatrix:
-    """``presentation_matrix(pres, projective(q, x))``, read off the path
-    table with no matrix product: P_x at v has the paths x ~> v as its
-    basis, and a path v ~> w sends the basis path r to r.path."""
-    table, index = pres.quiver.context.paths, pres.quiver.context.path_index
-    col_off, total_cols = _offsets(len(table[(x, v)]) for v in pres.slots0)
-    row_off, total_rows = _offsets(len(table[(x, w)]) for w in pres.slots1)
+def nakayama_matrices(pres: ProjPresentation) -> list[RationalMatrix]:
+    """nu(iota) at each vertex x, in the order of ``quiver.vertices``: the
+    transpose of ``presentation_matrix(pres, projective(q, x))``, built
+    transposed and read off the path table with no matrix product.  P_x at
+    v has the paths x ~> v as its basis, and a path v ~> w sends the basis
+    path r to r.path; rows are indexed by (slot of P0, path x ~> its
+    vertex), columns by (slot of P1, path x ~> its vertex)."""
+    q, slots0, slots1 = pres.quiver, pres.slots0, pres.slots1
+    table, index = q.context.paths, q.context.path_index
     den = lcm(*(coeff.denominator for paths in pres.iota.values() for _, coeff in paths))
-    rows = [[0] * total_cols for _ in range(total_rows)]
-    for (j, i), paths in pres.iota.items():
-        basis, position = table[(x, pres.slots0[i])], index[(x, pres.slots1[j])]
-        r0, c0 = row_off[j], col_off[i]
-        for path, coeff in paths:
-            scale = coeff.numerator * (den // coeff.denominator)
-            for c, r in enumerate(basis):
-                rows[r0 + position[r + path]][c0 + c] += scale
-    return RationalMatrix.from_nums(rows, den, total_cols)
+    terms = [(i, j, path, coeff.numerator * (den // coeff.denominator))
+             for (j, i), paths in pres.iota.items() for path, coeff in paths]
+    mats = []
+    for x in q.vertices:
+        row_off, total_rows = _offsets(len(table[(x, v)]) for v in slots0)
+        col_off, total_cols = _offsets(len(table[(x, w)]) for w in slots1)
+        rows = [[0] * total_cols for _ in range(total_rows)]
+        for i, j, path, scale in terms:
+            position, c0 = index[(x, slots1[j])], col_off[j]
+            for r, basis_path in enumerate(table[(x, slots0[i])], row_off[i]):
+                rows[r][c0 + position[basis_path + path]] += scale
+        mats.append(RationalMatrix.from_nums(rows, den, total_cols))
+    return mats
 
 
 def _offsets(sizes) -> tuple[list[int], int]:

@@ -42,6 +42,43 @@ def hom_dim_via_presentation(x: Representation, y: Representation) -> int:
     return hom
 
 
+def coboundary_rows(x: Representation, y: Representation) -> tuple[list[dict[int, int]], int]:
+    """The coboundary of the standard resolution entry by entry, with every
+    entry of both arrow maps visited and the zero entries filtered out last:
+    a test oracle for ``reps._coboundary``, rows, their order and the order
+    of each row's keys."""
+    q = x.quiver
+    var_offset = []
+    total = 0
+    for k in range(q.n):
+        var_offset.append(total)
+        total += y.dims[k] * x.dims[k]
+
+    def var(k: int, r: int, c: int) -> int:
+        return var_offset[k] + r * x.dims[k] + c
+
+    rows: list[dict[int, int]] = []
+    for ai, a in enumerate(q.arrows):
+        s, t = q.index(a.src), q.index(a.tgt)
+        xa, ya = x.maps[ai].nums, y.maps[ai].nums
+        xd, yd = x.maps[ai].den, y.maps[ai].den
+        for r in range(y.dims[t]):
+            for c in range(x.dims[s]):
+                row: dict[int, int] = {}
+                for k in range(x.dims[t]):
+                    v = xa[k][c]
+                    if v:
+                        key = var(t, r, k)
+                        row[key] = row.get(key, 0) + v * yd
+                for k in range(y.dims[s]):
+                    v = ya[r][k]
+                    if v:
+                        key = var(s, k, c)
+                        row[key] = row.get(key, 0) - v * xd
+                rows.append({k: v for k, v in row.items() if v})
+    return rows, total
+
+
 def is_morphism(x: Representation, y: Representation, mats: Sequence[RationalMatrix]) -> bool:
     """Whether ``mats``, one matrix per vertex, commute with every arrow map
     of ``x`` and ``y``: a test oracle for the Hom bases."""
@@ -113,6 +150,12 @@ def structural_family_orbit_supports(p: int, q: int, which: str,
 def six_vertex_star() -> Quiver:
     """Five arms into a centre: a wild quiver with six vertices."""
     return Quiver.make(range(6), [(i, 0, f"a{i}") for i in range(1, 6)])
+
+
+def one_loop_quiver() -> Quiver:
+    """A loop at 1 and an arrow 1 -> 2: not acyclic, but its coboundary is
+    defined, and there the two halves of a row meet."""
+    return Quiver.make((1, 2), [(1, 1, "l"), (1, 2, "a")])
 
 
 def doubled_triangle() -> Quiver:

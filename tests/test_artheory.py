@@ -371,6 +371,26 @@ def test_ar_position_reads_a_wild_regular_off_the_forms(kron3, monkeypatch):
     assert calls == []  # both Perron forms are positive, so nothing is translated
 
 
+def test_ar_position_refuses_a_split_support_before_a_regular_answer(kron3, monkeypatch):
+    from stratsys.artheory import coxeter_position
+    from stratsys.reps import make_rep
+
+    q = wild_sample()
+    split = make_rep(q, (1, 1, 0), {})  # S_1 + S_2: both Perron forms are positive
+    assert coxeter_position(q, split.dims)[0] == ArPosition("Regular")
+    calls = _record_tau_calls(monkeypatch)
+    with pytest.raises(ArithmeticError, match="support splits"):
+        ar_position(split)
+    # one nonzero map joins the support
+    joined = make_rep(q, (1, 1, 0), {"b2": [[1]]})
+    assert ar_position(joined) == ArPosition("Regular")
+    # a zero map between two vertices does not join them
+    assert ar_position(make_rep(kron3, (1, 1), {"a2": [[1]]})) == ArPosition("Regular")
+    with pytest.raises(ArithmeticError, match="support splits"):
+        ar_position(make_rep(kron3, (1, 1), {"a2": [[0]]}))
+    assert calls == []
+
+
 def test_ar_position_walks_a_long_dynkin_orbit_to_its_end(monkeypatch):
     # over A_134 with arrows i+1 -> i, S_67 is tau^-66 P_1 and tau^67 I_134:
     # both orbits are walked to their ends, the tau side ends first and 67

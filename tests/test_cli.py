@@ -552,6 +552,18 @@ def test_ar_pos_refuses_a_wild_vector_where_a_form_vanishes(tmp_path, capsys):
     assert "a Perron form vanishes on (1, 0, 1)" in json.loads(out)["error"]
 
 
+def test_ar_pos_refuses_a_module_whose_support_splits(tmp_path, capsys):
+    from stratsys.reps import make_rep
+
+    rep = make_rep(wild_sample(), (1, 1, 0), {})  # S_1 + S_2
+    code, out = run_cli(["--json", "ar", "pos", _rep_file(tmp_path, "s1s2", rep)], capsys)
+    assert code == 2
+    assert "the support splits" in json.loads(out)["error"]
+    assert main(["ar", "pos", _rep_file(tmp_path, "s1s2", rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "decomposable" in err
+
+
 def test_long_orbit_chain_exits_2(tmp_path, capsys):
     """tau^-990 P_1 over K_2 has total dimension 3961, under the cap, but the
     990 modules before it that materialize must build add up to far more."""

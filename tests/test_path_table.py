@@ -2,10 +2,10 @@
 equal the constructions they replace.
 
 On seeded random modules over K_3, A~_{2,3}, A~_{3,4}, A~_{2,5} and the wild
-sample: Hom(iota, P_x) read off the path table equals the presentation
-route's matrix at P_x; a kernel taken summand by summand equals the kernel
-out of the built direct sum; a module is presented once, and presenting
-grows no memo of the quiver context."""
+sample: nu(iota) at x read off the path table equals the transpose of the
+presentation route's matrix at P_x; a kernel taken summand by summand
+equals the kernel out of the built direct sum; a module is presented once,
+and presenting grows no memo of the quiver context."""
 
 import random
 
@@ -17,9 +17,8 @@ from stratsys.artheory import tau, tau_inv
 from stratsys.linalg import RationalMatrix
 from stratsys.quiver import canonical_apq, kronecker
 from stratsys.reps import (direct_sum, ext1_dim_direct, hom_space, injective, make_rep,
-                           minimal_presentation, presentation_matrix,
-                           presentation_matrix_to_projective, projective,
-                           projective_cover_data, sub_representation)
+                           minimal_presentation, nakayama_matrices, presentation_matrix,
+                           projective, projective_cover_data, sub_representation)
 
 QUIVERS = {
     "K3": lambda: kronecker(3),
@@ -46,9 +45,10 @@ def test_hom_iota_to_a_projective_is_read_off_the_path_table(name):
     for m in _modules(name):
         q = m.quiver
         pres = minimal_presentation(m)
-        for x in q.vertices:
-            assert (presentation_matrix_to_projective(pres, x)
-                    == presentation_matrix(pres, projective(q, x)))
+        mats = nakayama_matrices(pres)
+        assert len(mats) == q.n
+        for x, mat in zip(q.vertices, mats):
+            assert mat == presentation_matrix(pres, projective(q, x)).transpose()
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))

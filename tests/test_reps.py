@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from conftest import (hom_dim_via_presentation, is_exceptional, is_morphism,
-                      random_representation, wild_sample)
+from conftest import (coboundary_rows, hom_dim_via_presentation, is_exceptional,
+                      is_morphism, one_loop_quiver, random_representation, wild_sample)
 from stratsys.io_json import rep_to_json
 from stratsys.linalg import RationalMatrix, format_rational, rank
 from stratsys.quiver import canonical_apq, euler_form, kronecker
-from stratsys.reps import (direct_sum, dual_representation, ext1_dim,
+from stratsys.reps import (_coboundary, direct_sum, dual_representation, ext1_dim,
                            ext1_dim_direct, hom_dim,
                            hom_space, injective, is_brick, is_sincere,
                            make_rep, minimal_presentation, nonsplit_extension,
@@ -102,6 +102,40 @@ def test_hom_space_basis_satisfies_intertwiner(kron2, apq23, rng):
                 assert is_morphism(x, y, mats)
 
 
+COBOUNDARY_QUIVERS = {
+    "K3": lambda: kronecker(3),
+    "apq23": lambda: canonical_apq(2, 3),
+    "apq34": lambda: canonical_apq(3, 4),
+    "wild-sample": wild_sample,
+    "one-loop": one_loop_quiver,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COBOUNDARY_QUIVERS))
+def test_the_coboundary_equals_its_entrywise_rows(name):
+    q = COBOUNDARY_QUIVERS[name]()
+    rng = random.Random(3401)
+    for _ in range(16):
+        x, y = random_representation(q, rng), random_representation(q, rng)
+        for pair in ((x, y), (x, x)):
+            rows, total = _coboundary(*pair)
+            want_rows, want_total = coboundary_rows(*pair)
+            assert total == want_total
+            # the same rows in the same order, each with its keys in the same order
+            assert [list(row.items()) for row in rows] == [list(row.items())
+                                                           for row in want_rows]
+
+
+def test_the_loop_terms_of_a_coboundary_row_cancel():
+    q = one_loop_quiver()
+    m = make_rep(q, (1, 1), {"l": [[2]], "a": [[1]]})
+    n = make_rep(q, (1, 1), {"l": [[3]], "a": [[1]]})
+    # along the loop f_1 m_l - m_l f_1 = 0, so the row is empty
+    assert _coboundary(m, m) == ([{}, {1: 1, 0: -1}], 2)
+    assert _coboundary(m, n) == ([{0: -1}, {1: 1, 0: -1}], 2)
+    assert coboundary_rows(m, n) == _coboundary(m, n)
+
+
 def test_sub_representation_rejects_a_subspace_not_closed(kron2):
     p2 = projective(kron2, 2)  # dims (2, 1): the arrows send e_2 to e_a1 and e_a2
     # zero maps at every vertex: the kernel is all of p2
@@ -111,6 +145,42 @@ def test_sub_representation_rejects_a_subspace_not_closed(kron2):
     # closed, because the arrow a2 sends e_2 to e_a2
     with pytest.raises(ValueError, match="not closed"):
         sub_representation([p2], [RationalMatrix.from_rows([[0, 1]]), RationalMatrix.zero(1, 1)])
+
+
+def test_sub_representation_rejects_a_non_morphism_out_of_injectives(kron2):
+    # the summands of the Nakayama step of tau: I_1 + I_1, dims (2, 4); the
+    # arrow a1 sends the a1 path of each copy at 2 to that copy's vector at 1
+    i1 = injective(kron2, 1)
+    at_2 = RationalMatrix.zero(1, 4)  # the kernel at 2 is everything
+    # at 1, the kernel span(e_1 + e_2) holds no image of a single copy
+    with pytest.raises(ValueError, match="not closed"):
+        sub_representation([i1, i1], [RationalMatrix.from_rows([[1, -1]]), at_2])
+    # at 1, the kernel is 0
+    with pytest.raises(ValueError, match="not closed"):
+        sub_representation([i1, injective(kron2, 2)],
+                           [RationalMatrix.from_rows([[1]]), RationalMatrix.zero(1, 3)])
+    # a morphism: the fold I_1 + I_1 -> I_1, whose kernel is a copy of I_1
+    sub, _ = sub_representation([i1, i1], [RationalMatrix.from_rows([[1, 1]]),
+                                           RationalMatrix.from_rows([[1, 0, 1, 0],
+                                                                     [0, 1, 0, 1]])])
+    assert sub.dims == (1, 2)
+
+
+def test_sub_representation_rejects_a_non_morphism_out_of_other_summands(kron2):
+    # the summands of a mutation: a module that is no P_v or I_v of the
+    # context, k^2 -> k^2 by the identity along a1 and 0 along a2
+    x = make_rep(kron2, (2, 2), {"a1": [[1, 0], [0, 1]]})
+    at_2 = RationalMatrix.zero(1, 2)  # the kernel at 2 is everything
+    # at 1, the kernel span(e_1 + e_2) does not hold the image e_1 of e_1
+    with pytest.raises(ValueError, match="not closed"):
+        sub_representation([x], [RationalMatrix.from_rows([[1, -1]]), at_2])
+    with pytest.raises(ValueError, match="not closed"):
+        sub_representation([x, x], [RationalMatrix.from_rows([[1, 1, 0, 0]]),
+                                    RationalMatrix.zero(1, 4)])
+    # the same map at both vertices is a morphism
+    same = RationalMatrix.from_rows([[1, -1]])
+    sub, _ = sub_representation([x], [same, same])
+    assert sub.dims == (1, 1)
 
 
 def test_kernel_inclusions_commute_with_the_arrows(apq23, rng):
