@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .quiver import Quiver, defect
+from .quiver import Quiver, _is_connected, defect
 from .report import CheckReport
 from .reps import (Representation, dual_representation, ext1_dim, hom_dim, injective,
-                   minimal_presentation, nakayama_matrices, sub_representation, zero_rep)
+                   minimal_presentation, nakayama_matrices, sub_representation, supp,
+                   zero_rep)
 
 
 class ArPosition(NamedTuple):
@@ -151,17 +152,8 @@ def ar_position(m: Representation) -> ArPosition:
 
 def _support_splits(m: Representation) -> bool:
     """Whether the nonzero arrow maps of m leave its support disconnected."""
-    q = m.quiver
-    edges = [(a.src, a.tgt) for a, mat in zip(q.arrows, m.maps) if any(map(any, mat.nums))]
-    support = [v for v, d in zip(q.vertices, m.dims) if d]
-    reached, grew = {support[0]}, True
-    while grew:
-        grew = False
-        for s, t in edges:
-            if (s in reached) != (t in reached):
-                reached |= {s, t}
-                grew = True
-    return len(reached) < len(support)
+    arrows = [a for a, mat in zip(m.quiver.arrows, m.maps) if any(map(any, mat.nums))]
+    return not _is_connected(Quiver.make(sorted(supp(m)), arrows))
 
 
 def _certify(m: Representation, position: ArPosition, orbit: tuple) -> None:

@@ -137,20 +137,7 @@ def _eliminate(rows: Iterable[Iterable[tuple[int, Rational]]],
             if pivot is None:
                 pivots[c] = _primitive(current)
                 break
-            # current := (pivot[c] current - current[c] pivot) / gcd, in place
-            pv, rv = pivot[c], current[c]
-            g = gcd(pv, rv)
-            mult_row, mult_piv = pv // g, rv // g
-            if mult_row != 1:
-                for j, v in current.items():
-                    current[j] = v * mult_row
-            get = current.get
-            for j, v in pivot.items():
-                val = get(j, 0) - v * mult_piv
-                if val:
-                    current[j] = val
-                else:
-                    del current[j]
+            _cancel(current, pivot, c)
     if reduced:
         for c in sorted(pivots, reverse=True):
             pivot = pivots[c]
@@ -166,18 +153,22 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _cancel(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
-    """The integer combination of ``row`` and ``pivot`` that is 0 at ``c``."""
+    """Replace ``row``, in place, by the integer combination of ``row`` and
+    ``pivot`` that is 0 at ``c``; returns ``row``."""
     pv, rv = pivot[c], row[c]
     g = gcd(pv, rv)
     mult_row, mult_piv = pv // g, rv // g
-    merged = {j: v * mult_row for j, v in row.items()}
+    if mult_row != 1:
+        for j, v in row.items():
+            row[j] = v * mult_row
+    get = row.get
     for j, v in pivot.items():
-        val = merged.get(j, 0) - v * mult_piv
+        val = get(j, 0) - v * mult_piv
         if val:
-            merged[j] = val
+            row[j] = val
         else:
-            merged.pop(j, None)
-    return merged
+            del row[j]
+    return row
 
 
 def _augmented(left: RationalMatrix, right: RationalMatrix) -> Iterable[Iterable]:

@@ -259,16 +259,12 @@ def _coboundary(x: Representation, y: Representation) -> tuple[list[dict[int, in
             y_terms = [(var_offset[s] + k * width_s, -v * xd) for k, v in enumerate(y_row) if v]
             for c, x_terms in enumerate(x_cols):
                 row = {base + k: v for k, v in x_terms}
-                if s != t:
-                    for key, v in y_terms:
-                        row[key + c] = v
-                else:
-                    for key, v in y_terms:
-                        val = row.get(key + c, 0) + v
-                        if val:
-                            row[key + c] = val
-                        else:
-                            del row[key + c]
+                for key, v in y_terms:
+                    val = row.get(key + c, 0) + v
+                    if val:
+                        row[key + c] = val
+                    else:
+                        del row[key + c]
                 rows.append(row)
     return rows, var_offset[-1]
 
@@ -477,11 +473,8 @@ def projective_cover_data(m: Representation) -> tuple[tuple[int, ...], dict[int,
                 mats = [m.map_along(path, v) for path in table[(v, w)]]
                 columns.extend((mat, j) for j in lifts[v] for mat in mats)
         den = lcm(*(mat.den for mat, _ in columns))
-        # built column by column, then transposed
-        cols = [tuple(map(itemgetter(j), mat.nums)) if mat.den == den
-                else tuple(map((den // mat.den).__mul__, map(itemgetter(j), mat.nums)))
-                for mat, j in columns]
-        nums = list(zip(*cols)) if cols else [()] * m.dims[kw]
+        nums = [tuple(mat.nums[r][j] * (den // mat.den) for mat, j in columns)
+                for r in range(m.dims[kw])]
         cover[w] = RationalMatrix.from_nums(nums, den, len(columns))
     return tuple(v for v in q.vertices for _ in lifts[v]), cover
 
