@@ -22,7 +22,7 @@ from .modules import (ModuleRef, NoExceptionalModuleError, TooLargeError, ref_di
 from .quiver import Quiver, _euler_matrix, _symmetrized_form, euler_form, kronecker
 from .record import Record
 from .report import CheckReport
-from .reps import Representation, ext1_dim, hom_dim, is_brick, make_rep, mutate, simple
+from .reps import ext1_dim, is_brick, make_rep
 from .systems import (StratSystem, _exceptional_sequences, build_candidates, check_css,
                       check_ss, completion_ray)
 from .tubes import LAMBDA_SAMPLE, fg_system
@@ -462,37 +462,6 @@ def verify_family_uniqueness(inst: FamilyInstance) -> CheckReport:
 # ---------------------------------------------------------------------------
 # wild quivers: all-regular complete systems
 # ---------------------------------------------------------------------------
-
-def _braid_module(q: Quiver, dims) -> Representation:
-    """The exceptional module on a vector the braid walk reached, built
-    along the walk's recipe (``reps.mutate``) from the modules of the pair it
-    came from, and certified by its dimension vector and dim End = 1.  Kept
-    in ``root_reps``, whose one writer this is."""
-    ctx = q.context
-    rep = ctx.root_reps.get(dims)
-    if rep is None:
-        recipe = ctx.walk.recipes[dims]
-        if recipe is None:
-            rep = simple(q, q.vertices[dims.index(1)])
-        else:
-            move, e, f = recipe
-            rep = mutate(_braid_module(q, e), _braid_module(q, f), move == "L")
-            # <d, d> = 1 and dim End = 1 give dim Ext^1 = 0
-            if rep.dims != dims or hom_dim(rep, rep) != 1:
-                raise ArithmeticError(f"the braid move built no exceptional module on {dims}")
-        ctx.root_reps[dims] = rep
-    return rep
-
-
-def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
-    """The exceptional module on a unit-form root that the quiver's braid
-    walk reaches (``QuiverContext.walk``), built along the walk; None on any
-    other vector, which a spent walk answers at once."""
-    dims = tuple(dims)
-    if euler_form(q, dims, dims) != 1 or not q.context.walk.reached(dims):
-        return None
-    return _braid_module(q, dims)
-
 
 SCREEN_BOX = 1_000_000  # the most vectors the regular screen's box may hold
 

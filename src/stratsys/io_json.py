@@ -146,8 +146,12 @@ def module_ref_to_json(ref: ModuleRef) -> dict:
 
 
 def module_ref_from_json(data: Any, quiver: Quiver, where: str = "module") -> ModuleRef:
-    if not isinstance(data, dict) or len([k for k in data if k not in ("level", "index")]) != 1:
+    keys = [k for k in data if k not in ("level", "index")] if isinstance(data, dict) else ()
+    if len(keys) != 1:
         raise InputError(f"{where}: expected an object with one descriptor key")
+    for field, owners in (("level", ("E_inf", "E_zero", "E_lambda")), ("index", ("E_lambda",))):
+        if field in data and keys[0] not in owners:
+            raise InputError(f"{where}.{field}: {keys[0]} takes no {field}")
     pq = recognize_apq(quiver)
     level = _int_field(data, "level", where, default=1)
     for key, make in (("tauP", ref_preproj), ("tauI", ref_preinj)):

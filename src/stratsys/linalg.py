@@ -214,12 +214,15 @@ def pivot_columns(raw_rows: Iterable[Sequence]) -> set[int]:
     return set(_eliminate(map(enumerate, raw_rows)))
 
 
-def _kernel(pivots: dict[int, dict[int, int]], ncols: int
-            ) -> tuple[RationalMatrix, list[int]]:
-    """The kernel basis of an RREF, one column per free column with a 1 in
-    the free position, as an ncols x (ncols - rank) matrix, and the free
-    columns, ascending.  A pivot row has no entry left of its pivot, so the
-    1 is the last nonzero entry of its column."""
+def kernel_of_rows(rows: Iterable[Iterable[tuple[int, Rational]]], ncols: int
+                   ) -> tuple[RationalMatrix, list[int]]:
+    """The kernel of the matrix with the given rows, each given by its
+    (column, rational) pairs as ``_eliminate`` takes them, and its free
+    columns, ascending.  The basis comes from the RREF, one column per free
+    column with a 1 in the free position, as an ncols x (ncols - rank)
+    matrix.  A pivot row has no entry left of its pivot, so the 1 is the
+    last nonzero entry of its column."""
+    pivots = _eliminate(rows, reduced=True)
     free = [f for f in range(ncols) if f not in pivots]
     position = {f: i for i, f in enumerate(free)}
     den = lcm(*(row[c] for c, row in pivots.items()))
@@ -234,14 +237,9 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int
     return RationalMatrix.from_nums(nums, den, len(free)), free
 
 
-def _kernel_of(matrix: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
-    """``kernel_matrix`` of ``matrix`` and its free columns (see ``_kernel``)."""
-    return _kernel(_eliminate(map(enumerate, matrix.nums), reduced=True), matrix.cols)
-
-
 def kernel_matrix(matrix: RationalMatrix) -> RationalMatrix:
     """The ``kernel_basis`` vectors as the columns of one matrix."""
-    return _kernel_of(matrix)[0]
+    return kernel_of_rows(map(enumerate, matrix.nums), matrix.cols)[0]
 
 
 def kernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:

@@ -32,8 +32,8 @@ Over a hereditary algebra an exceptional module is determined by its
 dimension vector up to isomorphism (Crawley-Boevey, "Exceptional sequences
 of representations of quivers", 1993), so
 the vector alone is a pedigree: a search can key its facts on it, and the
-module is built (by ``classifier.exceptional_of_dims``) only the first time
-a structural question needs it.  Braid mutation is the one builder: a
+module is built (by ``exceptional_of_dims``) only the first time a
+structural question needs it.  Braid mutation is the one builder: a
 vector the braid walk reaches (``QuiverContext.walk``) is built along the
 walk (``reps.mutate``), as a universal extension in the Ext^1 case and as
 the kernel or cokernel of the canonical map in the Hom case, and certified
@@ -44,10 +44,11 @@ reach within its bounds, ``materialize`` raises
 Every memo of the engine lives in the quiver's ``QuiverContext``: the
 Coxeter-powered orbit dimension vectors (``orbit_dims``), the materialized
 orbit modules (``orbit_reps``), the module built per ``ROOT`` vector
-(``root_reps``) and one (dim Hom, dim Ext^1) entry per pedigreed
-pair (``hom_ext``), which ``pair_hom_ext`` alone reads and writes: one
-lookup there answers a pair, and ``pair_hom`` and ``pair_ext`` are its two
-halves.  Explicit representations are never memoized.
+(``root_reps``, written by ``_braid_module`` alone) and one (dim Hom,
+dim Ext^1) entry per pedigreed pair (``hom_ext``), which ``pair_hom_ext``
+alone reads and writes: one lookup there answers a pair, and ``pair_hom``
+and ``pair_ext`` are its two halves.  Explicit representations are never
+memoized.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .apq import TubeLabel, TubePoint, apq_algebra
 from .artheory import tau, tau_inv
 from .quiver import DimVector, Quiver, euler_form
 from .record import Frozen
-from .reps import Representation, hom_dim, injective, projective, zero_rep
+from .reps import (Representation, end_dim, hom_dim, injective, mutate, projective, simple,
+                   zero_rep)
 
 MATERIALIZE_CAP = 4000
 ORBIT_CAP = 10_000  # highest tau power whose orbit dimension vectors are grown
@@ -212,14 +214,35 @@ def _orbit_rep(q: Quiver, kind: str, vertex: int, power: int) -> Representation:
     return rep
 
 
-def _root_rep(q: Quiver, dims: DimVector) -> Representation:
-    """The exceptional module on ``dims``, kept in ``root_reps`` once built;
-    a vector the braid walk does not reach raises on every ask."""
-    from . import classifier  # the upper layer; a call through it is traced
-    rep = q.context.root_reps.get(dims) or classifier.exceptional_of_dims(q, dims)
+def _braid_module(q: Quiver, dims: DimVector) -> Representation:
+    """The exceptional module on a vector the braid walk reached, built
+    along the walk's recipe (``reps.mutate``) from the modules of the pair it
+    came from, and certified by its dimension vector and dim End = 1.  Kept
+    in ``root_reps``, whose one writer this is."""
+    ctx = q.context
+    rep = ctx.root_reps.get(dims)
     if rep is None:
-        raise NoExceptionalModuleError(dims)
+        recipe = ctx.walk.recipes[dims]
+        if recipe is None:
+            rep = simple(q, q.vertices[dims.index(1)])
+        else:
+            move, e, f = recipe
+            rep = mutate(_braid_module(q, e), _braid_module(q, f), move == "L")
+            # <d, d> = 1 and dim End = 1 give dim Ext^1 = 0
+            if rep.dims != dims or end_dim(rep) != 1:
+                raise ArithmeticError(f"the braid move built no exceptional module on {dims}")
+        ctx.root_reps[dims] = rep
     return rep
+
+
+def exceptional_of_dims(q: Quiver, dims) -> Optional[Representation]:
+    """The exceptional module on a unit-form root that the quiver's braid
+    walk reaches (``QuiverContext.walk``), built along the walk; None on any
+    other vector, which a spent walk answers at once."""
+    dims = tuple(dims)
+    if euler_form(q, dims, dims) != 1 or not q.context.walk.reached(dims):
+        return None
+    return _braid_module(q, dims)
 
 
 def materialize(ref: ModuleRef) -> Representation:
@@ -244,7 +267,10 @@ def materialize(ref: ModuleRef) -> Representation:
         p, q = ref.apq
         return apq_algebra(p, q).tube_point(ref.point)
     if ref.kind == ROOT:
-        return _root_rep(ref.quiver, dims)
+        rep = ref.quiver.context.root_reps.get(dims) or exceptional_of_dims(ref.quiver, dims)
+        if rep is None:
+            raise NoExceptionalModuleError(dims)
+        return rep
     # build the orbit upwards, so that each _orbit_rep call finds the member
     # before it memoized and the recursion stays one level deep
     for k in range(ref.power + 1):

@@ -147,12 +147,12 @@ class QuiverContext:
     sends representations.  The upper layers keep their memos in plain dicts:
     ``orbit_dims`` and ``orbit_reps`` (``modules``: the tau-orbit dimension
     vectors, each orbit a tuple replaced whole when it grows, and the
-    materialized orbit modules), ``root_reps`` (``modules`` and
-    ``classifier``: the exceptional module built along the braid walk per
-    ``ROOT`` dimension vector, written by ``classifier`` alone), ``hom_ext``
-    (``modules``: one checked (dim Hom, dim Ext^1) entry per pedigreed pair,
-    written by ``pair_hom_ext`` alone), ``projectives`` and ``injectives``
-    (``reps``: P_v and I_v per vertex), and ``walk``, the quiver's
+    materialized orbit modules), ``root_reps`` (``modules``: the exceptional
+    module built along the braid walk per ``ROOT`` dimension vector, written
+    by ``modules`` alone), ``hom_ext`` (``modules``: one checked (dim Hom,
+    dim Ext^1) entry per pedigreed pair, written by ``pair_hom_ext`` alone),
+    ``proj_inj`` (``reps``: P_v and I_v, keyed like ``gathers`` by ("P", v)
+    and ("I", v), their arrow maps read off it), and ``walk``, the quiver's
     ``BraidWalk``, which guards itself.  The search kernel keeps no memo
     here: a search holds its facts by item index and asks ``hom_ext`` for
     each once.  A module's minimal presentation is no memo of the context:
@@ -185,8 +185,7 @@ class QuiverContext:
         self.orbit_reps: dict[tuple[str, int, int], Any] = {}
         self.root_reps: dict[DimVector, Any] = {}
         self.hom_ext: dict[tuple, tuple[int, int]] = {}
-        self.projectives: dict[int, Any] = {}
-        self.injectives: dict[int, Any] = {}
+        self.proj_inj: dict[tuple[str, int], Any] = {}
         self.walk = BraidWalk(self.quiver)
         self.hits = dict.fromkeys(self.COUNTED, 0)
         self.misses = dict.fromkeys(self.COUNTED, 0)

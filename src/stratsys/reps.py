@@ -122,51 +122,33 @@ def simple(q: Quiver, i: int) -> Representation:
 
 
 def projective(q: Quiver, i: int) -> Representation:
-    """P_i: basis at v = paths from i to v; arrows append themselves.  Built
-    once per quiver and kept in its context."""
-    rep = q.context.projectives.get(i)
-    if rep is not None:
-        return rep
-    if i not in q.vertices:
-        raise KeyError(f"unknown vertex {i}")
-    table = q.context.paths
-    basis = {v: table[(i, v)] for v in q.vertices}
-    dims = tuple(len(basis[v]) for v in q.vertices)
-    maps: dict[str, list[list[int]]] = {}
-    for a in q.arrows:
-        src_paths = basis[a.src]
-        tgt_paths = basis[a.tgt]
-        index = {p: k for k, p in enumerate(tgt_paths)}
-        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
-        for c, p in enumerate(src_paths):
-            mat[index[p + (a.label,)]][c] = 1
-        maps[a.label] = mat
-    rep = q.context.projectives[i] = make_rep(q, dims, maps)
-    return rep
+    """P_i: basis at v = paths from i to v; arrows append themselves."""
+    return _gathered(q, "P", i)
 
 
 def injective(q: Quiver, i: int) -> Representation:
-    """I_i: basis at v = dual basis of paths from v to i.  Built once per
-    quiver and kept in its context."""
-    rep = q.context.injectives.get(i)
-    if rep is not None:
-        return rep
-    if i not in q.vertices:
-        raise KeyError(f"unknown vertex {i}")
-    table = q.context.paths
-    basis = {v: table[(v, i)] for v in q.vertices}
-    dims = tuple(len(basis[v]) for v in q.vertices)
-    maps: dict[str, list[list[int]]] = {}
-    for a in q.arrows:
-        src_paths = basis[a.src]  # paths s ~> i
-        tgt_paths = basis[a.tgt]  # paths t ~> i
-        index = {p: k for k, p in enumerate(src_paths)}
-        # dual of precomposition-with-a: entry[pi][pi'] = 1 iff pi' = a . pi
-        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
-        for r, p in enumerate(tgt_paths):
-            mat[r][index[(a.label,) + p]] = 1
-        maps[a.label] = mat
-    rep = q.context.injectives[i] = make_rep(q, dims, maps)
+    """I_i: basis at v = dual basis of paths from v to i; an arrow a sends
+    the dual of a.p to the dual of p."""
+    return _gathered(q, "I", i)
+
+
+def _gathered(q: Quiver, kind: str, i: int) -> Representation:
+    """P_i (kind "P") or I_i ("I"), whose arrow maps hold at most one 1 per
+    row, where the context's ``gathers`` say.  Built once per quiver and
+    kept in its context's ``proj_inj`` under the same key."""
+    ctx = q.context
+    key = (kind, i)
+    rep = ctx.proj_inj.get(key)
+    if rep is None:
+        if i not in q.vertices:
+            raise KeyError(f"unknown vertex {i}")
+        dims = (ctx.proj_dims if kind == "P" else ctx.inj_dims)[q.index(i)]
+        maps = []
+        for a, gather in zip(q.arrows, ctx.gathers[key]):
+            width = dims[q.index(a.src)]
+            maps.append(RationalMatrix(len(gather), width, tuple(
+                tuple(int(j == g) for j in range(width)) for g in gather), 1))
+        rep = ctx.proj_inj[key] = Representation(q, dims, tuple(maps))
     return rep
 
 
@@ -288,8 +270,7 @@ def hom_space(x: Representation, y: Representation) -> HomSpace:
     rows, total = _coboundary(x, y)
     if total == 0:
         return HomSpace(x, y, ())
-    kernel, _ = linalg._kernel(
-        linalg._eliminate((row.items() for row in rows), reduced=True), total)
+    kernel, _ = linalg.kernel_of_rows((row.items() for row in rows), total)
     den = kernel.den
     basis = []
     for vec in kernel.transpose().nums:
@@ -348,7 +329,7 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
     matrix at each vertex, as a representation plus its inclusion matrices
     (columns = basis vectors).
 
-    Each inclusion is ``linalg.kernel_matrix``: the basis vector of a free
+    Each inclusion is ``linalg.kernel_of_rows``: the basis vector of a free
     column f has its last nonzero entry, 1, at f and 0 at the other free
     columns, and the elimination hands out those columns.  So the
     coordinates of an image vector in the target's kernel basis are its
@@ -370,10 +351,10 @@ def sub_representation(parts: Sequence[Representation], mats: Sequence[RationalM
         raise ValueError("the matrices do not start at the sum of the summands")
     incl, free, pivot_rows = {}, {}, {}
     for k, v in enumerate(q.vertices):
-        incl[v], free[v] = linalg._kernel_of(mats[k])
+        incl[v], free[v] = linalg.kernel_of_rows(map(enumerate, mats[k].nums), mats[k].cols)
         is_free = set(free[v])
         # each pivot row of the inclusion as its (free position, entry) terms
-        pivot_rows[v] = [(r, list(filter(linalg._VALUE, enumerate(row))))
+        pivot_rows[v] = [(r, list(filter(itemgetter(1), enumerate(row))))
                          for r, row in enumerate(incl[v].nums) if r not in is_free]
     kinds = [_context_summand(p) for p in parts]
     gathers = q.context.gathers
@@ -412,12 +393,9 @@ def _context_summand(m: Representation) -> Optional[tuple[str, int]]:
     """("P", v) when m is the context's P_v, ("I", v) when it is its I_v,
     else None."""
     ctx = m.quiver.context
-    v = ctx.proj_vertex.get(m.dims)
-    if v is not None and ctx.projectives.get(v) is m:
-        return "P", v
-    v = ctx.inj_vertex.get(m.dims)
-    if v is not None and ctx.injectives.get(v) is m:
-        return "I", v
+    for key in (("P", ctx.proj_vertex.get(m.dims)), ("I", ctx.inj_vertex.get(m.dims))):
+        if ctx.proj_inj.get(key) is m:
+            return key
     return None
 
 

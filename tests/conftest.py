@@ -79,6 +79,42 @@ def coboundary_rows(x: Representation, y: Representation) -> tuple[list[dict[int
     return rows, total
 
 
+def projective_by_paths(q: Quiver, i: int) -> Representation:
+    """P_i with basis at v the paths from i to v, each arrow appending
+    itself, built path by path: a test oracle for ``reps.projective``."""
+    table = q.context.paths
+    basis = {v: table[(i, v)] for v in q.vertices}
+    maps: dict[str, list[list[int]]] = {}
+    for a in q.arrows:
+        src_paths = basis[a.src]
+        tgt_paths = basis[a.tgt]
+        index = {p: k for k, p in enumerate(tgt_paths)}
+        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
+        for c, p in enumerate(src_paths):
+            mat[index[p + (a.label,)]][c] = 1
+        maps[a.label] = mat
+    return make_rep(q, [len(basis[v]) for v in q.vertices], maps)
+
+
+def injective_by_paths(q: Quiver, i: int) -> Representation:
+    """I_i with basis at v the duals of the paths from v to i, each arrow
+    the dual of precomposition, built path by path: a test oracle for
+    ``reps.injective``."""
+    table = q.context.paths
+    basis = {v: table[(v, i)] for v in q.vertices}
+    maps: dict[str, list[list[int]]] = {}
+    for a in q.arrows:
+        src_paths = basis[a.src]  # paths s ~> i
+        tgt_paths = basis[a.tgt]  # paths t ~> i
+        index = {p: k for k, p in enumerate(src_paths)}
+        # entry[pi][pi'] = 1 iff pi' = a . pi
+        mat = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
+        for r, p in enumerate(tgt_paths):
+            mat[r][index[(a.label,) + p]] = 1
+        maps[a.label] = mat
+    return make_rep(q, [len(basis[v]) for v in q.vertices], maps)
+
+
 def is_morphism(x: Representation, y: Representation, mats: Sequence[RationalMatrix]) -> bool:
     """Whether ``mats``, one matrix per vertex, commute with every arrow map
     of ``x`` and ``y``: a test oracle for the Hom bases."""

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratsys import modules
-from stratsys.classifier import _braid_module, exceptional_of_dims, regular_css_search
-from stratsys.modules import pair_hom_ext, ref_dims, ref_root
+from stratsys.classifier import regular_css_search
+from stratsys.modules import _braid_module, exceptional_of_dims, pair_hom_ext, ref_dims, ref_root
 from stratsys.quiver import WALK_STATES, Quiver, euler_form, kronecker
 from stratsys.reps import brick_iso, ext1_dim_direct, hom_dim, mutate
 

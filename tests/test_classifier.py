@@ -1,15 +1,14 @@
 import pytest
 
 from stratsys.classifier import (apq_families, compare_kronecker_enumeration,
-                                 enumerate_css_kronecker, exceptional_of_dims,
-                                 expected_y_postprojective,
+                                 enumerate_css_kronecker, expected_y_postprojective,
                                  expected_y_preinjective, family5_index_zero,
                                  kronecker_css_list, kronecker_orbit_pool,
                                  kronecker_regular_selfext_check,
                                  regular_css_search, sincerity_profile,
                                  verify_family_uniqueness,
                                  y_search)
-from stratsys.modules import ref_dims
+from stratsys.modules import exceptional_of_dims, ref_dims
 from stratsys.quiver import Quiver, kronecker
 from stratsys.systems import check_css
 
@@ -243,7 +242,7 @@ def test_regular_css_search_finds_what_an_eager_pool_finds(cap):
 
 
 def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch):
-    from stratsys import classifier, modules
+    from stratsys import classifier, modules, reps
     from stratsys.modules import NoExceptionalModuleError, materialize, ref_root
 
     # <d, d> = 1 on (2, 7, 2), but it is no Schur root: no module on it is
@@ -272,7 +271,7 @@ def test_regular_css_search_drops_a_vector_with_no_module_and_reruns(monkeypatch
     assert not isinstance(caught.value, LookupError)
     # the spent walk answers a second ask at once: no Hom space, no new sequence
     calls = []
-    for layer in (classifier, modules):
+    for layer in (modules, reps):
         monkeypatch.setattr(layer, "hom_dim", lambda *args, real=layer.hom_dim:
                             calls.append(args) or real(*args))
     seen = len(WILD3.context.walk._seen)

@@ -259,13 +259,20 @@ TWO_CYCLE = {"vertices": [1, 2], "arrows": [{"src": 1, "tgt": 2, "label": "a"},
      ".modules[0].E_inf"),
     ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}},
                   "modules": [{"E_lambda": "2", "index": 3}]}, ".modules[0].E_lambda"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}},
+                  "modules": [{"E_inf": 1, "index": 2}]}, ".modules[0].index"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}},
+                  "modules": [{"tauP": {"i": 1, "k": 0}, "level": 7}]}, ".modules[0].level"),
+    ("ss check", {"quiver": {"apq": {"p": 2, "q": 3}},
+                  "modules": [{"S": 2, "index": 3}]}, ".modules[0].index"),
 ], ids=["missing-vertex", "unknown-vertex", "negative-power", "cyclic-rep-ext",
         "cyclic-rep-hom", "dims-null", "dims-nested", "dims-float", "dims-bool",
         "dims-short", "maps-list", "maps-false", "maps-unknown-arrow", "maps-string-rows",
         "float-power", "float-arrow-count", "lambda-bool", "lambda-float",
         "lambda-zero-denominator", "map-entry-bool", "map-entry-float",
         "map-entry-zero-denominator", "mouth-index-above-rank",
-        "lambda-index-above-rank"])
+        "lambda-index-above-rank", "index-on-a-mouth-point", "level-on-an-orbit-module",
+        "index-on-a-simple"])
 def test_malformed_files_exit_2_with_location(tmp_path, capsys, action, payload, field):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stratsys.cli import main
+from stratsys.io_json import InputError, module_ref_from_json
 from stratsys.quiver import Quiver, canonical_apq, kronecker
 
 JUNK = st.one_of(st.none(), st.booleans(), st.just(1.5), st.text(max_size=3),
@@ -83,6 +84,11 @@ def rep_of(draw, q):
 def descriptor_of(draw, q):
     if not well_formed(draw):
         return draw(DESCRIPTOR)
+    return draw(well_formed_descriptor_of(q))
+
+
+@st.composite
+def well_formed_descriptor_of(draw, q):
     vertex = draw(st.sampled_from(q.vertices))
     return draw(st.one_of(
         st.builds(lambda key, k: {key: {"i": vertex, "k": k}},
@@ -143,3 +149,18 @@ def test_cli_exit_code_contract(call, as_json):
             code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_well_formed_descriptors_carry_no_stray_field(data):
+    """A well-formed descriptor puts ``level`` only on a tube point and
+    ``index`` only on E_lambda, so the loader never refuses either field;
+    it may still refuse the module itself (a tube point off an apq quiver)."""
+    q = data.draw(st.sampled_from(SMALL_QUIVERS))
+    descriptor = data.draw(well_formed_descriptor_of(q))
+    try:
+        module_ref_from_json(descriptor, q)
+    except InputError as exc:
+        assert not str(exc).startswith(("module.level:", "module.index:")), descriptor

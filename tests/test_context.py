@@ -202,13 +202,13 @@ def test_euler_screen_spares_structural_hom_in_the_regular_search(monkeypatch):
 
 
 def test_the_regular_search_builds_only_the_modules_it_asks_about(monkeypatch):
-    from stratsys import classifier, modules
+    from stratsys import modules
 
     from conftest import wild_sample
 
     wild = wild_sample()
     wild.context.clear()
-    built = _counted(monkeypatch, classifier, "exceptional_of_dims")
+    built = _counted(monkeypatch, modules, "exceptional_of_dims")
     calls = _counted(monkeypatch, modules, "hom_dim")
     assert regular_css_search(wild, 8)[0] is not None
     # deterministic gates; an eager pool builds all 39 screened vectors, and

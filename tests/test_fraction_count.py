@@ -86,7 +86,8 @@ def test_rep_to_json_constructs_no_fraction():
 
 
 def test_building_the_walk_modules_reads_few_fraction_views(monkeypatch):
-    from stratsys.classifier import _screened_roots, exceptional_of_dims
+    from stratsys.classifier import _screened_roots
+    from stratsys.modules import exceptional_of_dims
 
     wild = wild_sample()
     wild.context.clear()

@@ -37,6 +37,40 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# The package's layers, bottom up: a module imports only from layers before it.
+LAYERS = ("record", "linalg", "report", "quiver", "reps", "apq", "artheory", "modules",
+          "systems", "tubes", "classifier", "io_json", "cli", "__main__")
+
+
+def layer_breaks(name: str, source: str) -> list[str]:
+    """Each ``from .x import`` (or ``from . import x``) of module ``name``
+    that is not at module level or names no layer before ``name``'s."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    below = LAYERS[:LAYERS.index(name)] if name in LAYERS else ()
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        targets = [node.module] if node.module else [alias.name for alias in node.names]
+        if id(node) not in top:
+            out.append(f"line {node.lineno}: {', '.join(targets)} imported inside a block")
+        out += [f"line {node.lineno}: {t} is not a layer below {name}"
+                for t in targets if t not in below]
+    return out
+
+
+def test_the_layer_gate_sees_a_nested_and_an_upward_import():
+    source = "from .record import Frozen\nfrom . import cli\ndef f():\n    from .linalg import rank\n"
+    assert layer_breaks("reps", source) == ["line 2: cli is not a layer below reps",
+                                            "line 4: linalg imported inside a block"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_each_module_imports_only_from_the_layers_below_it_at_module_level(path):
+    assert layer_breaks(path.stem, path.read_text()) == []
+
+
 ROOT = Path(__file__).resolve().parent.parent
 PYTHON_FILES = sorted(path for folder in ("src", "tests", "benchmark")
                       for path in (ROOT / folder).rglob("*.py"))

@@ -81,6 +81,29 @@ def test_malformed_inputs_carry_locations():
     assert "maps.a1" in str(exc.value)
 
 
+@pytest.mark.parametrize("descriptor, field", [
+    ({"E_inf": 1, "index": 2}, "index"),
+    ({"E_zero": 1, "level": 2, "index": 1}, "index"),
+    ({"tauP": {"i": 1, "k": 0}, "level": 7}, "level"),
+    ({"tauI": {"i": 1, "k": 0}, "index": 1}, "index"),
+    ({"S": 2, "index": 3}, "index"),
+    ({"S": 2, "level": 1}, "level"),
+])
+def test_a_stray_level_or_index_is_refused_by_name(descriptor, field):
+    """``level`` belongs to a tube point alone, and ``index`` to E_lambda
+    alone (E_inf and E_zero carry theirs as their value)."""
+    with pytest.raises(InputError) as exc:
+        system_from_json({"quiver": {"apq": {"p": 2, "q": 3}}, "modules": [descriptor]})
+    assert f"modules[0].{field}:" in str(exc.value)
+
+
+def test_level_and_index_are_read_where_they_belong():
+    system = system_from_json({"quiver": {"apq": {"p": 2, "q": 3}},
+                               "modules": [{"E_inf": 1, "level": 2}, {"E_zero": 1, "level": 2},
+                                           {"E_lambda": "2", "index": 1, "level": 2}]})
+    assert [m.point.level for m in system.modules] == [2, 2, 2]
+
+
 def test_module_ref_descriptor_round_trip():
     q = canonical_apq(2, 3)
     data = {"quiver": {"apq": {"p": 2, "q": 3}},

@@ -1,17 +1,21 @@
 """The structural route does each piece of work once, and its shortcuts
 equal the constructions they replace.
 
-On seeded random modules over K_3, A~_{2,3}, A~_{3,4}, A~_{2,5} and the wild
-sample: nu(iota) at x read off the path table equals the transpose of the
-presentation route's matrix at P_x; a kernel taken summand by summand
-equals the kernel out of the built direct sum; a module is presented once,
-and presenting grows no memo of the quiver context."""
+P_v and I_v read off the context's gathers equal the path-by-path
+construction at every vertex of K_3, A~_{2,3}, A~_{3,4}, the six-vertex
+star and the wild sample.  On seeded random modules over K_3, A~_{2,3},
+A~_{3,4}, A~_{2,5} and the wild sample: nu(iota) at x read off the path
+table equals the transpose of the presentation route's matrix at P_x; a
+kernel taken summand by summand equals the kernel out of the built direct
+sum; a module is presented once, and presenting grows no memo of the
+quiver context."""
 
 import random
 
 import pytest
 
-from conftest import random_representation, wild_sample
+from conftest import (injective_by_paths, projective_by_paths, random_representation,
+                      six_vertex_star, wild_sample)
 from stratsys import reps
 from stratsys.artheory import tau, tau_inv
 from stratsys.linalg import RationalMatrix
@@ -38,6 +42,21 @@ def _modules(name: str, count: int = 8) -> list:
 def _side_by_side(*blocks: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_rows([sum(rows, ()) for rows in zip(*(b.entries for b in blocks))],
                                     cols=sum(b.cols for b in blocks))
+
+
+@pytest.mark.parametrize("name", ["K3", "apq23", "apq34", "star", "wild-sample"])
+def test_p_and_i_read_off_the_gathers_equal_the_path_loops(name):
+    q = six_vertex_star() if name == "star" else QUIVERS[name]()
+    for v in q.vertices:
+        for kind, build, oracle in (("P", projective, projective_by_paths),
+                                    ("I", injective, injective_by_paths)):
+            rep, want = build(q, v), oracle(q, v)
+            assert rep.dims == want.dims
+            assert [(m.nums, m.den) for m in rep.maps] == [(m.nums, m.den) for m in want.maps]
+            # the context's own module is the one recognised as a summand
+            assert build(q, v) is rep
+            assert reps._context_summand(rep) == (kind, v)
+            assert reps._context_summand(want) is None
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))

@@ -247,8 +247,8 @@ def test_euler_screen_agrees_with_structure():
     # dim Hom - dim Ext^1 = <dim b, dim a>; check that identity on structural
     # Hom and Ext^1, and that the kernel (screen and engine) accepts exactly
     # the pairs whose structural (hom, ext) is (0, 0)
-    from stratsys.classifier import _screened_roots, exceptional_of_dims
-    from stratsys.modules import materialize, ref_total_dim
+    from stratsys.classifier import _screened_roots
+    from stratsys.modules import exceptional_of_dims, materialize, ref_total_dim
     from stratsys.quiver import euler_form
     from stratsys.reps import ext1_dim_direct, hom_dim
     from stratsys.systems import build_candidates
